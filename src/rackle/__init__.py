@@ -20,6 +20,7 @@ from .errors import (
     NotPrime,
     RackleError,
     TooLarge,
+    UnknownGroup,
 )
 from .groups import (
     NOT_SOLVABLE,

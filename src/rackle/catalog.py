@@ -3,7 +3,9 @@
 Coverage is complete for every isomorphism type of order up to 12 and
 documented-partial from 13 to 16 (all abelian types, both dihedral and
 dicyclic families, and the two order-16 products with a nonabelian factor),
-plus S4, a bundled order-24 fixture, and A5 for the nonsolvable path.
+plus S4, a bundled order-24 fixture, and A5 for the nonsolvable path. S5 is
+reachable by name only: the catalog sweeps need its subgroups, which are
+beyond the subgroup cap.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from importlib import resources
 
 from .config import DEFAULT_LIMITS, Limits, order24_enabled
-from .errors import TooLarge
+from .errors import TooLarge, UnknownGroup
 from .groups import (
     FiniteGroup,
     direct_product,
@@ -80,8 +82,8 @@ def _cycle_perm(degree: int, *cycles: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def symmetric(n: int) -> FiniteGroup:
-    if n > 4:
-        raise TooLarge("symmetric groups are provided up to degree 4")
+    if n > 5:
+        raise TooLarge("symmetric groups are provided up to degree 5")
     if n <= 1:
         return cyclic(1)
     gens = [_cycle_perm(n, (1, 2)), _cycle_perm(n, tuple(range(1, n + 1)))]
@@ -198,11 +200,16 @@ _ALIASES = {
 def named_group(name: str, limits: Limits = DEFAULT_LIMITS) -> FiniteGroup:
     """Look a group up by catalog name (case-insensitive, a few aliases)."""
     want = _ALIASES.get(name.lower(), name)
-    specials = {"sl23": sl23, "A5": lambda: alternating(5), "S4": lambda: symmetric(4)}
+    specials = {
+        "sl23": sl23,
+        "A5": lambda: alternating(5),
+        "S4": lambda: symmetric(4),
+        "S5": lambda: symmetric(5),
+    }
     for key, maker in specials.items():
         if want.lower() == key.lower():
             return maker()
     for g in catalog_entries(max_order=10_000, limits=limits):
         if g.name.lower() == want.lower():
             return g
-    raise KeyError(f"no catalog group named {name!r}")
+    raise UnknownGroup(f"no catalog group named {name!r}")

@@ -12,7 +12,7 @@ import sys
 
 from .catalog import named_group
 from .config import DEFAULT_LIMITS, Limits, thread_count
-from .errors import FormatError, RackleError, TooLarge
+from .errors import FormatError, RackleError, TooLarge, UnknownGroup
 from .groups import (
     NOT_SOLVABLE,
     FiniteGroup,
@@ -266,7 +266,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, KeyError, FileNotFoundError) as exc:
+    except (FormatError, UnknownGroup, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TooLarge as exc:

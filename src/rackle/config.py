@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 class Limits:
     generation_cap: int = 10_000      # max order for permutation-generated groups
     subgroup_cap: int = 48            # max |G| for full subgroup enumeration
-    ground_cap: int = 30              # max rack ground-set size for lattice enumeration
+    ground_cap: int = 30              # max group order in the catalog sweeps (scan.py);
+                                      # enumeration itself is bounded by lattice_cap
     lattice_cap: int = 2_000_000      # max number of lattice elements
     iso_node_budget: int = 10_000_000 # backtracking nodes for isomorphism search
     tuple_budget: int = 10_000        # exhaustive representative-tuple checks up to here

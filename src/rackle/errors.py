@@ -51,3 +51,12 @@ class IsomorphismTimeout(RackleError):
 
 class FormatError(RackleError):
     """A group/rack/lattice file is malformed."""
+
+
+class UnknownGroup(RackleError, KeyError):
+    """No catalog group has the requested name.
+
+    Also a KeyError, so callers that caught the lookup failure as one still do.
+    """
+
+    __str__ = RackleError.__str__

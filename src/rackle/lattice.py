@@ -1,9 +1,10 @@
 """Subrack lattices: enumeration, queries, label stripping, isomorphism.
 
 The enumerator walks closed sets in lectic order with the canonical-generation
-test, so cost scales with the output, never with 2^m. Everything downstream
-that claims to be "lattice only" goes through AbstractLattice, which keeps the
-order relation and nothing else.
+test (Close-by-One): a closure aborts at its first new point below the one
+being added, so cost scales with the output, never with 2^m. Everything
+downstream that claims to be "lattice only" goes through AbstractLattice,
+which keeps the order relation and nothing else.
 """
 
 from __future__ import annotations
@@ -49,10 +50,10 @@ def _enumerate_subtree(
         for j in range(j_from, m):
             if a >> j & 1:
                 continue
-            b = closure_extend(rows, a, j)
-            below = (1 << j) - 1
-            # canonical test: adding j must not sneak in smaller new points
-            if b & below == a & below:
+            # canonical test: adding j must not sneak in smaller new points,
+            # so the closure aborts at the first one
+            b = closure_extend(rows, a, j, (1 << j) - 1)
+            if b is not None:
                 rec(b, j + 1)
 
     rec(start, j0)
@@ -69,8 +70,6 @@ def enumerate_closed_masks(
 ) -> list[int]:
     """Closed subsets of the rack as bitmasks, sorted by popcount then members."""
     m = rack.size
-    if m > limits.ground_cap:
-        raise TooLarge(f"ground set of {m} exceeds cap {limits.ground_cap}")
     rows = rack.op
     cap = limits.lattice_cap
     if workers <= 1 or m < 2:
@@ -79,8 +78,8 @@ def enumerate_closed_masks(
         # split at the root: each canonical child becomes an independent job
         branches = []
         for j in range(m):
-            b = closure_extend(rows, 0, j)
-            if b & ((1 << j) - 1) == 0:
+            b = closure_extend(rows, 0, j, (1 << j) - 1)
+            if b is not None:
                 branches.append((rows, m, b, j + 1, cap))
         masks = [0]
         with ProcessPoolExecutor(max_workers=workers) as pool:

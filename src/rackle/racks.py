@@ -199,8 +199,14 @@ def closure_mask(rows: Sequence[Sequence[int]], seed_mask: int) -> int:
     return mask
 
 
-def closure_extend(rows: Sequence[Sequence[int]], closed_mask: int, j: int) -> int:
-    """Closure of closed_mask ∪ {j}, exploiting that closed_mask is closed."""
+def closure_extend(
+    rows: Sequence[Sequence[int]], closed_mask: int, j: int, forbidden: int = 0
+) -> int | None:
+    """Closure of closed_mask ∪ {j}, exploiting that closed_mask is closed.
+
+    Returns None as soon as a new point inside the forbidden mask enters, so
+    a caller that would discard such a closure never pays for finishing it.
+    """
     mask = closed_mask | (1 << j)
     work = [j]
     while work:
@@ -214,6 +220,8 @@ def closure_extend(rows: Sequence[Sequence[int]], closed_mask: int, j: int) -> i
             for c in (ra[b], rows[b][a]):
                 bit = 1 << c
                 if not mask & bit:
+                    if bit & forbidden:
+                        return None
                     mask |= bit
                     work.append(c)
     return mask

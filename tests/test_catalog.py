@@ -3,7 +3,9 @@
 import pytest
 
 from rackle import (
+    RackleError,
     TooLarge,
+    UnknownGroup,
     alternating,
     catalog_entries,
     cyclic,
@@ -49,8 +51,9 @@ class TestConstructors:
     def test_symmetric(self):
         assert symmetric(3).order == 6
         assert symmetric(4).order == 24
+        assert symmetric(5).order == 120
         with pytest.raises(TooLarge):
-            symmetric(5)
+            symmetric(6)
 
     def test_alternating(self):
         assert alternating(4).order == 12
@@ -120,6 +123,15 @@ class TestNamedGroup:
     def test_unknown(self):
         with pytest.raises(KeyError):
             named_group("M11")
+
+    def test_unknown_is_a_rackle_error(self):
+        with pytest.raises(UnknownGroup, match="no catalog group named 'M11'$"):
+            named_group("M11")
+        assert issubclass(UnknownGroup, RackleError)
+
+    def test_s5_by_name_only(self):
+        assert named_group("s5").order == 120
+        assert "S5" not in {g.name for g in catalog_entries(10_000)}
 
 
 class TestFixtures:

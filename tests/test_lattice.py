@@ -1,5 +1,7 @@
 """Enumeration, lattice queries, abstraction, isomorphism, and the .lat format."""
 
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,17 +20,26 @@ from rackle import (
     save_lattice,
     to_abstract,
 )
+from rackle.catalog import catalog_entries
 from rackle.config import DEFAULT_LIMITS
 from rackle.errors import FormatError
 from rackle.lattice import (
     SubrackLattice,
+    _enumerate_subtree,
     abstract_from_cover_pairs,
     enumerate_closed_masks,
     format_abstract,
     format_lattice,
     parse_lattice,
 )
-from rackle.racks import conjugacy_class_rack, is_closed_mask
+from rackle.racks import (
+    ConjugationRack,
+    closure_extend,
+    conjugacy_class_rack,
+    is_closed_mask,
+    p_power_rack,
+    verify_rack_axioms,
+)
 
 from conftest import get_abstract, get_group, get_lattice
 
@@ -70,17 +81,100 @@ class TestEnumeration:
         assert keys == sorted(keys)
 
     def test_parallel_agrees_with_serial(self):
-        rack = group_rack(get_group("S4"))
-        assert enumerate_closed_masks(rack, workers=3) == enumerate_closed_masks(rack)
+        # S4, and a rack that is not a quandle: a ▷ b = σ(b)
+        non_quandle = permutation_rack((1, 2, 0, 4, 3, 5, 7, 8, 6, 9))
+        assert not verify_rack_axioms(non_quandle.op).is_quandle
+        for rack, workers in ((group_rack(get_group("S4")), 3), (non_quandle, 2)):
+            assert enumerate_closed_masks(rack, workers=workers) == enumerate_closed_masks(rack)
 
     def test_ground_cap(self):
+        # the ground cap filters catalog sweeps only; enumeration is bounded
+        # by its output, so A5 (60 points, over the cap) enumerates here
+        assert DEFAULT_LIMITS.ground_cap < 60
+        assert get_lattice("A5").size == 490
+        lim = DEFAULT_LIMITS.with_(lattice_cap=489)
         with pytest.raises(TooLarge):
-            enumerate_subrack_lattice(group_rack(get_group("A5")))
+            enumerate_closed_masks(group_rack(get_group("A5")), limits=lim)
 
     def test_lattice_cap(self):
         lim = DEFAULT_LIMITS.with_(lattice_cap=100)
         with pytest.raises(TooLarge):
             enumerate_closed_masks(group_rack(get_group("Z8")), limits=lim)
+
+
+def _rack_from(op):
+    return ConjugationRack(size=len(op), op=tuple(tuple(row) for row in op))
+
+
+def permutation_rack(perm):
+    """a ▷ b = σ(b): a rack for every σ, a quandle only for σ = id."""
+    return _rack_from([perm] * len(perm))
+
+
+def alexander_quandle(n, t):
+    """a ▷ b = t·b + (1 − t)·a mod n; a quandle for every unit t."""
+    return _rack_from([[(t * b + (1 - t) * a) % n for b in range(n)] for a in range(n)])
+
+
+def full_closure_lectic(rows, m):
+    """Reference enumeration without the abort: finish every closure, then
+    reject it when it holds new points below j. Lectic visiting order."""
+    out = []
+
+    def rec(a, j_from):
+        out.append(a)
+        for j in range(j_from, m):
+            if a >> j & 1:
+                continue
+            b = closure_extend(rows, a, j)
+            below = (1 << j) - 1
+            if b & below == a & below:
+                rec(b, j + 1)
+
+    rec(0, 0)
+    return out
+
+
+SMALL_GROUPS = ("S3", "D4", "Q8", "A4", "D5", "D6", "Dic3", "Z2xZ2xZ2")
+
+small_racks = st.one_of(
+    st.integers(1, 9).flatmap(lambda m: st.permutations(range(m))).map(permutation_rack),
+    st.integers(2, 12).flatmap(
+        lambda n: st.sampled_from([t for t in range(1, n) if gcd(t, n) == 1])
+        .map(lambda t: alexander_quandle(n, t))
+    ),
+    st.sampled_from(SMALL_GROUPS).flatmap(
+        lambda name: st.integers(0, conjugacy_classes(get_group(name)).count - 1)
+        .map(lambda i: conjugacy_class_rack(get_group(name), i))
+    ),
+    st.tuples(st.sampled_from(SMALL_GROUPS), st.sampled_from((2, 3, 5))).map(
+        lambda gp: p_power_rack(get_group(gp[0]), gp[1])
+    ),
+)
+
+
+@given(small_racks)
+@settings(max_examples=80, deadline=None)
+def test_abort_matches_brute_force(rack):
+    assert verify_rack_axioms(rack.op).is_rack
+    assert enumerate_closed_masks(rack) == brute_force_closed_masks(rack)
+    cap = DEFAULT_LIMITS.lattice_cap
+    raw = _enumerate_subtree(rack.op, rack.size, 0, 0, cap)
+    assert raw == full_closure_lectic(rack.op, rack.size)
+
+
+class TestClosureAbort:
+    def test_catalog_visiting_order_unchanged(self):
+        for g in catalog_entries(12) + [get_group("S4")]:
+            rows = group_rack(g).op
+            raw = _enumerate_subtree(rows, g.order, 0, 0, DEFAULT_LIMITS.lattice_cap)
+            assert raw == full_closure_lectic(rows, g.order), g.name
+
+    def test_abort_returns_none_on_forbidden_point(self):
+        # a ▷ b = σ(b) with σ = (0 1 2): adding 2 drags in 0, which is below 2
+        rows = permutation_rack((1, 2, 0)).op
+        assert closure_extend(rows, 0, 2) == 0b111
+        assert closure_extend(rows, 0, 2, 0b011) is None
 
 
 def sorted_members(mask):

@@ -12,6 +12,7 @@ from rackle import (
     NotGroupLattice,
     NotNormal,
     ReconstructionContext,
+    conjugacy_classes,
     coset_partition_of,
     find_coset_partition,
     is_hypothetical_coset_partition,
@@ -21,6 +22,7 @@ from rackle import (
     matching_bijection_oracle,
     max_normal_abelian,
     maximal_boolean_elements,
+    mobius_bottom_top,
     partition_bijection,
     recover_classes,
 )
@@ -403,6 +405,16 @@ class TestDerivedLength:
     def test_stall_not_solvable(self):
         verdict = lattice_derived_length(stall_lattice())
         assert verdict is NOT_SOLVABLE
+
+    @pytest.mark.parametrize("name, size", [("A5", 490), ("S5", 2406)])
+    def test_nonsolvable_groups(self, name, size):
+        # real nonsolvable groups at the default limits, with mu(0, 1) equal
+        # to (-1)^classes = -1 (A5 has 5 classes, S5 has 7)
+        ab = get_abstract(name, seed=3)
+        assert ab.size == size
+        assert lattice_derived_length(ab) is NOT_SOLVABLE
+        classes = conjugacy_classes(get_group(name)).count
+        assert mobius_bottom_top(ab) == (-1) ** classes == -1
 
     def test_seed_invariance(self):
         vals = {lattice_derived_length(get_abstract("D5", seed=s))

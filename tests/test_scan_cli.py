@@ -3,6 +3,7 @@
 import pytest
 
 from rackle import full_verification, pairs_scan, verify_group
+from rackle import cli
 from rackle.cli import main
 from rackle.config import DEFAULT_LIMITS
 
@@ -128,11 +129,29 @@ class TestCli:
         assert "pairs-scan" in out
 
     def test_too_large_exit_code(self):
-        assert run_cli("lattice", "build", "--in", "A5", "--out", "/dev/null") == 2
+        assert run_cli("lattice", "build", "--in", "A5", "--out", "/dev/null",
+                       "--lattice-cap", "100") == 2
 
     def test_missing_file(self):
         assert run_cli("group", "info", "/no/such/file.cay") == 2
 
-    def test_cap_flag_throttles(self, tmp_path):
-        assert run_cli("lattice", "build", "--in", "S3",
-                       "--out", str(tmp_path / "x.lat"), "--ground-cap", "4") == 2
+    def test_cap_flag_throttles(self, capsys):
+        # the ground cap limits which catalog groups the sweep enumerates
+        assert run_cli("verify", "--order-max", "6", "--ground-cap", "4") == 0
+        assert "SKIP enumerate S3 ground set 6 over cap 4" in capsys.readouterr().out
+
+    def test_unknown_derive_group(self, capsys):
+        assert run_cli("derive", "--group", "NoSuchGroup") == 2
+        assert "no catalog group named 'NoSuchGroup'" in capsys.readouterr().err
+
+    def test_internal_key_error_is_not_bad_input(self, monkeypatch):
+        def broken(g):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(cli, "group_invariants", broken)
+        with pytest.raises(KeyError):
+            run_cli("group", "info", "S3")
+
+    def test_derive_a5_not_solvable(self, capsys):
+        assert run_cli("derive", "--group", "A5") == 0
+        assert "PASS derive A5 lattice=NOT_SOLVABLE oracle=NOT_SOLVABLE" in capsys.readouterr().out
