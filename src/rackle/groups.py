@@ -47,12 +47,6 @@ class FiniteGroup:
     identity: int = 0
     name: str = ""
 
-    def op(self, a: int, b: int) -> int:
-        return self.mul[a][b]
-
-    def inverse(self, a: int) -> int:
-        return self.inv[a]
-
     def conj(self, a: int, b: int) -> int:
         """a b a^-1."""
         return self.mul[self.mul[a][b]][self.inv[a]]

@@ -17,20 +17,11 @@ from typing import Callable, Iterable, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import BadIndex, FormatError, IsomorphismTimeout, TooLarge
-from .racks import ConjugationRack, closure_extend, closure_mask, is_closed_mask
+from .racks import ConjugationRack, bits, closure_extend, closure_mask, is_closed_mask
 
 
-def _mask_members(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
-
-
-def _sort_key(mask: int) -> tuple[int, tuple[int, ...]]:
-    return (mask.bit_count(), _mask_members(mask))
+def _sort_key(mask: int) -> tuple[int, list[int]]:
+    return (mask.bit_count(), bits(mask))
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +122,7 @@ class SubrackLattice:
         return len(self.elements) - 1
 
     def members(self, x: int) -> tuple[int, ...]:
-        return _mask_members(self.elements[x])
+        return tuple(bits(self.elements[x]))
 
     def index_of(self, mask: int) -> int:
         try:
@@ -194,9 +185,6 @@ class SubrackLattice:
     def coatoms(self) -> list[int]:
         return sorted(x for x, y in self.hasse if y == self.top)
 
-    def covers(self, x: int) -> list[int]:
-        return self.upper_covers(x)
-
     def interval(self, x: int, y: int) -> list[int]:
         ex, ey = self.elements[x], self.elements[y]
         return [
@@ -232,106 +220,62 @@ def enumerate_subrack_lattice(
 
 @dataclass
 class AbstractLattice:
-    """Isomorphism-type object: order relation with all labels stripped.
+    """Isomorphism-type object: a lattice order with all labels stripped.
 
-    Atomistic lattices (every subrack lattice of a quandle is one) store one
-    support bitmask per element over atom positions; order is support
-    containment. Small non-atomistic posets fall back to explicit down-sets.
+    Every subrack lattice of a finite rack is atomistic: (a ▷ a) ▷ b = a ▷ b,
+    so the subrack generated by a is the orbit of a under b -> a ▷ b, an atom,
+    and each subrack is the join of the atoms it contains. An element is
+    therefore stored as its support, the bitmask of atoms below it; support
+    bit p is atom p. Order is support containment, bottom has support 0 and
+    top is the union of all supports.
     """
 
-    size: int
-    n_atoms: int
-    supports: list[int] | None = None    # atomistic representation
-    down: list[int] | None = None        # down[x] = bitmask of {y : y <= x}
-    bottom: int = 0
-    top: int = 0
+    supports: list[int]
+    size: int = field(init=False)
+    n_atoms: int = field(init=False)     # support bits in use
+    bottom: int = field(init=False)
+    top: int = field(init=False)
+    _join_misses: dict[int, int] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        full = 0
+        for s in self.supports:
+            full |= s
+        self.size = len(self.supports)
+        self.n_atoms = full.bit_length()
+        self.bottom = self.supports.index(0)
+        self.top = self.supports.index(full)
 
     def leq(self, x: int, y: int) -> bool:
-        if self.supports is not None:
-            sx, sy = self.supports[x], self.supports[y]
-            return sx & sy == sx
-        return bool(self.down[y] >> x & 1)
+        sx, sy = self.supports[x], self.supports[y]
+        return sx & sy == sx
 
     @cached_property
     def atoms(self) -> list[int]:
-        if self.supports is not None:
-            return [x for x in range(self.size) if self.supports[x].bit_count() == 1]
-        out = []
-        for x in range(self.size):
-            if x == self.bottom:
-                continue
-            below = self.down[x] & ~(1 << x) & ~(1 << self.bottom)
-            if below == 0:
-                out.append(x)
-        return out
+        return [x for x in range(self.size) if self.supports[x].bit_count() == 1]
 
     @cached_property
     def _support_index(self) -> dict[int, int]:
-        if self.supports is None:
-            raise BadIndex("support index requires the atomistic representation")
         return {s: i for i, s in enumerate(self.supports)}
 
     def is_boolean(self) -> bool:
-        if self.supports is None:
-            return _generic_is_boolean(self)
         return self.size == 1 << self.n_atoms
 
-    def join(self, x: int, y: int) -> int:
-        if self.supports is not None:
-            u = self.supports[x] | self.supports[y]
-            hit = self._support_index.get(u)
-            if hit is not None:
-                return hit
-            best = None
-            for i, s in enumerate(self.supports):
-                if s & u == u and (best is None or self.leq(i, best)):
-                    best = i
-            if best is None:
-                raise BadIndex("join not found; not a lattice?")
-            return best
-        cands = [
-            z for z in range(self.size)
-            if self.leq(x, z) and self.leq(y, z)
-        ]
-        best = cands[0]
-        for z in cands[1:]:
-            if self.leq(z, best):
-                best = z
-        return best
-
-    def meet(self, x: int, y: int) -> int:
-        if self.supports is not None:
-            u = self.supports[x] & self.supports[y]
-            hit = self._support_index.get(u)
-            if hit is not None:
-                return hit
-            best = self.bottom
-            for i, s in enumerate(self.supports):
-                if s & u == s and self.leq(best, i):
-                    best = i
-            return best
-        cands = [
-            z for z in range(self.size)
-            if self.leq(z, x) and self.leq(z, y)
-        ]
-        best = cands[0]
-        for z in cands[1:]:
-            if self.leq(best, z):
-                best = z
-        return best
-
-    def down_count(self, x: int) -> int:
-        if self.supports is not None:
-            sx = self.supports[x]
-            return sum(1 for s in self.supports if s & sx == s)
-        return self.down[x].bit_count()
-
-    def interval_below(self, x: int) -> list[int]:
-        """[bottom, x]."""
-        if self.supports is not None:
-            sx = self.supports[x]
-            return [i for i, s in enumerate(self.supports) if s & sx == s]
-        return [y for y in range(self.size) if self.leq(y, x)]
+    def join_mask(self, mask: int) -> int:
+        """The least element whose support contains mask: the join of those atoms."""
+        hit = self._support_index.get(mask)
+        if hit is None:
+            hit = self._join_misses.get(mask)
+        if hit is None:
+            # in a lattice the least upper bound is the unique smallest one
+            hit = min(
+                (i for i, s in enumerate(self.supports) if s & mask == mask),
+                key=lambda i: self.supports[i].bit_count(),
+            )
+            self._join_misses[mask] = hit
+        return hit
 
     def atoms_below(self, x: int) -> list[int]:
         return [a for a in self.atoms if self.leq(a, x)]
@@ -343,148 +287,76 @@ class AbstractLattice:
         Bottom stays in the candidate pool so the 2-element lattice reports
         its one coatom; anywhere else it loses to the atoms above it.
         """
-        proper = [x for x in range(self.size) if x != self.top]
-        if self.supports is not None:
-            by_pop: dict[int, list[int]] = {}
-            for x in proper:
+        by_pop: dict[int, list[int]] = {}
+        for x in range(self.size):
+            if x != self.top:
                 by_pop.setdefault(self.supports[x].bit_count(), []).append(x)
-            pops = sorted(by_pop, reverse=True)
-            out: list[int] = []
-            for p in pops:
-                for x in by_pop[p]:
-                    sx = self.supports[x]
-                    bigger = (
-                        y for q in pops if q > p for y in by_pop[q]
-                    )
-                    if not any(sx & self.supports[y] == sx for y in bigger):
-                        out.append(x)
-            return sorted(out)
-        return sorted(
-            x for x in proper
-            if not any(y != x and y != self.top and self.leq(x, y) for y in proper)
-        )
+        pops = sorted(by_pop, reverse=True)
+        out: list[int] = []
+        for p in pops:
+            for x in by_pop[p]:
+                sx = self.supports[x]
+                bigger = (y for q in pops if q > p for y in by_pop[q])
+                if not any(sx & self.supports[y] == sx for y in bigger):
+                    out.append(x)
+        return sorted(out)
 
     def __repr__(self) -> str:
-        kind = "atomistic" if self.supports is not None else "generic"
-        return f"<abstract lattice, {self.size} elements, {self.n_atoms} atoms, {kind}>"
-
-
-def _generic_is_boolean(lat: AbstractLattice) -> bool:
-    ats = lat.atoms
-    if lat.size != 1 << len(ats):
-        return False
-    # join-bijection criterion: subsets of atoms hit every element once
-    seen = set()
-    for bits in range(1 << len(ats)):
-        cur = lat.bottom
-        for i, a in enumerate(ats):
-            if bits >> i & 1:
-                cur = lat.join(cur, a)
-        if cur in seen:
-            return False
-        seen.add(cur)
-    return len(seen) == lat.size
+        return f"<abstract lattice, {self.size} elements, {self.n_atoms} atoms>"
 
 
 def is_boolean_interval(lat: AbstractLattice, x: int) -> bool:
-    """Is [bottom, x] a Boolean algebra? Join-bijection criterion."""
-    if lat.supports is not None:
-        sx = lat.supports[x]
-        k = sx.bit_count()
-        count = sum(1 for s in lat.supports if s & sx == s)
-        # supports are distinct by construction, so counting suffices
-        return count == 1 << k
-    interval = lat.interval_below(x)
-    ats = [a for a in lat.atoms if lat.leq(a, x)]
-    if len(interval) != 1 << len(ats):
-        return False
-    seen = set()
-    for bits in range(1 << len(ats)):
-        cur = lat.bottom
-        for i, a in enumerate(ats):
-            if bits >> i & 1:
-                cur = lat.join(cur, a)
-        seen.add(cur)
-    return len(seen) == len(interval)
+    """Is [bottom, x] a Boolean algebra? Supports are distinct, so it is
+    exactly when 2^k elements lie below an element over k atoms."""
+    sx = lat.supports[x]
+    count = sum(1 for s in lat.supports if s & sx == s)
+    return count == 1 << sx.bit_count()
 
 
 def to_abstract(lat: SubrackLattice, seed: int | None = None) -> AbstractLattice:
     """Strip member sets, keeping only the order relation.
 
     With a seed, elements and atom positions are shuffled so downstream code
-    cannot lean on the concrete construction order.
+    cannot lean on the concrete construction order. Two elements over the
+    same atoms mean the input is not atomistic, which no rack produces, so
+    that raises FormatError naming them.
     """
-    atom_idxs = lat.atoms
-    atom_masks = [lat.elements[a] for a in atom_idxs]
-    supports = []
-    atomistic = True
-    for mask in lat.elements:
-        s = 0
-        for i, am in enumerate(atom_masks):
-            if am & mask == am:
-                s |= 1 << i
-        supports.append(s)
-    # injective supports suffice here: in a lattice, a support collision is
-    # exactly an element that is not the join of its atoms
-    atomistic = len(set(supports)) == len(supports)
-    if not atomistic:
-        # fall back to explicit down-sets; fine for small lattices
-        n = lat.size
-        down = [0] * n
-        for x in range(n):
-            for y in range(n):
-                if lat.leq(y, x):
-                    down[x] |= 1 << y
-        order = list(range(n))
-        rng = random.Random(seed)
-        if seed is not None:
-            rng.shuffle(order)
-        pos = [0] * n
-        for newi, old in enumerate(order):
-            pos[old] = newi
-        nd = [0] * n
-        for x in range(n):
-            for y in range(n):
-                if down[x] >> y & 1:
-                    nd[pos[x]] |= 1 << pos[y]
-        return AbstractLattice(
-            size=n,
-            n_atoms=len(atom_idxs),
-            down=nd,
-            bottom=pos[lat.bottom],
-            top=pos[lat.top],
-        )
+    atom_masks = [lat.elements[a] for a in lat.atoms]
     n = lat.size
     order = list(range(n))
-    atom_perm = list(range(len(atom_idxs)))
+    atom_perm = list(range(len(atom_masks)))
     if seed is not None:
         rng = random.Random(seed)
         rng.shuffle(order)
         rng.shuffle(atom_perm)
-    pos = [0] * n
+    seen: dict[int, int] = {}
+    supports = [0] * n
     for newi, old in enumerate(order):
-        pos[old] = newi
-    shuffled = [0] * n
-    for old in range(n):
-        s = supports[old]
-        t = 0
-        for i in range(len(atom_idxs)):
-            if s >> i & 1:
-                t |= 1 << atom_perm[i]
-        shuffled[pos[old]] = t
-    return AbstractLattice(
-        size=n,
-        n_atoms=len(atom_idxs),
-        supports=shuffled,
-        bottom=pos[lat.bottom],
-        top=pos[lat.top],
-    )
+        mask = lat.elements[old]
+        s = 0
+        for i, am in enumerate(atom_masks):
+            if am & mask == am:
+                s |= 1 << atom_perm[i]
+        if s in seen:
+            x, y = sorted((seen[s], old))
+            raise FormatError(
+                f"elements {x} and {y} contain the same atoms: the lattice is "
+                "not atomistic, so it is no subrack lattice"
+            )
+        seen[s] = old
+        supports[newi] = s
+    return AbstractLattice(supports)
 
 
 def abstract_from_cover_pairs(
     n: int, pairs: Iterable[tuple[int, int]]
 ) -> AbstractLattice:
-    """Build an abstract lattice from Hasse cover pairs (child, parent)."""
+    """Build an abstract lattice from Hasse cover pairs (child, parent).
+
+    The order must be bounded and atomistic: containment of atom supports
+    has to reproduce it exactly, or FormatError names a pair of elements
+    where it does not.
+    """
     down = [1 << x for x in range(n)]
     kids: dict[int, list[int]] = {}
     indeg = [0] * n
@@ -510,34 +382,23 @@ def abstract_from_cover_pairs(
     tops = [x for x in range(n) if all(not down[y] >> x & 1 for y in range(n) if y != x)]
     if len(bottoms) != 1 or len(tops) != 1:
         raise FormatError("cover relation is not a bounded lattice")
-    bottom, top = bottoms[0], tops[0]
-    lat = AbstractLattice(size=n, n_atoms=0, down=down, bottom=bottom, top=top)
-    ats = lat.atoms
-    # prefer the support representation when the order allows it
+    bottom = bottoms[0]
+    atoms = [x for x in range(n) if x != bottom and down[x] == 1 << bottom | 1 << x]
     supports = []
-    ok = True
     for x in range(n):
         s = 0
-        for i, a in enumerate(ats):
-            if lat.leq(a, x):
+        for i, a in enumerate(atoms):
+            if down[x] >> a & 1:
                 s |= 1 << i
         supports.append(s)
-    if len(set(supports)) == n:
-        for x in range(n):
-            for y in range(n):
-                if (supports[x] & supports[y] == supports[x]) != lat.leq(x, y):
-                    ok = False
-                    break
-            if not ok:
-                break
-    else:
-        ok = False
-    if ok:
-        return AbstractLattice(
-            size=n, n_atoms=len(ats), supports=supports, bottom=bottom, top=top
-        )
-    lat.n_atoms = len(ats)
-    return lat
+    for x in range(n):
+        for y in range(n):
+            if (supports[x] & supports[y] == supports[x]) != bool(down[y] >> x & 1):
+                raise FormatError(
+                    f"elements {x} and {y}: the atoms below {x} are all below "
+                    f"{y}, but {x} is not below {y}, so the order is not atomistic"
+                )
+    return AbstractLattice(supports)
 
 
 # ---------------------------------------------------------------------------
@@ -546,10 +407,7 @@ def abstract_from_cover_pairs(
 
 def _refine_colors(lat: AbstractLattice) -> list[int]:
     n = lat.size
-    if lat.supports is not None:
-        color = [lat.supports[x].bit_count() for x in range(n)]
-    else:
-        color = [lat.down[x].bit_count() for x in range(n)]
+    color = [s.bit_count() for s in lat.supports]
     while True:
         sigs = []
         for x in range(n):
@@ -588,11 +446,10 @@ def are_isomorphic(
     """
     if a.size != b.size or len(a.atoms) != len(b.atoms):
         return None
-    if a.supports is not None and b.supports is not None:
-        if a.is_boolean() and b.is_boolean():
-            return _boolean_iso(a, b)
-        if a.is_boolean() != b.is_boolean():
-            return None
+    if a.is_boolean() and b.is_boolean():
+        return _boolean_iso(a, b)
+    if a.is_boolean() != b.is_boolean():
+        return None
     ca, cb = _refine_colors(a), _refine_colors(b)
     if sorted(ca) != sorted(cb):
         return None
@@ -663,7 +520,7 @@ def check_isomorphism(
 def format_lattice(lat: SubrackLattice) -> str:
     lines = [f"{lat.size} {lat.ground_size}"]
     for i, mask in enumerate(lat.elements):
-        mem = " ".join(str(x) for x in _mask_members(mask))
+        mem = " ".join(str(x) for x in bits(mask))
         lines.append(f"{i} {mask.bit_count()}" + (f" {mem}" if mem else ""))
     lines.append("HASSE")
     for c, p in lat.hasse:
@@ -674,13 +531,7 @@ def format_lattice(lat: SubrackLattice) -> str:
 def format_abstract(lat: AbstractLattice) -> str:
     """Abstract export: '-' in the member column, covers from the order."""
     n = lat.size
-    if lat.supports is not None:
-        order = sorted(
-            range(n),
-            key=lambda x: (lat.supports[x].bit_count(), _mask_members(lat.supports[x])),
-        )
-    else:
-        order = sorted(range(n), key=lambda x: (lat.down[x].bit_count(), x))
+    order = sorted(range(n), key=lambda x: _sort_key(lat.supports[x]))
     pos = [0] * n
     for newi, old in enumerate(order):
         pos[old] = newi

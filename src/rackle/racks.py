@@ -25,13 +25,6 @@ class ConjugationRack:
     source: str = "raw"
     name: str = ""
 
-    def apply(self, a: int, b: int) -> int:
-        return self.op[a][b]
-
-    def translation_rows(self) -> list[list[int]]:
-        """Row a is the left translation b -> a▷b, handy for closure loops."""
-        return [list(row) for row in self.op]
-
     def __repr__(self) -> str:
         label = self.name or self.source
         return f"<rack {label}, {self.size} points>"
@@ -166,7 +159,26 @@ def p_power_rack(g: FiniteGroup, p: int) -> ConjugationRack:
 
 
 # ---------------------------------------------------------------------------
-# closure
+# bitmasks and closure
+
+
+def bits(mask: int) -> list[int]:
+    """Positions of the set bits, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def mask_of(members: Iterable[int]) -> int:
+    """Bitmask with the given positions set."""
+    out = 0
+    for v in members:
+        out |= 1 << v
+    return out
+
 
 def closure_mask(rows: Sequence[Sequence[int]], seed_mask: int) -> int:
     """Least superset of the seed closed under internal ▷, as a bitmask.
@@ -174,15 +186,8 @@ def closure_mask(rows: Sequence[Sequence[int]], seed_mask: int) -> int:
     Worklist saturation: when a point enters, cross it with everything
     already present, both ways. This is the hot loop of the whole package.
     """
-    mask = 0
-    work = []
-    s = seed_mask
-    while s:
-        low = s & -s
-        i = low.bit_length() - 1
-        mask |= low
-        work.append(i)
-        s ^= low
+    mask = seed_mask
+    work = bits(seed_mask)
     while work:
         a = work.pop()
         ra = rows[a]
@@ -234,17 +239,11 @@ def rack_closure(rack: ConjugationRack, seeds: Iterable[int]) -> frozenset[int]:
         if not (0 <= s < rack.size):
             raise BadIndex(f"seed {s} outside ground set of size {rack.size}")
         mask |= 1 << s
-    out = closure_mask(rack.op, mask)
-    return frozenset(i for i in range(rack.size) if out >> i & 1)
+    return frozenset(bits(closure_mask(rack.op, mask)))
 
 
 def is_closed_mask(rows: Sequence[Sequence[int]], mask: int) -> bool:
-    m = mask
-    members = []
-    while m:
-        low = m & -m
-        members.append(low.bit_length() - 1)
-        m ^= low
+    members = bits(mask)
     for a in members:
         ra = rows[a]
         for b in members:

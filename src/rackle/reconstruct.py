@@ -30,16 +30,7 @@ from .lattice import (
     are_isomorphic,
     is_boolean_interval,
 )
-from .racks import closure_mask, group_rack, is_closed_mask
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+from .racks import bits, closure_mask, group_rack, is_closed_mask, mask_of
 
 
 # ---------------------------------------------------------------------------
@@ -70,49 +61,33 @@ class AtomClassPartition:
 
 
 class ReconstructionContext:
-    """An AbstractLattice with atom bookkeeping and a join evaluator.
+    """An AbstractLattice seen through its atoms.
 
-    Atom positions index the lattice's atom list; parts, blocks and supports
-    are masks over those positions. Joins of atom sets are cached because the
-    condition checks revisit the same unions constantly.
+    Atom position p is support bit p of the lattice, so parts, blocks and
+    supports are masks over support bits. A lattice with a support bit that
+    is no atom comes from no group and is rejected.
     """
 
     def __init__(self, lattice: AbstractLattice):
+        if len(lattice.atoms) != lattice.n_atoms:
+            raise NotGroupLattice(
+                f"{lattice.n_atoms} support bits but {len(lattice.atoms)} atoms"
+            )
         self.lattice = lattice
-        self.atom_elems = lattice.atoms
-        self.n = len(self.atom_elems)
-        self._join_cache: dict[int, int] = {}
-        self._absupport: dict[int, int] = {}
+        self.n = lattice.n_atoms
 
     def atom_support(self, elem: int) -> int:
-        """Atoms below an element, as a position mask."""
-        hit = self._absupport.get(elem)
-        if hit is None:
-            hit = 0
-            for p, a in enumerate(self.atom_elems):
-                if self.lattice.leq(a, elem):
-                    hit |= 1 << p
-            self._absupport[elem] = hit
-        return hit
+        """Atoms below an element, as a support mask."""
+        return self.lattice.supports[elem]
 
     def element_of_atoms(self, mask: int) -> int | None:
         """The lattice element whose atom set is exactly this mask, if any."""
-        j = self.join_atoms(mask)
-        if j is None:
-            return None
-        elem, support = j
-        return elem if support == mask else None
+        return self.lattice._support_index.get(mask)
 
     def join_atoms(self, mask: int) -> tuple[int, int]:
         """Join of a set of atoms; returns (element, its atom support)."""
-        hit = self._join_cache.get(mask)
-        if hit is not None:
-            return hit, self.atom_support(hit)
-        elem = self.lattice.bottom
-        for p in _bits(mask):
-            elem = self.lattice.join(elem, self.atom_elems[p])
-        self._join_cache[mask] = elem
-        return elem, self.atom_support(elem)
+        elem = self.lattice.join_mask(mask)
+        return elem, self.lattice.supports[elem]
 
 
 # ---------------------------------------------------------------------------
@@ -142,10 +117,10 @@ def recover_classes(
         covered |= b
     if covered != full:
         raise NotGroupLattice("coatom complements do not cover the atoms")
-    blocks.sort(key=lambda b: _bits(b)[0])
+    blocks.sort(key=lambda b: bits(b)[0])
     block_of = [0] * ctx.n
     for i, b in enumerate(blocks):
-        for p in _bits(b):
+        for p in bits(b):
             block_of[p] = i
     return AtomClassPartition(blocks=tuple(blocks), block_of=tuple(block_of))
 
@@ -157,7 +132,7 @@ def maximal_boolean_elements(
     if isinstance(ctx, AbstractLattice):
         ctx = ReconstructionContext(ctx)
     lat = ctx.lattice
-    if lat.supports is not None and lat.is_boolean():
+    if lat.is_boolean():
         return [lat.top]
     good = [x for x in range(lat.size) if is_boolean_interval(lat, x)]
     out = []
@@ -234,10 +209,7 @@ def coset_partition_of(
         parts.append(coset)
     rows = group_rack(g).op
     for c in parts:
-        mask = 0
-        for v in c:
-            mask |= 1 << v
-        if not is_closed_mask(rows, mask):
+        if not is_closed_mask(rows, mask_of(c)):
             raise NotNormal(f"coset {sorted(c)} is not closed under conjugation")
     parts.sort(key=lambda c: (g.identity not in c, min(c)))
     return parts
@@ -254,29 +226,23 @@ def join_of_cosets(
     """
     parts = coset_partition_of(g, members)
     rows = group_rack(g).op
-    seed = 0
-    for r in reps:
-        seed |= 1 << r
-    closure = closure_mask(rows, seed)
+    closure = closure_mask(rows, mask_of(reps))
     union = 0
     for c in parts:
-        cmask = 0
-        for v in c:
-            cmask |= 1 << v
+        cmask = mask_of(c)
         if cmask & closure:
             union |= cmask
     rep_cosets = 0
     for r in reps:
         for c in parts:
             if r in c:
-                for v in c:
-                    rep_cosets |= 1 << v
+                rep_cosets |= mask_of(c)
     direct = closure_mask(rows, rep_cosets)
     if direct != union:
         raise NotGroupLattice(
             "coset join disagrees with the union over the generated subrack"
         )
-    return frozenset(_bits(union))
+    return frozenset(bits(union))
 
 
 # ---------------------------------------------------------------------------
@@ -286,11 +252,7 @@ def join_of_cosets(
 def matching_bijection_oracle(
     p_parts: Sequence[frozenset], q_parts: Sequence[frozenset]
 ) -> list[int] | None:
-    """Perfect matching on the intersection graph, by augmenting paths.
-
-    Independent of the inductive construction; used to cross-check both the
-    existence claim and concrete outputs.
-    """
+    """Perfect matching on the intersection graph, by augmenting paths."""
     m = len(p_parts)
     adj = [[j for j in range(m) if p_parts[i] & q_parts[j]] for i in range(m)]
     match_q: list[int | None] = [None] * m
@@ -314,93 +276,15 @@ def matching_bijection_oracle(
     return f
 
 
-def _pb(p_parts: list[frozenset], q_parts: list[frozenset]) -> list[int] | None:
-    m = len(p_parts)
-    if m == 1:
-        return [0]
-    for i0 in range(m):
-        for j0 in range(m):
-            if p_parts[i0] == q_parts[j0]:
-                g = _pb(p_parts[:i0] + p_parts[i0 + 1:], q_parts[:j0] + q_parts[j0 + 1:])
-                if g is None:
-                    return None
-                f: list[int] = [0] * m
-                f[i0] = j0
-                for a, b in enumerate(g):
-                    f[a + (a >= i0)] = b + (b >= j0)
-                return f
-    # no common part: manufacture one by swapping, then recurse
-    for i0 in range(m):
-        j0s = sorted(
-            (j for j in range(m) if p_parts[i0] & q_parts[j]),
-            key=lambda j: (-len(p_parts[i0] & q_parts[j]), j),
-        )
-        for j0 in j0s:
-            f = _pb_swap(p_parts, q_parts, i0, j0)
-            if f is not None:
-                return f
-    return None
-
-
-def _pb_swap(
-    p_parts: list[frozenset], q_parts: list[frozenset], i0: int, j0: int
-) -> list[int] | None:
-    """Swap elements of P_i0 ∩ Q_j into Q_j0 until Q_j0 = P_i0, then recurse.
-
-    Donors leaving Q_j0 are placed where P_i0's strays were. A donor whose own
-    P-part already met the target column is harmless; preferring those keeps
-    the recursive answer valid almost always, and a single rotation through
-    (i0, j0) repairs the one observed failure shape. Anything else backtracks.
-    """
-    m = len(p_parts)
-    qp = [set(q) for q in q_parts]
-    donors = sorted(q_parts[j0] - p_parts[i0])
-    part_of = {}
-    for i, p in enumerate(p_parts):
-        for x in p:
-            part_of[x] = i
-    for j in range(m):
-        if j == j0 or not (p_parts[i0] & q_parts[j]):
-            continue
-        moved = sorted(p_parts[i0] & q_parts[j])
-        ranked = sorted(
-            donors,
-            key=lambda x: (not (p_parts[part_of[x]] & (q_parts[j] - p_parts[i0])), x),
-        )
-        take, donors = ranked[: len(moved)], ranked[len(moved):]
-        qp[j] = (qp[j] - set(moved)) | set(take)
-        qp[j0] = (qp[j0] - set(take)) | set(moved)
-    if qp[j0] != set(p_parts[i0]):
-        return None
-    sub_q = [frozenset(qp[j]) for j in range(m) if j != j0]
-    g = _pb(p_parts[:i0] + p_parts[i0 + 1:], sub_q)
-    if g is None:
-        return None
-    f: list[int] = [0] * m
-    f[i0] = j0
-    for a, b in enumerate(g):
-        f[a + (a >= i0)] = b + (b >= j0)
-    bad = [i for i in range(m) if i != i0 and not (p_parts[i] & q_parts[f[i]])]
-    if not bad:
-        return f
-    if len(bad) == 1:
-        a = bad[0]
-        if p_parts[a] & q_parts[j0] and p_parts[i0] & q_parts[f[a]]:
-            f[i0], f[a] = f[a], j0
-            if all(p_parts[i] & q_parts[f[i]] for i in range(m)):
-                return f
-    return None
-
-
 def partition_bijection(
     p_parts: Sequence[Iterable], q_parts: Sequence[Iterable]
 ) -> list[int]:
     """Bijection i -> f(i) between part indices with P_i ∩ Q_f(i) never empty.
 
-    Inductive construction: strip a common part when there is one, otherwise
-    swap elements to create a common part and recurse, with backtracking over
-    the swap pivots. The matching oracle is the safety net for the (never yet
-    observed) case where every pivot fails.
+    Two partitions of one set into parts of one size s always admit one, by
+    Hall's condition: k parts of P cover k·s points, and a part of Q holds
+    only s of them, so those k parts meet at least k parts of Q. The
+    augmenting-path matcher therefore always finds a perfect matching.
     """
     ps = [frozenset(p) for p in p_parts]
     qs = [frozenset(q) for q in q_parts]
@@ -414,9 +298,7 @@ def partition_bijection(
     n = sizes.pop()
     if len(union_p) != n * len(ps) or union_p != union_q:
         raise BadPartition("inputs must partition the same set")
-    f = _pb(ps, qs)
-    if f is None:
-        f = matching_bijection_oracle(ps, qs)
+    f = matching_bijection_oracle(ps, qs)
     if f is None:
         raise BadPartition("no intersecting bijection exists")
     return f
@@ -527,10 +409,7 @@ def is_hypothetical_coset_partition(
         for i in idxs:
             union |= parts[i]
         _, lhs = ctx.join_atoms(union)
-        rep_mask = 0
-        for r in reps:
-            rep_mask |= 1 << r
-        _, closure = ctx.join_atoms(rep_mask)
+        _, closure = ctx.join_atoms(mask_of(reps))
         rhs = 0
         for p in parts:
             if p & closure:
@@ -541,7 +420,7 @@ def is_hypothetical_coset_partition(
         checked = 0
         for r in range(1, m + 1):
             for idxs in itertools.combinations(range(m), r):
-                pools = [_bits(parts[i]) for i in idxs]
+                pools = [bits(parts[i]) for i in idxs]
                 for reps in itertools.product(*pools):
                     checked += 1
                     if not check_one(idxs, reps):
@@ -558,7 +437,7 @@ def is_hypothetical_coset_partition(
         for _ in range(limits.sample_count):
             r = rng.randint(1, m)
             idxs = tuple(sorted(rng.sample(range(m), r)))
-            reps = tuple(rng.choice(_bits(parts[i])) for i in idxs)
+            reps = tuple(rng.choice(bits(parts[i])) for i in idxs)
             if not check_one(idxs, reps):
                 c3_ok = False
                 witness = f"I={idxs} reps={reps}"
@@ -600,7 +479,7 @@ def find_coset_partition(
             for x in range(lat.size)
             if ctx.atom_support(x).bit_count() == size
         },
-        key=lambda p: (_bits(p),),
+        key=lambda p: (bits(p),),
     )
     pool_set = set(pool)
     if sn not in pool_set:
@@ -613,7 +492,7 @@ def find_coset_partition(
             return False
         return all(
             any(p & (1 << atom) and p & j == p for p in pool_set)
-            for atom in _bits(j)
+            for atom in bits(j)
         )
 
     chosen = [sn]
@@ -695,21 +574,21 @@ def join_poset(
     if m > limits.join_poset_cap:
         raise TooLarge(f"{m} parts exceeds the join-poset cap {limits.join_poset_cap}")
     supports: set[int] = set()
-    for bits in range(1 << m):
+    for chosen in range(1 << m):
         union = 0
         for i in range(m):
-            if bits >> i & 1:
+            if chosen >> i & 1:
                 union |= parts[i]
         _, s = ctx.join_atoms(union)
         supports.add(s)
     part_sets = []
-    for s in sorted(supports, key=lambda x: (x.bit_count(), _bits(x))):
+    for s in sorted(supports, key=lambda x: (x.bit_count(), bits(x))):
         ps = 0
         for i, p in enumerate(parts):
             if p & s == p:
                 ps |= 1 << i
         union = 0
-        for i in _bits(ps):
+        for i in bits(ps):
             union |= parts[i]
         if union != s:
             raise NotGroupLattice("a join of parts is not a union of parts")
@@ -719,20 +598,11 @@ def join_poset(
     for i in range(m):
         if part_sets.count(1 << i) != 1:
             raise NotGroupLattice("parts are not the atoms of their join poset")
-    return AbstractLattice(
-        size=len(part_sets),
-        n_atoms=m,
-        supports=part_sets,
-        bottom=part_sets.index(0),
-        top=part_sets.index((1 << m) - 1),
-    )
+    return AbstractLattice(part_sets)
 
 
 def _memo_key(lat: AbstractLattice) -> tuple:
-    if lat.supports is not None:
-        pops = tuple(sorted(s.bit_count() for s in lat.supports))
-    else:
-        pops = tuple(sorted(lat.down[x].bit_count() for x in range(lat.size)))
+    pops = tuple(sorted(s.bit_count() for s in lat.supports))
     return (lat.size, lat.n_atoms, pops)
 
 
@@ -754,7 +624,7 @@ def lattice_derived_length(
     ctx = ReconstructionContext(lat)
     if ctx.n <= 1:
         return 0
-    if lat.supports is not None and lat.is_boolean():
+    if lat.is_boolean():
         return 1
     key = _memo_key(lat)
     for cached_lat, cached_val in _memo.get(key, ()):

@@ -30,7 +30,7 @@ from .lattice import (
     enumerate_subrack_lattice,
     to_abstract,
 )
-from .racks import closure_mask, group_rack, is_closed_mask
+from .racks import bits, closure_mask, group_rack, is_closed_mask, mask_of
 from .reconstruct import (
     HypotheticalCosetPartition,
     ReconstructionContext,
@@ -68,22 +68,6 @@ class ScanReport:
         return "\n".join(head + self.lines) + "\n"
 
 
-def _mask_of(members) -> int:
-    out = 0
-    for v in members:
-        out |= 1 << v
-    return out
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def verify_group(
     g: FiniteGroup,
     limits: Limits = DEFAULT_LIMITS,
@@ -117,7 +101,7 @@ def verify_group(
 
     cc = conjugacy_classes(g)
     full = (1 << g.order) - 1
-    complements = {full ^ _mask_of(c) for c in cc.classes}
+    complements = {full ^ mask_of(c) for c in cc.classes}
     if lat.size <= 5000:
         coatom_masks = {lat.elements[x] for x in lat.coatoms}
         agree = coatom_masks == complements
@@ -142,11 +126,11 @@ def verify_group(
 
     ab = to_abstract(lat)
     ctx = ReconstructionContext(ab)
-    # with no shuffle seed, atom position p is ground element p
+    # with no shuffle seed, support bit p is the atom {p}, ground element p
     mb = maximal_boolean_elements(ctx)
     mb_supports = {ctx.atom_support(x) for x in mb}
     if g.order <= limits.subgroup_cap:
-        oracle_ab = {_mask_of(h) for h in maximal_abelian_subgroups(g, limits)}
+        oracle_ab = {mask_of(h) for h in maximal_abelian_subgroups(g, limits)}
         if mb_supports == oracle_ab:
             lines.append(f"PASS boolean-elements {name} {len(mb)} maximal abelian")
         else:
@@ -158,7 +142,7 @@ def verify_group(
         lines.append(f"SKIP boolean-elements {name} order over subgroup cap")
 
     classes = recover_classes(ctx)
-    class_masks = {_mask_of(c) for c in cc.classes}
+    class_masks = {mask_of(c) for c in cc.classes}
     if {b for b in classes.blocks} == class_masks:
         lines.append(f"PASS classes {name} blocks match conjugacy classes")
     else:
@@ -166,7 +150,7 @@ def verify_group(
 
     mna = max_normal_abelian(ctx, classes)
     mna_supports = {ctx.atom_support(x) for x in mna}
-    oracle_mna = {_mask_of(h) for h in maximal_normal_abelian_oracle(g)}
+    oracle_mna = {mask_of(h) for h in maximal_normal_abelian_oracle(g)}
     if mna_supports == oracle_mna:
         lines.append(f"PASS normal-abelian {name} {len(mna)} candidates")
     else:
@@ -181,7 +165,7 @@ def verify_group(
     quot_fail = None
     quot_count = 0
     for nmask in sorted(oracle_mna):
-        members = frozenset(_bits(nmask))
+        members = frozenset(bits(nmask))
         parts_group = _cosets_as_masks(g, members)
         partition = HypotheticalCosetPartition(parts=tuple(parts_group))
         rep = is_hypothetical_coset_partition(
@@ -249,7 +233,7 @@ def verify_group(
 def _cosets_as_masks(g: FiniteGroup, members: frozenset[int]) -> list[int]:
     from .reconstruct import coset_partition_of
 
-    return [_mask_of(c) for c in coset_partition_of(g, members)]
+    return [mask_of(c) for c in coset_partition_of(g, members)]
 
 
 def _coset_join_check(
@@ -276,7 +260,7 @@ def _coset_join_check(
             for c in chosen:
                 union |= c
             direct = closure_mask(rows, union)
-            closure = closure_mask(rows, _mask_of(reps))
+            closure = closure_mask(rows, mask_of(reps))
             predicted = 0
             for c in cosets:
                 if c & closure:
@@ -294,7 +278,7 @@ def _all_rep_tuples(cosets: list[int]):
     m = len(cosets)
     for r in range(1, m + 1):
         for idxs in itertools.combinations(range(m), r):
-            pools = [_bits(cosets[i]) for i in idxs]
+            pools = [bits(cosets[i]) for i in idxs]
             for reps in itertools.product(*pools):
                 yield [cosets[i] for i in idxs], reps
 
@@ -304,7 +288,7 @@ def _sampled_rep_tuples(cosets: list[int], rng: random.Random, count: int):
     for _ in range(count):
         r = rng.randint(1, m)
         idxs = sorted(rng.sample(range(m), r))
-        reps = tuple(rng.choice(_bits(cosets[i])) for i in idxs)
+        reps = tuple(rng.choice(bits(cosets[i])) for i in idxs)
         yield [cosets[i] for i in idxs], reps
 
 

@@ -18,27 +18,17 @@ def mobius_bottom_top(lat: AbstractLattice) -> int:
     """mu(bottom, top) by the standard downward recursion.
 
     Boolean lattices short-circuit to (-1)^atoms; everything else runs the
-    summation in a bottom-up pass over a linear extension.
+    summation in a bottom-up pass by support size, so every element strictly
+    below x has its value when x is reached.
     """
-    if lat.size == 1:
-        return 1
-    if lat.supports is not None and lat.is_boolean():
+    if lat.is_boolean():
         return (-1) ** lat.n_atoms
-    n = lat.size
-    if lat.supports is not None:
-        order = sorted(range(n), key=lambda x: lat.supports[x].bit_count())
-        def less(y: int, x: int) -> bool:
-            sy, sx = lat.supports[y], lat.supports[x]
-            return sy != sx and sy & sx == sy
-    else:
-        order = sorted(range(n), key=lambda x: lat.down[x].bit_count())
-        def less(y: int, x: int) -> bool:
-            return y != x and bool(lat.down[x] >> y & 1)
+    sup = lat.supports
     mu = {lat.bottom: 1}
-    for x in order:
-        if x == lat.bottom:
-            continue
-        mu[x] = -sum(mu[y] for y in order if less(y, x))
+    for x in sorted(range(lat.size), key=lambda x: sup[x].bit_count()):
+        if x != lat.bottom:
+            sx = sup[x]
+            mu[x] = -sum(v for y, v in mu.items() if sup[y] & sx == sup[y])
     return mu[lat.top]
 
 

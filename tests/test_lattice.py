@@ -1,5 +1,6 @@
 """Enumeration, lattice queries, abstraction, isomorphism, and the .lat format."""
 
+from itertools import permutations, product
 from math import gcd
 
 import pytest
@@ -34,9 +35,11 @@ from rackle.lattice import (
 )
 from rackle.racks import (
     ConjugationRack,
+    bits,
     closure_extend,
     conjugacy_class_rack,
     is_closed_mask,
+    mask_of,
     p_power_rack,
     verify_rack_axioms,
 )
@@ -161,6 +164,61 @@ def test_abort_matches_brute_force(rack):
     cap = DEFAULT_LIMITS.lattice_cap
     raw = _enumerate_subtree(rack.op, rack.size, 0, 0, cap)
     assert raw == full_closure_lectic(rack.op, rack.size)
+
+
+def assert_abstraction_keeps_order(rack, seed):
+    """Support containment is the concrete containment order.
+
+    Without a seed, element x keeps index x and support bit i is atom i.
+    Every subrack is then the union of the atoms its support names, so
+    supp(x) ⊆ supp(y) exactly when x ⊆ y; checking that union per element
+    proves it in O(n·m). A shuffled abstraction is the same order up to
+    relabelling; that map is checked pair by pair, so only up to 512
+    elements.
+    """
+    lat = enumerate_subrack_lattice(rack)
+    ab = to_abstract(lat)
+    atom_masks = [lat.elements[a] for a in lat.atoms]
+    assert ab.n_atoms == len(ab.atoms) == len(atom_masks)
+    for x, mask in enumerate(lat.elements):
+        union = 0
+        for i in bits(ab.supports[x]):
+            union |= atom_masks[i]
+        assert union == mask
+        assert ab.supports[x] == mask_of(i for i, am in enumerate(atom_masks) if am & mask == am)
+    shuffled = to_abstract(lat, seed=seed)
+    assert sorted(map(int.bit_count, shuffled.supports)) == sorted(map(int.bit_count, ab.supports))
+    if lat.size <= 512:
+        mapping = are_isomorphic(ab, shuffled)
+        assert mapping is not None and check_isomorphism(ab, shuffled, mapping)
+
+
+class TestAtomistic:
+    def test_every_labelled_rack_up_to_three_points(self):
+        count = 0
+        for m in (1, 2, 3):
+            for op in product(permutations(range(m)), repeat=m):
+                if verify_rack_axioms(op).is_rack:
+                    assert_abstraction_keeps_order(_rack_from(op), seed=m)
+                    count += 1
+        # racks on 1, 2 and 3 labelled points: 1 + 2 + 13
+        assert count == 16
+
+    def test_concrete_chain_is_rejected(self):
+        text = "4 3\n0 0\n1 1 0\n2 2 0 1\n3 3 0 1 2\nHASSE\n0 1\n1 2\n2 3\n"
+        with pytest.raises(FormatError, match=r"elements 1 and 2\b"):
+            to_abstract(parse_lattice(text))
+
+    def test_abstract_chain_is_rejected(self):
+        text = "4 1\n0 0 -\n1 1 -\n2 1 -\n3 1 -\nHASSE\n0 1\n1 2\n2 3\n"
+        with pytest.raises(FormatError, match=r"elements 2 and 1\b"):
+            parse_lattice(text)
+
+
+@given(small_racks, st.integers(0, 2**31 - 1))
+@settings(max_examples=40, deadline=None)
+def test_abstraction_keeps_order(rack, seed):
+    assert_abstraction_keeps_order(rack, seed)
 
 
 class TestClosureAbort:
@@ -300,13 +358,11 @@ class TestCoverPairs:
     def test_square(self):
         ab = abstract_from_cover_pairs(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
         assert ab.size == 4 and ab.n_atoms == 2 and ab.is_boolean()
-        assert ab.supports is not None
 
     def test_chain(self):
-        ab = abstract_from_cover_pairs(4, [(0, 1), (1, 2), (2, 3)])
-        assert ab.n_atoms == 1 and not ab.is_boolean()
-        # a 4-chain is not atomistic: kept in the generic representation
-        assert ab.supports is None
+        # a 4-chain is not atomistic, so no rack has it as subrack lattice
+        with pytest.raises(FormatError, match=r"elements 2 and 1\b"):
+            abstract_from_cover_pairs(4, [(0, 1), (1, 2), (2, 3)])
 
     def test_cycle_detected(self):
         with pytest.raises(FormatError):
@@ -321,16 +377,15 @@ class TestCoverPairs:
         with pytest.raises(BadIndex):
             abstract_from_cover_pairs(2, [(0, 5)])
 
-    def test_non_lattice_with_injective_supports_stays_generic(self):
+    def test_non_lattice_with_injective_supports_is_rejected(self):
         # atoms a,b,c,d; u above a,b; v above a,b,c; u not under v;
         # top above u, v, d. All atom supports are distinct, yet
         # support containment would wrongly put u under v, so the order
         # probe must reject the atomistic encoding
         pairs = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (2, 5),
                  (1, 6), (2, 6), (3, 6), (5, 7), (6, 7), (4, 7)]
-        ab = abstract_from_cover_pairs(8, pairs)
-        assert ab.supports is None
-        assert not ab.leq(5, 6)
+        with pytest.raises(FormatError, match=r"elements 5 and 6\b"):
+            abstract_from_cover_pairs(8, pairs)
 
 
 class TestIsomorphism:
@@ -350,18 +405,18 @@ class TestIsomorphism:
         assert are_isomorphic(get_abstract("S3"), get_abstract("Z6")) is None
 
     def test_same_size_different_atoms(self):
-        chain = abstract_from_cover_pairs(4, [(0, 1), (1, 2), (2, 3)])
-        square = abstract_from_cover_pairs(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-        assert are_isomorphic(chain, square) is None
+        from rackle.lattice import AbstractLattice
+        b3 = AbstractLattice(list(range(8)))
+        four = AbstractLattice([0, 1, 2, 4, 8, 3, 12, 15])
+        assert b3.size == four.size and b3.n_atoms == 3 and four.n_atoms == 4
+        assert are_isomorphic(b3, four) is None
 
     def test_same_profile_not_isomorphic(self):
         # same size and atom count, separated by invariant refinement:
         # disjoint pair-elements versus pair-elements sharing an atom
         from rackle.lattice import AbstractLattice
-        a = AbstractLattice(size=8, n_atoms=4,
-                            supports=[0, 1, 2, 4, 8, 3, 12, 15], top=7)
-        b = AbstractLattice(size=8, n_atoms=4,
-                            supports=[0, 1, 2, 4, 8, 3, 5, 15], top=7)
+        a = AbstractLattice(supports=[0, 1, 2, 4, 8, 3, 12, 15])
+        b = AbstractLattice(supports=[0, 1, 2, 4, 8, 3, 5, 15])
         assert are_isomorphic(a, b) is None
 
     def test_node_budget(self):

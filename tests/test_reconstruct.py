@@ -31,7 +31,6 @@ from rackle.errors import NoPartition
 from rackle.groups import normal_subgroups, quotient
 from rackle.lattice import (
     AbstractLattice,
-    abstract_from_cover_pairs,
     are_isomorphic,
     check_isomorphism,
     enumerate_subrack_lattice,
@@ -79,14 +78,16 @@ class TestRecoverClasses:
         assert union == (1 << ab.n_atoms) - 1
 
     def test_chain_is_rejected(self):
-        chain = abstract_from_cover_pairs(3, [(0, 1), (1, 2)])
+        # supports over two bits, only one of them an atom: no group has it
+        chain = AbstractLattice(supports=[0, 1, 3])
         with pytest.raises(NotGroupLattice):
             recover_classes(chain)
+        with pytest.raises(NotGroupLattice):
+            ReconstructionContext(chain)
 
     def test_overlapping_complements_rejected(self):
         # coatoms {a,b}, {a,c}, {c,d}: complements double-cover atoms
-        lat = AbstractLattice(size=9, n_atoms=4,
-                              supports=[0, 1, 2, 4, 8, 3, 5, 12, 15], top=8)
+        lat = AbstractLattice(supports=[0, 1, 2, 4, 8, 3, 5, 12, 15])
         with pytest.raises(NotGroupLattice):
             recover_classes(lat)
 

@@ -132,6 +132,15 @@ class TestCli:
         assert run_cli("lattice", "build", "--in", "A5", "--out", "/dev/null",
                        "--lattice-cap", "100") == 2
 
+    def test_non_atomistic_lattice_is_bad_input(self, tmp_path, capsys):
+        concrete = tmp_path / "chain.lat"
+        concrete.write_text("3 2\n0 0\n1 1 0\n2 2 0 1\nHASSE\n0 1\n1 2\n")
+        abstract = tmp_path / "chain_abstract.lat"
+        abstract.write_text("3 1\n0 0 -\n1 1 -\n2 1 -\nHASSE\n0 1\n1 2\n")
+        for path in (concrete, abstract):
+            assert run_cli("invariants", "--lattice", str(path)) == 2
+            assert "not atomistic" in capsys.readouterr().err
+
     def test_missing_file(self):
         assert run_cli("group", "info", "/no/such/file.cay") == 2
 

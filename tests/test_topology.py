@@ -18,28 +18,23 @@ from conftest import get_abstract, get_group
 
 class TestMobius:
     def test_one_element(self):
-        lat = AbstractLattice(size=1, n_atoms=0, supports=[0])
+        lat = AbstractLattice(supports=[0])
         assert mobius_bottom_top(lat) == 1
 
     def test_boolean_sign(self):
         for name, n in (("triv", 1), ("Z2", 2), ("Z3", 3), ("Z4", 4), ("Z6", 6)):
             assert mobius_bottom_top(get_abstract(name)) == (-1) ** n, name
 
-    def test_chain_vanishes(self):
-        chain = abstract_from_cover_pairs(4, [(0, 1), (1, 2), (2, 3)])
-        assert mobius_bottom_top(chain) == 0
+    def test_m3(self):
+        # three atoms, each pair joining to top: mu = -(1 - 3) = 2
+        m3 = abstract_from_cover_pairs(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
+        assert not m3.is_boolean()
+        assert mobius_bottom_top(m3) == 2
 
     def test_group_lattices(self):
         for name, mu in (("S3", -1), ("D4", -1), ("Q8", -1),
                          ("A4", 1), ("D5", 1), ("S4", -1)):
             assert mobius_bottom_top(get_abstract(name)) == mu, name
-
-    def test_generic_matches_supports(self):
-        square = abstract_from_cover_pairs(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-        assert square.supports is not None
-        down = [0b0001, 0b0011, 0b0101, 0b1111]
-        generic = AbstractLattice(size=4, n_atoms=2, down=down, bottom=0, top=3)
-        assert mobius_bottom_top(square) == mobius_bottom_top(generic) == 1
 
 
 class TestEulerCharacteristic:
