@@ -17,7 +17,7 @@ class Limits:
     ground_cap: int = 30              # max group order in the catalog sweeps (scan.py);
                                       # enumeration itself is bounded by lattice_cap
     lattice_cap: int = 2_000_000      # max number of lattice elements
-    iso_node_budget: int = 10_000_000 # backtracking nodes for isomorphism search
+    iso_node_budget: int = 10_000_000 # atom placements in the isomorphism search
     tuple_budget: int = 10_000        # exhaustive representative-tuple checks up to here
     sample_count: int = 1_000         # seeded samples when over tuple_budget
     join_poset_cap: int = 16          # max number of parts for a join poset

@@ -13,11 +13,11 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import BadIndex, FormatError, IsomorphismTimeout, TooLarge
-from .racks import ConjugationRack, bits, closure_extend, closure_mask, is_closed_mask
+from .racks import ConjugationRack, bits, closure_extend, closure_mask, is_closed_mask, mask_of
 
 
 def _sort_key(mask: int) -> tuple[int, list[int]]:
@@ -227,7 +227,8 @@ class AbstractLattice:
     and each subrack is the join of the atoms it contains. An element is
     therefore stored as its support, the bitmask of atoms below it; support
     bit p is atom p. Order is support containment, bottom has support 0 and
-    top is the union of all supports.
+    top is the union of all supports. A support bit that is no atom raises
+    FormatError.
     """
 
     supports: list[int]
@@ -247,6 +248,11 @@ class AbstractLattice:
         self.n_atoms = full.bit_length()
         self.bottom = self.supports.index(0)
         self.top = self.supports.index(full)
+        if len(self.atoms) != self.n_atoms:
+            raise FormatError(
+                f"{self.n_atoms} support bits but {len(self.atoms)} atoms: "
+                "every support bit must be an atom"
+            )
 
     def leq(self, x: int, y: int) -> bool:
         sx, sy = self.supports[x], self.supports[y]
@@ -405,33 +411,18 @@ def abstract_from_cover_pairs(
 # isomorphism
 
 
-def _refine_colors(lat: AbstractLattice) -> list[int]:
-    n = lat.size
-    color = [s.bit_count() for s in lat.supports]
-    while True:
-        sigs = []
-        for x in range(n):
-            below = sorted(color[y] for y in range(n) if y != x and lat.leq(y, x))
-            above = sorted(color[y] for y in range(n) if y != x and lat.leq(x, y))
-            sigs.append((color[x], tuple(below), tuple(above)))
-        canon: dict[tuple, int] = {}
-        new = []
-        for s in sorted(set(sigs)):
-            canon[s] = len(canon)
-        for x in range(n):
-            new.append(canon[sigs[x]])
-        if new == color:
-            return color
-        color = new
+def _transport(mask: int, pi: Sequence[int]) -> int:
+    """Image of a support under the atom bijection pi (bit p -> bit pi[p])."""
+    return mask_of(pi[p] for p in bits(mask))
 
 
-def _boolean_iso(a: AbstractLattice, b: AbstractLattice) -> list[int]:
-    # pair atoms in index order, then match elements by transported support
-    index_b = {s: i for i, s in enumerate(b.supports)}
-    mapping = [0] * a.size
-    for x in range(a.size):
-        mapping[x] = index_b[a.supports[x]]
-    return mapping
+def _atom_joins(lat: AbstractLattice) -> list[list[int]]:
+    """Row p holds the support of the join of atom p with each atom q."""
+    m = lat.n_atoms
+    return [
+        [lat.supports[lat.join_mask(1 << p | 1 << q)] for q in range(m)]
+        for p in range(m)
+    ]
 
 
 def are_isomorphic(
@@ -441,76 +432,80 @@ def are_isomorphic(
 ) -> list[int] | None:
     """Order-isomorphism a→b as an index map, or None.
 
-    Invariant refinement first; backtracking over the residual classes with a
-    node budget after that.
+    Both lattices are atomistic, so an isomorphism is an atom bijection pi
+    that carries the supports of a onto the supports of b. Atoms are matched
+    depth-first, rarest invariant (popcounts of the joins with every atom)
+    first. A placement p→q must agree with every placed r: the joins
+    J(p, r) and J'(q, pi(r)) have equal popcounts, and pi carries the placed
+    atoms of the one onto the placed atoms of the other. A full bijection
+    is accepted when every transported support of a is a support of b. Each
+    candidate placement is one node against ``limits.iso_node_budget``.
     """
-    if a.size != b.size or len(a.atoms) != len(b.atoms):
+    if a.size != b.size or a.n_atoms != b.n_atoms:
         return None
-    if a.is_boolean() and b.is_boolean():
-        return _boolean_iso(a, b)
-    if a.is_boolean() != b.is_boolean():
+    m = a.n_atoms
+    ja, jb = _atom_joins(a), _atom_joins(b)
+    inv_a = [tuple(sorted(map(int.bit_count, row))) for row in ja]
+    inv_b = [tuple(sorted(map(int.bit_count, row))) for row in jb]
+    if sorted(inv_a) != sorted(inv_b):
         return None
-    ca, cb = _refine_colors(a), _refine_colors(b)
-    if sorted(ca) != sorted(cb):
-        return None
-    n = a.size
-    by_color: dict[int, list[int]] = {}
-    for y in range(n):
-        by_color.setdefault(cb[y], []).append(y)
-    # most-constrained first
-    xs = sorted(range(n), key=lambda x: (len(by_color[ca[x]]), ca[x]))
-    mapping = [-1] * n
-    used = [False] * n
+    by_inv: dict[tuple, list[int]] = {}
+    for q in range(m):
+        by_inv.setdefault(inv_b[q], []).append(q)
+    order = sorted(range(m), key=lambda p: (len(by_inv[inv_a[p]]), inv_a[p]))
+    pi = [-1] * m
+    index_b = b._support_index
     budget = limits.iso_node_budget
     nodes = 0
 
-    def place(i: int) -> bool:
+    def place(i: int, placed: int, images: int) -> list[int] | None:
         nonlocal nodes
-        if i == n:
-            return True
-        x = xs[i]
-        for y in by_color[ca[x]]:
-            if used[y]:
+        if i == m:
+            mapping = [index_b.get(_transport(s, pi)) for s in a.supports]
+            return None if None in mapping else mapping
+        p = order[i]
+        for q in by_inv[inv_a[p]]:
+            if images >> q & 1:
                 continue
             nodes += 1
             if nodes > budget:
-                raise IsomorphismTimeout(
-                    f"isomorphism search exceeded {budget} nodes"
-                )
-            ok = True
-            for j in range(i):
-                u = xs[j]
-                v = mapping[u]
-                if a.leq(u, x) != b.leq(v, y) or a.leq(x, u) != b.leq(y, v):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping[x] = y
-            used[y] = True
-            if place(i + 1):
-                return True
-            mapping[x] = -1
-            used[y] = False
-        return False
-
-    if not place(0):
+                raise IsomorphismTimeout(f"isomorphism search exceeded {budget} nodes")
+            if all(
+                ja[p][r].bit_count() == jb[q][pi[r]].bit_count()
+                and _transport(ja[p][r] & placed, pi) == jb[q][pi[r]] & images
+                for r in bits(placed)
+            ):
+                pi[p] = q
+                mapping = place(i + 1, placed | 1 << p, images | 1 << q)
+                if mapping is not None:
+                    return mapping
         return None
-    return mapping
+
+    return place(0, 0, 0)
 
 
 def check_isomorphism(
     a: AbstractLattice, b: AbstractLattice, mapping: Sequence[int]
 ) -> bool:
-    """Verify a claimed map preserves and reflects the order on all pairs."""
+    """Verify that a claimed element map is an order isomorphism, in O(n·m).
+
+    The map must be a bijection sending atoms to atoms; those atoms define a
+    bijection pi of support bits, and every element's image must have the
+    pi-image of its support. That is exact: both orders are support
+    containment, and a bit permutation preserves containment both ways.
+    """
     n = a.size
-    if sorted(mapping) != list(range(n)):
+    if b.size != n or sorted(mapping) != list(range(n)):
         return False
-    for x in range(n):
-        for y in range(n):
-            if a.leq(x, y) != b.leq(mapping[x], mapping[y]):
-                return False
-    return True
+    pi = [0] * a.n_atoms
+    for x in a.atoms:
+        t = b.supports[mapping[x]]
+        if t.bit_count() != 1:
+            return False
+        pi[a.supports[x].bit_length() - 1] = t.bit_length() - 1
+    return all(
+        b.supports[mapping[x]] == _transport(s, pi) for x, s in enumerate(a.supports)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -529,27 +524,29 @@ def format_lattice(lat: SubrackLattice) -> str:
 
 
 def format_abstract(lat: AbstractLattice) -> str:
-    """Abstract export: '-' in the member column, covers from the order."""
+    """Abstract export: '-' in the member column, covers from atom joins.
+
+    The upper covers of x are the minimal elements among the joins of x with
+    one more atom.
+    """
     n = lat.size
-    order = sorted(range(n), key=lambda x: _sort_key(lat.supports[x]))
+    sup = lat.supports
+    order = sorted(range(n), key=lambda x: _sort_key(sup[x]))
     pos = [0] * n
     for newi, old in enumerate(order):
         pos[old] = newi
     lines = [f"{n} {lat.n_atoms}"]
     for old in order:
-        k = len(lat.atoms_below(old))
-        lines.append(f"{pos[old]} {k} -")
+        lines.append(f"{pos[old]} {sup[old].bit_count()} -")
     pairs = []
     for x in range(n):
-        for y in range(n):
-            if x == y or not lat.leq(x, y):
-                continue
-            if any(
-                z != x and z != y and lat.leq(x, z) and lat.leq(z, y)
-                for z in range(n)
-            ):
-                continue
-            pairs.append((pos[x], pos[y]))
+        joins = {
+            lat.join_mask(sup[x] | 1 << p)
+            for p in range(lat.n_atoms) if not sup[x] >> p & 1
+        }
+        for y in joins:
+            if not any(d != y and sup[d] & sup[y] == sup[d] for d in joins):
+                pairs.append((pos[x], pos[y]))
     pairs.sort()
     lines.append("HASSE")
     for c, p in pairs:

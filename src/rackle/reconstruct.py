@@ -64,15 +64,11 @@ class ReconstructionContext:
     """An AbstractLattice seen through its atoms.
 
     Atom position p is support bit p of the lattice, so parts, blocks and
-    supports are masks over support bits. A lattice with a support bit that
-    is no atom comes from no group and is rejected.
+    supports are masks over support bits; AbstractLattice guarantees that
+    every support bit is an atom.
     """
 
     def __init__(self, lattice: AbstractLattice):
-        if len(lattice.atoms) != lattice.n_atoms:
-            raise NotGroupLattice(
-                f"{lattice.n_atoms} support bits but {len(lattice.atoms)} atoms"
-            )
         self.lattice = lattice
         self.n = lattice.n_atoms
 

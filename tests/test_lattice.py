@@ -1,5 +1,6 @@
 """Enumeration, lattice queries, abstraction, isomorphism, and the .lat format."""
 
+import random
 from itertools import permutations, product
 from math import gcd
 
@@ -25,7 +26,9 @@ from rackle.catalog import catalog_entries
 from rackle.config import DEFAULT_LIMITS
 from rackle.errors import FormatError
 from rackle.lattice import (
+    AbstractLattice,
     SubrackLattice,
+    _atom_joins,
     _enumerate_subtree,
     abstract_from_cover_pairs,
     enumerate_closed_masks,
@@ -173,8 +176,7 @@ def assert_abstraction_keeps_order(rack, seed):
     Every subrack is then the union of the atoms its support names, so
     supp(x) ⊆ supp(y) exactly when x ⊆ y; checking that union per element
     proves it in O(n·m). A shuffled abstraction is the same order up to
-    relabelling; that map is checked pair by pair, so only up to 512
-    elements.
+    relabelling, found by the atom search and checked in O(n·m).
     """
     lat = enumerate_subrack_lattice(rack)
     ab = to_abstract(lat)
@@ -188,9 +190,8 @@ def assert_abstraction_keeps_order(rack, seed):
         assert ab.supports[x] == mask_of(i for i, am in enumerate(atom_masks) if am & mask == am)
     shuffled = to_abstract(lat, seed=seed)
     assert sorted(map(int.bit_count, shuffled.supports)) == sorted(map(int.bit_count, ab.supports))
-    if lat.size <= 512:
-        mapping = are_isomorphic(ab, shuffled)
-        assert mapping is not None and check_isomorphism(ab, shuffled, mapping)
+    mapping = are_isomorphic(ab, shuffled)
+    assert mapping is not None and check_isomorphism(ab, shuffled, mapping)
 
 
 class TestAtomistic:
@@ -388,6 +389,12 @@ class TestCoverPairs:
             abstract_from_cover_pairs(8, pairs)
 
 
+# ∅, the full set, and every singleton and pair of six atoms
+_SIX_PAIRS = [0, 63] + [1 << p for p in range(6)] + [
+    1 << p | 1 << q for p in range(6) for q in range(p)
+]
+
+
 class TestIsomorphism:
     def test_boolean_pair(self):
         a = get_abstract("Z4")
@@ -405,7 +412,6 @@ class TestIsomorphism:
         assert are_isomorphic(get_abstract("S3"), get_abstract("Z6")) is None
 
     def test_same_size_different_atoms(self):
-        from rackle.lattice import AbstractLattice
         b3 = AbstractLattice(list(range(8)))
         four = AbstractLattice([0, 1, 2, 4, 8, 3, 12, 15])
         assert b3.size == four.size and b3.n_atoms == 3 and four.n_atoms == 4
@@ -414,7 +420,6 @@ class TestIsomorphism:
     def test_same_profile_not_isomorphic(self):
         # same size and atom count, separated by invariant refinement:
         # disjoint pair-elements versus pair-elements sharing an atom
-        from rackle.lattice import AbstractLattice
         a = AbstractLattice(supports=[0, 1, 2, 4, 8, 3, 12, 15])
         b = AbstractLattice(supports=[0, 1, 2, 4, 8, 3, 5, 15])
         assert are_isomorphic(a, b) is None
@@ -433,11 +438,161 @@ class TestIsomorphism:
         # swap the images of bottom and top: order is no longer preserved
         twisted[a.bottom], twisted[a.top] = twisted[a.top], twisted[a.bottom]
         assert not check_isomorphism(a, b, twisted)
+        # atom 0 sent to bottom, then to top: it comes first in index order
+        square = AbstractLattice([1, 2, 0, 3])
+        assert check_isomorphism(square, square, [0, 1, 2, 3])
+        assert not check_isomorphism(square, square, [2, 1, 0, 3])
+        assert not check_isomorphism(square, square, [3, 1, 2, 0])
 
     def test_isomorphic_catalog_twins(self):
         for x, y in (("D6", "Dic3"), ("Z12", "Z6xZ2")):
             mapping = are_isomorphic(get_abstract(x), get_abstract(y))
             assert mapping is not None, (x, y)
+
+
+    def test_z2xd4_z2xq8(self):
+        # 1,600 elements: an element-by-element search overflowed the stack
+        a = get_abstract("Z2xD4")
+        b = get_abstract("Z2xQ8", seed=2)
+        mapping = are_isomorphic(a, b)
+        assert mapping is not None and check_isomorphism(a, b, mapping)
+
+    def test_boolean_65536(self):
+        a = AbstractLattice(list(range(1 << 16)))
+        rng = random.Random(16)
+        pi = list(range(16))
+        rng.shuffle(pi)
+        supports = [relabel(s, pi) for s in range(1 << 16)]
+        rng.shuffle(supports)
+        b = AbstractLattice(supports)
+        mapping = are_isomorphic(a, b)
+        assert mapping is not None and check_isomorphism(a, b, mapping)
+        assert mapping[a.top] == b.top
+
+    @pytest.mark.parametrize("sa, sb", [
+        ([0, 1, 2, 4, 5, 8, 9, 10, 11, 12, 14, 15], [0, 1, 2, 3, 4, 6, 8, 9, 10, 11, 13, 15]),
+        # six atoms, every pair an element, and two triples that share an
+        # atom in a but not in b: the atom joins agree under every atom
+        # bijection, so each full bijection must be rejected on its supports
+        (_SIX_PAIRS + [0b000111, 0b011001], _SIX_PAIRS + [0b000111, 0b111000]),
+    ], ids=["four-atoms", "six-atoms"])
+    def test_equal_atom_invariants_not_isomorphic(self, sa, sb):
+        # every atom sees the same join popcounts in both, so only the
+        # search itself can tell them apart
+        a, b = AbstractLattice(sa), AbstractLattice(sb)
+
+        def invariants(lat):
+            return sorted(sorted(map(int.bit_count, row)) for row in _atom_joins(lat))
+
+        assert invariants(a) == invariants(b)
+        assert brute_force_isomorphic(sa, sb) is None
+        assert are_isomorphic(a, b) is None
+
+
+def relabel(mask, pi):
+    return mask_of(pi[p] for p in bits(mask))
+
+
+def pairwise_isomorphism(a, b, mapping):
+    """The definition: a bijection that preserves and reflects the order on
+    every pair of elements. O(n²); the test oracle for check_isomorphism."""
+    n = a.size
+    if b.size != n or sorted(mapping) != list(range(n)):
+        return False
+    return all(
+        a.leq(x, y) == b.leq(mapping[x], mapping[y]) for x in range(n) for y in range(n)
+    )
+
+
+def brute_force_isomorphic(sa, sb):
+    """An atom permutation carrying one support family onto the other, or None."""
+    k = max(sa).bit_length()
+    if len(sa) != len(sb) or k != max(sb).bit_length():
+        return None
+    target = set(sb)
+    for pi in permutations(range(k)):
+        if all(relabel(s, pi) in target for s in sa):
+            return pi
+    return None
+
+
+@st.composite
+def closed_families(draw, k=None):
+    """Intersection-closed set families holding ∅, the full set and every
+    singleton: atomistic lattices whose supports are the sets themselves."""
+    if k is None:
+        k = draw(st.integers(1, 6))
+    full = (1 << k) - 1
+    family = {0, full} | {1 << p for p in range(k)}
+    family |= set(draw(st.lists(st.integers(0, full), max_size=12)))
+    while True:
+        meets = {x & y for x in family for y in family} - family
+        if not meets:
+            break
+        family |= meets
+    return sorted(family)
+
+
+@st.composite
+def family_pairs(draw):
+    """A relabelled, reordered copy, a family of the same size over as many
+    atoms (mostly not isomorphic), or an unrelated family."""
+    sa = draw(closed_families())
+    k = max(sa).bit_length()
+    kind = draw(st.sampled_from(("copy", "same size", "same size", "any")))
+    if kind == "same size":
+        for _ in range(50):
+            sb = draw(closed_families(k))
+            if len(sb) == len(sa):
+                return sa, sb
+    if kind == "any":
+        return sa, draw(closed_families())
+    pi = draw(st.permutations(range(k)))
+    return sa, draw(st.permutations([relabel(s, pi) for s in sa]))
+
+
+@given(family_pairs(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_search_matches_brute_force(pair, data):
+    sa, sb = pair
+    a, b = AbstractLattice(sa), AbstractLattice(sb)
+    mapping = are_isomorphic(a, b)
+    assert (mapping is None) == (brute_force_isomorphic(sa, sb) is None)
+    if mapping is None:
+        return
+    assert check_isomorphism(a, b, mapping) and pairwise_isomorphism(a, b, mapping)
+    x, y = data.draw(st.lists(st.integers(0, a.size - 1), min_size=2, max_size=2, unique=True))
+    swapped = list(mapping)
+    swapped[x], swapped[y] = swapped[y], swapped[x]
+    assert check_isomorphism(a, b, swapped) == pairwise_isomorphism(a, b, swapped)
+
+
+def naive_cover_pairs(lat):
+    """Covers by the triple loop over x < z < y. A Boolean lattice's covers
+    add one atom; that is quicker than n³ at 4,096 elements."""
+    n = lat.size
+    if lat.is_boolean():
+        index = {s: i for i, s in enumerate(lat.supports)}
+        return sorted(
+            (x, index[s | 1 << p])
+            for x, s in enumerate(lat.supports) for p in range(lat.n_atoms) if not s >> p & 1
+        )
+    return sorted(
+        (x, y) for x in range(n) for y in range(n)
+        if x != y and lat.leq(x, y)
+        and not any(z not in (x, y) and lat.leq(x, z) and lat.leq(z, y) for z in range(n))
+    )
+
+
+def test_format_abstract_covers_match_triple_loop():
+    for g in catalog_entries(12):
+        ab = get_abstract(g.name, seed=g.order)
+        text = format_abstract(ab).split("HASSE\n")[1]
+        pairs = sorted(tuple(map(int, ln.split())) for ln in text.splitlines())
+        order = sorted(range(ab.size), key=lambda x: (ab.supports[x].bit_count(), bits(ab.supports[x])))
+        pos = {old: new for new, old in enumerate(order)}
+        expected = sorted((pos[x], pos[y]) for x, y in naive_cover_pairs(ab))
+        assert pairs == expected, g.name
 
 
 @given(st.integers(min_value=0, max_value=2**31 - 1))
