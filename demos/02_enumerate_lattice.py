@@ -12,6 +12,7 @@ import tempfile
 from rackle import enumerate_subrack_lattice, group_rack, load_lattice, save_lattice
 from rackle.catalog import named_group
 from rackle.lattice import brute_force_closed_masks
+from rackle.racks import mask_of, rack_closure
 
 # Abelian groups first: conjugation is trivial, every subset is a subrack,
 # and the lattice is the full power set.
@@ -38,13 +39,12 @@ for mask in lat.elements:
 print("subracks by size:", dict(sorted(by_size.items())))
 
 # Meets are intersections; joins close up the union. The join of two
-# singleton transpositions pulls in the third one.
+# singleton transpositions is the subrack they generate, which pulls in the
+# third one.
 ts = [x for x in range(6) if s3.element_order(x) == 2]
-a = lat.index_of(1 << ts[0])
-b = lat.index_of(1 << ts[1])
-j = lat.join(a, b)
+joined = mask_of(rack_closure(rack, ts[:2]))
 print(f"\njoin of {{{ts[0]}}} and {{{ts[1]}}} has members "
-      f"{bin(lat.elements[j])} (all three transpositions)")
+      f"{bin(joined)} (all three transpositions)")
 
 # Lattices round-trip through a plain text format.
 with tempfile.NamedTemporaryFile(mode="w", suffix=".lat", delete=False) as fh:

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import BadIndex, FormatError, IsomorphismTimeout, TooLarge
-from .racks import ConjugationRack, bits, closure_extend, closure_mask, is_closed_mask, mask_of
+from .racks import ConjugationRack, bits, closure_extend, is_closed_mask, mask_of
 
 
 def _sort_key(mask: int) -> tuple[int, list[int]]:
@@ -134,63 +134,35 @@ class SubrackLattice:
         ex, ey = self.elements[x], self.elements[y]
         return ex & ey == ex
 
-    def meet(self, x: int, y: int) -> int:
-        return self.index_of(self.elements[x] & self.elements[y])
+    @cached_property
+    def atoms(self) -> list[int]:
+        """Minimal nonempty elements, from the member sets alone.
 
-    def join(self, x: int, y: int) -> int:
-        u = self.elements[x] | self.elements[y]
-        hit = self._index.get(u)
-        if hit is not None:
-            return hit
-        if self.rack is not None:
-            return self.index_of(closure_mask(self.rack.op, u))
-        # imported lattice with no rack: least element containing the union
+        Elements come popcount first, so a nonempty element is an atom when
+        it contains no earlier atom. A one-point element is always an atom,
+        so an element meeting their union is skipped without a scan.
+        """
+        out: list[int] = []
+        wide: list[int] = []             # masks of the atoms with 2+ points
+        points = 0                       # union of the one-point atoms
         for i, mask in enumerate(self.elements):
-            if mask & u == u:
-                return i
-        raise BadIndex("no upper bound found; element list is not a lattice")
-
-    def upper_covers(self, x: int) -> list[int]:
-        """Minimal elements strictly above x."""
-        ex = self.elements[x]
-        if self.rack is not None:
-            cands = set()
-            for j in range(self.ground_size):
-                if ex >> j & 1:
-                    continue
-                cands.add(closure_extend(self.rack.op, ex, j))
-        else:
-            cands = {m for m in self.elements if m & ex == ex and m != ex}
-        minimal = [
-            c for c in cands
-            if not any(d & c == d for d in cands if d != c and d & ex == ex)
-        ]
-        return sorted((self.index_of(c) for c in minimal))
+            if not mask or mask & points or any(a & mask == a for a in wide):
+                continue
+            out.append(i)
+            if mask.bit_count() == 1:
+                points |= mask
+            else:
+                wide.append(mask)
+        return out
 
     @cached_property
     def hasse(self) -> list[tuple[int, int]]:
         """Cover pairs (child, parent), sorted."""
-        pairs = []
-        for x in range(self.size):
-            for y in self.upper_covers(x):
-                pairs.append((x, y))
-        pairs.sort()
-        return pairs
-
-    @cached_property
-    def atoms(self) -> list[int]:
-        return self.upper_covers(self.bottom)
+        return sorted(to_abstract(self).cover_pairs())
 
     @cached_property
     def coatoms(self) -> list[int]:
-        return sorted(x for x, y in self.hasse if y == self.top)
-
-    def interval(self, x: int, y: int) -> list[int]:
-        ex, ey = self.elements[x], self.elements[y]
-        return [
-            i for i, m in enumerate(self.elements)
-            if m & ex == ex and m & ey == m
-        ]
+        return to_abstract(self).proper_maximal
 
     def height(self) -> int:
         """Length (number of covers) of a longest bottom-to-top chain."""
@@ -236,9 +208,6 @@ class AbstractLattice:
     n_atoms: int = field(init=False)     # support bits in use
     bottom: int = field(init=False)
     top: int = field(init=False)
-    _join_misses: dict[int, int] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         full = 0
@@ -269,19 +238,57 @@ class AbstractLattice:
     def is_boolean(self) -> bool:
         return self.size == 1 << self.n_atoms
 
+    @cached_property
+    def _above(self) -> tuple[list[int], list[int]]:
+        """Elements ranked by support size, and for each atom p a bitmask
+        over ranks whose bit r is set when the r-th element lies above p."""
+        ranked = sorted(range(self.size), key=lambda x: self.supports[x].bit_count())
+        m = self.n_atoms
+        # transpose the support bit strings: column p read from the highest
+        # rank down is row p in binary
+        columns = zip(*(format(self.supports[x], f"0{m}b") for x in reversed(ranked)))
+        rows = [int("".join(c), 2) for c in columns]
+        rows.reverse()
+        return ranked, rows
+
     def join_mask(self, mask: int) -> int:
-        """The least element whose support contains mask: the join of those atoms."""
+        """The least element whose support contains mask: the join of those atoms.
+
+        A miss ANDs the rank rows of the atoms in mask into the upper bounds
+        and takes the lowest rank: in a lattice the join has strictly fewer
+        atoms than any other upper bound.
+        """
         hit = self._support_index.get(mask)
-        if hit is None:
-            hit = self._join_misses.get(mask)
-        if hit is None:
-            # in a lattice the least upper bound is the unique smallest one
-            hit = min(
-                (i for i, s in enumerate(self.supports) if s & mask == mask),
-                key=lambda i: self.supports[i].bit_count(),
-            )
-            self._join_misses[mask] = hit
-        return hit
+        if hit is not None:
+            return hit
+        ranked, rows = self._above
+        upper = -1
+        for p in bits(mask):
+            upper &= rows[p]
+        return ranked[(upper & -upper).bit_length() - 1]
+
+    def cover_pairs(self) -> list[tuple[int, int]]:
+        """Hasse cover pairs (x, y), x covered by y, from joins with one atom.
+
+        For each x, count how many atoms p outside supp x give each join
+        y = x ∨ p. Every such p lies in supp y − supp x, and x ⋖ y exactly
+        when the count is |supp y| − |supp x|. If x ⋖ y, each atom q of y
+        outside x has x < x ∨ q ≤ y, so x ∨ q = y. If instead x < z < y,
+        pick q in supp z − supp x: then x ∨ q ≤ z < y, so q is an atom of y
+        outside x that gives another join and the count falls short. Every
+        upper cover y is x ∨ q for some such q, so none is missed.
+        """
+        sup = self.supports
+        pairs = []
+        for x, sx in enumerate(sup):
+            counts: dict[int, int] = {}
+            for p in range(self.n_atoms):
+                if not sx >> p & 1:
+                    y = self.join_mask(sx | 1 << p)
+                    counts[y] = counts.get(y, 0) + 1
+            k = sx.bit_count()
+            pairs.extend((x, y) for y, c in counts.items() if c == sup[y].bit_count() - k)
+        return pairs
 
     def atoms_below(self, x: int) -> list[int]:
         return [a for a in self.atoms if self.leq(a, x)]
@@ -524,11 +531,7 @@ def format_lattice(lat: SubrackLattice) -> str:
 
 
 def format_abstract(lat: AbstractLattice) -> str:
-    """Abstract export: '-' in the member column, covers from atom joins.
-
-    The upper covers of x are the minimal elements among the joins of x with
-    one more atom.
-    """
+    """Abstract export: '-' in the member column, covers from cover_pairs."""
     n = lat.size
     sup = lat.supports
     order = sorted(range(n), key=lambda x: _sort_key(sup[x]))
@@ -538,18 +541,8 @@ def format_abstract(lat: AbstractLattice) -> str:
     lines = [f"{n} {lat.n_atoms}"]
     for old in order:
         lines.append(f"{pos[old]} {sup[old].bit_count()} -")
-    pairs = []
-    for x in range(n):
-        joins = {
-            lat.join_mask(sup[x] | 1 << p)
-            for p in range(lat.n_atoms) if not sup[x] >> p & 1
-        }
-        for y in joins:
-            if not any(d != y and sup[d] & sup[y] == sup[d] for d in joins):
-                pairs.append((pos[x], pos[y]))
-    pairs.sort()
     lines.append("HASSE")
-    for c, p in pairs:
+    for c, p in sorted((pos[x], pos[y]) for x, y in lat.cover_pairs()):
         lines.append(f"{c} {p}")
     return "\n".join(lines) + "\n"
 

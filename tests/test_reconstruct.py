@@ -1,6 +1,8 @@
 """Lattice-only reconstruction: classes, normal abelian parts, quotients, length."""
 
+import math
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -37,7 +39,7 @@ from rackle.lattice import (
     to_abstract,
 )
 from rackle.racks import group_rack
-from rackle.reconstruct import HypotheticalCosetPartition
+from rackle.reconstruct import HypotheticalCosetPartition, _tuple_space
 
 from conftest import get_abstract, get_group, get_lattice
 
@@ -314,6 +316,20 @@ class TestHypotheticalPartition:
             ctx, HypotheticalCosetPartition(parts=overlap))
         assert not rep.ok
         assert any("C1" in ln for ln in rep.lines if ln.startswith("FAIL"))
+
+    @given(st.lists(st.integers(1, 255), min_size=1, max_size=6))
+    @settings(max_examples=50, deadline=None)
+    def test_tuple_space_counts_every_index_set(self, parts):
+        brute = sum(
+            math.prod(parts[i].bit_count() for i in idxs)
+            for r in range(1, len(parts) + 1)
+            for idxs in combinations(range(len(parts)), r)
+        )
+        assert _tuple_space(parts) == brute
+
+    def test_tuple_space_exact_past_a_billion(self):
+        # 40 parts of 3 atoms: every index set and tuple, far past 10^9
+        assert _tuple_space([0b111 << 3 * i for i in range(40)]) == 4**40 - 1
 
 
 class TestFindCosetPartition:
