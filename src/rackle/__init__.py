@@ -6,7 +6,7 @@ and recover solvability and derived length from the bare order relation —
 with independent group-theoretic oracles checking every step.
 """
 
-from .config import DEFAULT_LIMITS, Limits, thread_count
+from .config import DEFAULT_LIMITS, Limits
 from .errors import (
     BadIndex,
     BadPartition,
@@ -56,7 +56,6 @@ from .lattice import (
     brute_force_closed_masks,
     check_isomorphism,
     enumerate_subrack_lattice,
-    is_boolean_interval,
     load_lattice,
     save_lattice,
     to_abstract,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from importlib import resources
 
-from .config import DEFAULT_LIMITS, Limits, order24_enabled
+from .config import DEFAULT_LIMITS, Limits
 from .errors import TooLarge, UnknownGroup
 from .groups import (
     FiniteGroup,
@@ -172,10 +172,9 @@ def catalog_entries(max_order: int = 12, limits: Limits = DEFAULT_LIMITS) -> lis
         _product(z2, dihedral(8), "Z2xD4"),
         _product(z2, dicyclic(8), "Z2xQ8"),
         symmetric(4),
+        sl23(),
+        alternating(5),
     ]
-    if order24_enabled():
-        out.append(sl23())
-    out.append(alternating(5))
     out = [g for g in out if g.order <= max_order]
     out.sort(key=lambda g: (g.order, g.name))
     return out

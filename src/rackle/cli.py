@@ -11,7 +11,7 @@ import os
 import sys
 
 from .catalog import named_group
-from .config import DEFAULT_LIMITS, Limits, thread_count
+from .config import DEFAULT_LIMITS, Limits
 from .errors import FormatError, RackleError, TooLarge, UnknownGroup
 from .groups import (
     NOT_SOLVABLE,
@@ -110,13 +110,9 @@ def _cmd_group_info(args: argparse.Namespace) -> int:
 def _cmd_lattice_build(args: argparse.Namespace) -> int:
     limits = _limits_from(args)
     rack = _resolve_rack(args.infile, limits)
-    workers = args.par if args.par is not None else thread_count()
-    lat = enumerate_subrack_lattice(rack, limits=limits, workers=workers)
+    lat = enumerate_subrack_lattice(rack, limits=limits)
     save_lattice(args.outfile, lat)
-    print(
-        f"wrote {args.outfile}: {lat.size} subracks over {lat.ground_size} points"
-        + (f" ({workers} workers)" if workers > 1 else "")
-    )
+    print(f"wrote {args.outfile}: {lat.size} subracks over {lat.ground_size} points")
     return 0
 
 
@@ -222,8 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--in", dest="infile", required=True,
                          help="group name, group file, or .rk rack file")
     p_build.add_argument("--out", dest="outfile", required=True)
-    p_build.add_argument("--par", type=int, default=None,
-                         help="worker processes (default RACKLE_THREADS)")
     _add_cap_flags(p_build)
     p_build.set_defaults(func=_cmd_lattice_build)
 

@@ -6,7 +6,6 @@ callers (or CLI flags) may raise them.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 
 
@@ -28,17 +27,3 @@ class Limits:
 
 
 DEFAULT_LIMITS = Limits()
-
-
-def thread_count() -> int:
-    """Parallelism bound: RACKLE_THREADS if set, else 1."""
-    raw = os.environ.get("RACKLE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def order24_enabled() -> bool:
-    """Whether the bundled order-24 fixture participates in catalog sweeps."""
-    return os.environ.get("RACKLE_ORDER24", "1") != "0"

@@ -10,7 +10,6 @@ which keeps the order relation and nothing else.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -51,33 +50,11 @@ def _enumerate_subtree(
     return out
 
 
-def _branch_worker(args: tuple) -> list[int]:
-    rows, m, start, j0, cap = args
-    return _enumerate_subtree(rows, m, start, j0, cap)
-
-
 def enumerate_closed_masks(
-    rack: ConjugationRack, limits: Limits = DEFAULT_LIMITS, workers: int = 1
+    rack: ConjugationRack, limits: Limits = DEFAULT_LIMITS
 ) -> list[int]:
     """Closed subsets of the rack as bitmasks, sorted by popcount then members."""
-    m = rack.size
-    rows = rack.op
-    cap = limits.lattice_cap
-    if workers <= 1 or m < 2:
-        masks = _enumerate_subtree(rows, m, 0, 0, cap)
-    else:
-        # split at the root: each canonical child becomes an independent job
-        branches = []
-        for j in range(m):
-            b = closure_extend(rows, 0, j, (1 << j) - 1)
-            if b is not None:
-                branches.append((rows, m, b, j + 1, cap))
-        masks = [0]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_branch_worker, branches):
-                masks.extend(part)
-        if len(masks) > cap:
-            raise TooLarge(f"lattice exceeds cap of {cap} elements")
+    masks = _enumerate_subtree(rack.op, rack.size, 0, 0, limits.lattice_cap)
     masks.sort(key=_sort_key)
     return masks
 
@@ -99,15 +76,9 @@ def brute_force_closed_masks(rack: ConjugationRack) -> list[int]:
 
 @dataclass
 class SubrackLattice:
-    rack: ConjugationRack | None
     elements: list[int]                  # member bitmasks, popcount-then-lex
     ground_size: int
     name: str = ""
-    _index: dict[int, int] = field(default_factory=dict, repr=False)
-
-    def __post_init__(self) -> None:
-        if not self._index:
-            self._index = {mask: i for i, mask in enumerate(self.elements)}
 
     @property
     def size(self) -> int:
@@ -123,12 +94,6 @@ class SubrackLattice:
 
     def members(self, x: int) -> tuple[int, ...]:
         return tuple(bits(self.elements[x]))
-
-    def index_of(self, mask: int) -> int:
-        try:
-            return self._index[mask]
-        except KeyError:
-            raise BadIndex(f"mask {mask:b} is not an element") from None
 
     def leq(self, x: int, y: int) -> bool:
         ex, ey = self.elements[x], self.elements[y]
@@ -178,12 +143,10 @@ class SubrackLattice:
 
 
 def enumerate_subrack_lattice(
-    rack: ConjugationRack, limits: Limits = DEFAULT_LIMITS, workers: int = 1
+    rack: ConjugationRack, limits: Limits = DEFAULT_LIMITS
 ) -> SubrackLattice:
-    masks = enumerate_closed_masks(rack, limits=limits, workers=workers)
-    return SubrackLattice(
-        rack=rack, elements=masks, ground_size=rack.size, name=rack.name
-    )
+    masks = enumerate_closed_masks(rack, limits=limits)
+    return SubrackLattice(elements=masks, ground_size=rack.size, name=rack.name)
 
 
 # ---------------------------------------------------------------------------
@@ -316,14 +279,6 @@ class AbstractLattice:
 
     def __repr__(self) -> str:
         return f"<abstract lattice, {self.size} elements, {self.n_atoms} atoms>"
-
-
-def is_boolean_interval(lat: AbstractLattice, x: int) -> bool:
-    """Is [bottom, x] a Boolean algebra? Supports are distinct, so it is
-    exactly when 2^k elements lie below an element over k atoms."""
-    sx = lat.supports[x]
-    count = sum(1 for s in lat.supports if s & sx == s)
-    return count == 1 << sx.bit_count()
 
 
 def to_abstract(lat: SubrackLattice, seed: int | None = None) -> AbstractLattice:
@@ -596,7 +551,7 @@ def parse_lattice(text: str, name: str = "") -> SubrackLattice | AbstractLattice
     expected = sorted(masks, key=_sort_key)
     if masks != expected:
         raise FormatError("elements are not in popcount-then-lex order")
-    return SubrackLattice(rack=None, elements=masks, ground_size=ground, name=name)
+    return SubrackLattice(elements=masks, ground_size=ground, name=name)
 
 
 def load_lattice(path: str) -> SubrackLattice | AbstractLattice:

@@ -25,12 +25,7 @@ from .errors import (
     NotNormal,
 )
 from .groups import NOT_SOLVABLE, FiniteGroup, _NotSolvable, is_normal, is_subgroup
-from .lattice import (
-    AbstractLattice,
-    SubrackLattice,
-    are_isomorphic,
-    is_boolean_interval,
-)
+from .lattice import AbstractLattice, SubrackLattice, are_isomorphic
 from .racks import bits, closure_mask, group_rack, is_closed_mask, mask_of
 
 
@@ -125,22 +120,26 @@ def recover_classes(
 def maximal_boolean_elements(
     ctx: ReconstructionContext | AbstractLattice,
 ) -> list[int]:
-    """Elements whose lower interval is Boolean, maximal among those."""
-    if isinstance(ctx, AbstractLattice):
-        ctx = ReconstructionContext(ctx)
-    lat = ctx.lattice
+    """Elements whose lower interval is Boolean, maximal among those.
+
+    Supports are distinct, so [bottom, x] is Boolean exactly when every
+    subset of supp x is a support. Those supports form a down-set: walking
+    by popcount, s is Boolean when every s − {p} already is. A Boolean s is
+    maximal when no s ∪ {p} is Boolean, since a larger Boolean support
+    contains some s ∪ {p} and with it all of that set's subsets.
+    """
+    lat = ctx.lattice if isinstance(ctx, ReconstructionContext) else ctx
     if lat.is_boolean():
         return [lat.top]
-    good = [x for x in range(lat.size) if is_boolean_interval(lat, x)]
-    out = []
-    for x in good:
-        sx = ctx.atom_support(x)
-        if not any(
-            y != x and sx & ctx.atom_support(y) == sx and sx != ctx.atom_support(y)
-            for y in good
-        ):
-            out.append(x)
-    return sorted(out)
+    boolean: set[int] = set()
+    for s in sorted(lat.supports, key=int.bit_count):
+        if all(s & ~(1 << p) in boolean for p in bits(s)):
+            boolean.add(s)
+    return sorted(
+        lat._support_index[s]
+        for s in boolean
+        if not any(s | 1 << p in boolean for p in range(lat.n_atoms) if not s >> p & 1)
+    )
 
 
 def max_normal_abelian(
@@ -313,9 +312,6 @@ class HypotheticalCosetPartition:
     @property
     def count(self) -> int:
         return len(self.parts)
-
-    def part_size(self) -> int:
-        return self.parts[0].bit_count()
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-from .config import DEFAULT_LIMITS, Limits, thread_count
+from .config import DEFAULT_LIMITS, Limits
 from .errors import RackleError, TooLarge
 from .groups import (
     NOT_SOLVABLE,
@@ -86,7 +86,7 @@ def verify_group(
 
     rack = group_rack(g)
     try:
-        lat = enumerate_subrack_lattice(rack, limits=limits, workers=1)
+        lat = enumerate_subrack_lattice(rack, limits=limits)
     except TooLarge as exc:
         lines.append(f"FAIL enumerate {name} {exc}")
         return lines
@@ -293,7 +293,7 @@ def pairs_scan(
 
     config = (
         f"order_max={max_order} exhaustive={exhaustive} "
-        f"tuple_budget={limits.tuple_budget} threads={thread_count()}"
+        f"tuple_budget={limits.tuple_budget}"
     )
     report = ScanReport(seed=seed, config=config)
     groups = [g for g in catalog_entries(max_order, limits) if g.order <= limits.ground_cap]
@@ -365,7 +365,7 @@ def full_verification(
 
     config = (
         f"order_max={max_order} exhaustive={exhaustive} "
-        f"tuple_budget={limits.tuple_budget} threads={thread_count()}"
+        f"tuple_budget={limits.tuple_budget}"
     )
     report = ScanReport(seed=seed, config=config)
     for g in catalog_entries(max_order, limits):

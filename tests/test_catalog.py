@@ -89,12 +89,6 @@ class TestCatalog:
         names = {g.name for g in catalog_entries(60)}
         assert "S4" in names and "A5" in names
 
-    def test_order24_flag(self, monkeypatch):
-        monkeypatch.setenv("RACKLE_ORDER24", "0")
-        assert "sl23" not in {g.name for g in catalog_entries(24)}
-        monkeypatch.setenv("RACKLE_ORDER24", "1")
-        assert "sl23" in {g.name for g in catalog_entries(24)}
-
     def test_pairwise_distinct_order8(self):
         hists = set()
         for g in catalog_entries(8):

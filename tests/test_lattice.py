@@ -17,8 +17,8 @@ from rackle import (
     conjugacy_classes,
     enumerate_subrack_lattice,
     group_rack,
-    is_boolean_interval,
     load_lattice,
+    maximal_boolean_elements,
     save_lattice,
     to_abstract,
 )
@@ -78,21 +78,14 @@ class TestEnumeration:
             assert get_lattice(name).elements == brute_force_closed_masks(rack)
 
     def test_every_element_is_closed(self):
-        lat = get_lattice("S4")
-        for mask in lat.elements:
-            assert is_closed_mask(lat.rack.op, mask)
+        rows = group_rack(get_group("S4")).op
+        for mask in get_lattice("S4").elements:
+            assert is_closed_mask(rows, mask)
 
     def test_sorted_by_popcount_then_members(self):
         lat = get_lattice("D6")
         keys = [(m.bit_count(), sorted_members(m)) for m in lat.elements]
         assert keys == sorted(keys)
-
-    def test_parallel_agrees_with_serial(self):
-        # S4, and a rack that is not a quandle: a ▷ b = σ(b)
-        non_quandle = permutation_rack((1, 2, 0, 4, 3, 5, 7, 8, 6, 9))
-        assert not verify_rack_axioms(non_quandle.op).is_quandle
-        for rack, workers in ((group_rack(get_group("S4")), 3), (non_quandle, 2)):
-            assert enumerate_closed_masks(rack, workers=workers) == enumerate_closed_masks(rack)
 
     def test_ground_cap(self):
         # the ground cap filters catalog sweeps only; enumeration is bounded
@@ -296,7 +289,7 @@ class TestLatticeQueries:
             rack = permutation_rack(perm)
             lat = enumerate_subrack_lattice(rack)
             orbits = {mask_of(rack_closure(rack, [a])) for a in range(rack.size)}
-            assert lat.atoms == sorted(lat.index_of(o) for o in orbits)
+            assert lat.atoms == sorted(lat.elements.index(o) for o in orbits)
 
 
 class TestAbstraction:
@@ -325,16 +318,11 @@ class TestAbstraction:
         assert check_isomorphism(ab, shuf, mapping)
 
     def test_boolean_interval_rotations(self):
+        # the maximal abelian subgroups of S3: the rotations (3 atoms) and
+        # the three {e, t} (2 atoms); no 4-atom element has a Boolean interval
         ab = get_abstract("S3")
-        # the rotation subgroup appears as a 3-atom element with a Boolean
-        # lower interval; the 4-atom coatoms (transpositions plus identity
-        # missing one) do not have one
-        three = [x for x in range(ab.size) if len(ab.atoms_below(x)) == 3
-                 and is_boolean_interval(ab, x)]
-        assert len(three) == 1
-        for c in ab.proper_maximal:
-            if len(ab.atoms_below(c)) == 4:
-                assert not is_boolean_interval(ab, c)
+        sizes = sorted(len(ab.atoms_below(x)) for x in maximal_boolean_elements(ab))
+        assert sizes == [2, 2, 2, 3]
 
     def test_two_element_lattice(self):
         ab = to_abstract(enumerate_subrack_lattice(group_rack(get_group("Z2"))))
@@ -493,6 +481,21 @@ def pairwise_isomorphism(a, b, mapping):
     )
 
 
+def is_boolean_interval(lat, x):
+    """Is [bottom, x] a Boolean algebra? Supports are distinct, so it is
+    exactly when 2^k elements lie below an element over k atoms."""
+    sx = lat.supports[x]
+    count = sum(1 for s in lat.supports if s & sx == s)
+    return count == 1 << sx.bit_count()
+
+
+def brute_force_maximal_boolean(lat):
+    good = [x for x in range(lat.size) if is_boolean_interval(lat, x)]
+    return sorted(
+        x for x in good if not any(y != x and lat.leq(x, y) for y in good)
+    )
+
+
 def brute_force_isomorphic(sa, sb):
     """An atom permutation carrying one support family onto the other, or None."""
     k = max(sa).bit_length()
@@ -598,6 +601,13 @@ def test_joins_and_covers_match_brute_force(sets):
     assert sorted(lat.cover_pairs()) == naive_cover_pairs(sets)
 
 
+@given(closed_families().flatmap(st.permutations))
+@settings(max_examples=200, deadline=None)
+def test_maximal_boolean_matches_brute_force(sets):
+    lat = AbstractLattice(sets)
+    assert maximal_boolean_elements(lat) == brute_force_maximal_boolean(lat)
+
+
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=15, deadline=None)
 def test_shuffled_abstraction_always_isomorphic(seed):
@@ -625,7 +635,6 @@ class TestLatFormat:
             p = tmp_path / f"{name}.lat"
             save_lattice(str(p), lat)
             again = load_lattice(str(p))
-            assert again.rack is None
             assert again.atoms == lat.atoms
             assert again.coatoms == lat.coatoms
             assert again.hasse == lat.hasse

@@ -338,7 +338,7 @@ class TestFindCosetPartition:
         ctx = ReconstructionContext(ab)
         n = max_normal_abelian(ctx)[0]
         hp = find_coset_partition(ctx, n)
-        assert hp.count == 2 and hp.part_size() == 3
+        assert hp.count == 2 and hp.parts[0].bit_count() == 3
         assert hp.parts[hp.distinguished] == ctx.atom_support(n)
 
     def test_d4(self):
@@ -346,7 +346,7 @@ class TestFindCosetPartition:
         ctx = ReconstructionContext(ab)
         for n in max_normal_abelian(ctx):
             hp = find_coset_partition(ctx, n)
-            assert hp.count == 2 and hp.part_size() == 4
+            assert hp.count == 2 and hp.parts[0].bit_count() == 4
 
     def test_whole_lattice_single_part(self):
         ab = get_abstract("Z6")

@@ -84,14 +84,6 @@ class TestCli:
         text = capsys.readouterr().out
         assert "classes" in text and "derived" in text
 
-    def test_lattice_build_parallel_identical(self, tmp_path):
-        a = tmp_path / "a.lat"
-        b = tmp_path / "b.lat"
-        assert run_cli("lattice", "build", "--in", "D4", "--out", str(a)) == 0
-        assert run_cli("lattice", "build", "--in", "D4", "--out", str(b),
-                       "--par", "2") == 0
-        assert a.read_text() == b.read_text()
-
     def test_derive_agreement(self, capsys):
         assert run_cli("derive", "--group", "S3") == 0
         out = capsys.readouterr().out
