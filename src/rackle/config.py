@@ -1,7 +1,9 @@
 """Caps and budgets.
 
 Every cap is configuration: the defaults keep desk-scale inputs fast, and
-callers (or CLI flags) may raise them.
+callers (or CLI flags) may raise them. The quotient step has no cap of its
+own: its join poset costs about |quotient lattice| × parts joins, and its
+partition search is pruned by condition C3 on pairs of parts.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ class Limits:
     iso_node_budget: int = 10_000_000 # atom placements in the isomorphism search
     tuple_budget: int = 10_000        # exhaustive representative-tuple checks up to here
     sample_count: int = 1_000         # seeded samples when over tuple_budget
-    join_poset_cap: int = 16          # max number of parts for a join poset
     chain_count_cap: int = 200        # max poset size for direct chain counting
 
     def with_(self, **kw) -> "Limits":

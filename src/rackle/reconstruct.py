@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
@@ -25,7 +25,7 @@ from .errors import (
     NotNormal,
 )
 from .groups import NOT_SOLVABLE, FiniteGroup, _NotSolvable, is_normal, is_subgroup
-from .lattice import AbstractLattice, SubrackLattice, are_isomorphic
+from .lattice import AbstractLattice, _sort_key, are_isomorphic
 from .racks import bits, closure_mask, group_rack, is_closed_mask, mask_of
 
 
@@ -329,6 +329,28 @@ def _tuple_space(parts: Sequence[int]) -> int:
     return math.prod(p.bit_count() + 1 for p in parts) - 1
 
 
+def rep_tuples(
+    parts: Sequence[int], rng: random.Random | None = None, count: int = 0
+):
+    """(index set, representative tuple) pairs over the parts, as tuples.
+
+    With no rng, every pair: index sets by size, then lexicographically,
+    and for each every choice of one atom per part. With an rng, `count`
+    seeded samples: a size, an index set of that size, one atom per part.
+    """
+    m = len(parts)
+    if rng is None:
+        for r in range(1, m + 1):
+            for idxs in itertools.combinations(range(m), r):
+                for reps in itertools.product(*(bits(parts[i]) for i in idxs)):
+                    yield idxs, reps
+        return
+    for _ in range(count):
+        r = rng.randint(1, m)
+        idxs = tuple(sorted(rng.sample(range(m), r)))
+        yield idxs, tuple(rng.choice(bits(parts[i])) for i in idxs)
+
+
 def is_hypothetical_coset_partition(
     ctx: ReconstructionContext,
     partition: HypotheticalCosetPartition,
@@ -386,10 +408,9 @@ def is_hypothetical_coset_partition(
 
     space = _tuple_space(parts)
     exhaustive = mode == "exhaustive" or (mode == "auto" and space <= limits.tuple_budget)
-    c3_ok = True
-    witness = ""
-
-    def check_one(idxs: tuple[int, ...], reps: tuple[int, ...]) -> bool:
+    witness = None
+    rng = None if exhaustive else random.Random(seed)
+    for idxs, reps in rep_tuples(parts, rng, limits.sample_count):
         union = 0
         for i in idxs:
             union |= parts[i]
@@ -399,40 +420,18 @@ def is_hypothetical_coset_partition(
         for p in parts:
             if p & closure:
                 rhs |= p
-        return lhs == rhs
-
-    if exhaustive:
-        checked = 0
-        for r in range(1, m + 1):
-            for idxs in itertools.combinations(range(m), r):
-                pools = [bits(parts[i]) for i in idxs]
-                for reps in itertools.product(*pools):
-                    checked += 1
-                    if not check_one(idxs, reps):
-                        c3_ok = False
-                        witness = f"I={idxs} reps={reps}"
-                        break
-                if not c3_ok:
-                    break
-            if not c3_ok:
-                break
-        tag = f"exhaustive over {checked} tuples"
-    else:
-        rng = random.Random(seed)
-        for _ in range(limits.sample_count):
-            r = rng.randint(1, m)
-            idxs = tuple(sorted(rng.sample(range(m), r)))
-            reps = tuple(rng.choice(bits(parts[i])) for i in idxs)
-            if not check_one(idxs, reps):
-                c3_ok = False
-                witness = f"I={idxs} reps={reps}"
-                break
-        tag = f"sampled {limits.sample_count} of ~{space} tuples (seed {seed})"
-    if c3_ok:
-        lines.append(f"PASS C3 {tag}")
-    else:
+        if lhs != rhs:
+            witness = f"I={idxs} reps={reps}"
+            break
+    if witness is not None:
         ok = False
         lines.append(f"FAIL C3 {witness}")
+    elif exhaustive:
+        lines.append(f"PASS C3 exhaustive over {space} tuples")
+    else:
+        lines.append(
+            f"PASS C3 sampled {limits.sample_count} of ~{space} tuples (seed {seed})"
+        )
 
     return PartitionReport(ok=ok, lines=tuple(lines))
 
@@ -447,95 +446,61 @@ def find_coset_partition(
 
     Candidate parts are supports of lattice elements of the right size
     (cosets are subracks, so the true partition survives this restriction).
-    Depth-first over the atoms in order, joining-in-pool pruning on every
-    accepted pair, full condition check on every completed partition.
+    One depth-first search over the atoms in order yields exact covers, each
+    step placing a part through the lowest uncovered atom; the first cover
+    that passes is_hypothetical_coset_partition is returned.
+
+    The search is pruned by condition C3 on pairs: for placed parts a, b and
+    representatives x ∈ a, y ∈ b, every placed part inside join(a ∪ b) must
+    meet join(x, y). This is sound. C3 on the index set {a, b} says
+    join(a ∪ b) is the union of the parts meeting join(x, y); a part P inside
+    join(a ∪ b) meets one of those parts, and parts are disjoint, so P is
+    one of them and meets join(x, y). A partial cover that breaks the
+    condition therefore fails C3, and so does every cover extending it.
     """
     if classes is None:
         classes = recover_classes(ctx)
-    lat = ctx.lattice
     sn = ctx.atom_support(n_elem)
     size = sn.bit_count()
     full = (1 << ctx.n) - 1
     if size == 0 or ctx.n % size != 0:
         raise NoPartition(f"atom count {ctx.n} not divisible by part size {size}")
-    pool = sorted(
-        {
-            ctx.atom_support(x)
-            for x in range(lat.size)
-            if ctx.atom_support(x).bit_count() == size
-        },
-        key=lambda p: (bits(p),),
-    )
-    pool_set = set(pool)
-    if sn not in pool_set:
-        raise NoPartition("distinguished support is not available as a part")
+    pool = sorted({s for s in ctx.lattice.supports if s.bit_count() == size}, key=bits)
 
-    def join_splits(a: int, b: int) -> bool:
-        """The join of two parts must again be tiled by pool parts."""
-        _, j = ctx.join_atoms(a | b)
-        if j.bit_count() % size != 0:
-            return False
-        return all(
-            any(p & (1 << atom) and p & j == p for p in pool_set)
-            for atom in bits(j)
-        )
+    def join(mask: int) -> int:
+        return ctx.join_atoms(mask)[1]
 
-    chosen = [sn]
+    def pair_rule(a: int, b: int) -> tuple[int, list[int]]:
+        """join(a ∪ b), and the joins join(x, y) that each part inside it meets."""
+        return join(a | b), [join(1 << x | 1 << y) for x in bits(a) for y in bits(b)]
 
-    def dfs(covered: int) -> bool:
+    def obeys(part: int, rule: tuple[int, list[int]]) -> bool:
+        j, rep_joins = rule
+        return part & j != part or all(part & r for r in rep_joins)
+
+    def covers(covered: int, chosen: list[int], rules: list):
         if covered == full:
-            return True
-        free = ~covered & full
-        first_free = (free & -free).bit_length() - 1
-        for cand in pool:
-            if not cand >> first_free & 1 or cand & covered:
-                continue
-            if not all(join_splits(cand, prev) for prev in chosen):
-                continue
-            chosen.append(cand)
-            if dfs(covered | cand):
-                return True
-            chosen.pop()
-        return False
-
-    if not dfs(sn):
-        raise NoPartition("no candidate partition covers the atoms")
-    partition = HypotheticalCosetPartition(parts=tuple(chosen), distinguished=0)
-    report = is_hypothetical_coset_partition(
-        ctx, partition, classes=classes, limits=limits
-    )
-    if not report.ok:
-        # rare: the first cover fails the full conditions; fall back to a
-        # heavier search that validates every completed cover
-        for alt in _all_covers(pool, sn, full):
-            partition = HypotheticalCosetPartition(parts=tuple(alt), distinguished=0)
-            report = is_hypothetical_coset_partition(
-                ctx, partition, classes=classes, limits=limits
-            )
-            if report.ok:
-                return partition
-        raise NoPartition("every candidate partition fails the conditions")
-    return partition
-
-
-def _all_covers(pool: list[int], first: int, full: int):
-    """Exact covers of the atom set by pool parts, starting from a fixed part."""
-    out: list[list[int]] = []
-
-    def dfs(covered: int, acc: list[int]):
-        if covered == full:
-            yield list(acc)
+            yield tuple(chosen)
             return
         free = ~covered & full
         first_free = (free & -free).bit_length() - 1
         for cand in pool:
             if not cand >> first_free & 1 or cand & covered:
                 continue
-            acc.append(cand)
-            yield from dfs(covered | cand, acc)
-            acc.pop()
+            if not all(obeys(cand, rule) for rule in rules):
+                continue
+            new = [pair_rule(cand, prev) for prev in chosen]
+            placed = chosen + [cand]
+            if all(obeys(p, rule) for rule in new for p in placed):
+                yield from covers(covered | cand, placed, rules + new)
 
-    yield from dfs(first, [first])
+    for parts in covers(sn, [sn], []):
+        partition = HypotheticalCosetPartition(parts=parts, distinguished=0)
+        if is_hypothetical_coset_partition(
+            ctx, partition, classes=classes, limits=limits
+        ).ok:
+            return partition
+    raise NoPartition("no candidate partition satisfies the conditions")
 
 
 # ---------------------------------------------------------------------------
@@ -543,47 +508,56 @@ def _all_covers(pool: list[int], first: int, full: int):
 
 
 def join_poset(
-    ctx: ReconstructionContext,
-    partition: HypotheticalCosetPartition,
-    limits: Limits = DEFAULT_LIMITS,
+    ctx: ReconstructionContext, partition: HypotheticalCosetPartition
 ) -> AbstractLattice:
-    """Joins of all subsets of the parts, as a lattice with adjoined bottom.
+    """Joins of unions of parts, as a lattice whose atoms are the parts.
 
-    The result's atoms are the parts; on a genuine group-rack lattice this is
-    the subrack lattice of the quotient.
+    On a genuine group-rack lattice this is the subrack lattice of the
+    quotient. It is enumerated by Close-by-One over part indices with the
+    closure S ↦ {parts below join(∪S)}: the lectic walk of the subrack
+    enumeration with another closure. A set of parts has the same join as
+    its closure, so every join is reached, each from its closed set alone;
+    the cost is about |quotient lattice| × m joins for m parts, not 2^m.
+    Each join must be the union of the parts below it, and each part must be
+    closed on its own (the parts are the atoms); anything else means the
+    input is no group-rack lattice.
     """
-    from .errors import TooLarge
-
     parts = partition.parts
     m = len(parts)
-    if m > limits.join_poset_cap:
-        raise TooLarge(f"{m} parts exceeds the join-poset cap {limits.join_poset_cap}")
-    supports: set[int] = set()
-    for chosen in range(1 << m):
+
+    def close(chosen: int) -> tuple[int, int]:
+        """(parts below the join of the chosen parts, that join's support)."""
         union = 0
-        for i in range(m):
-            if chosen >> i & 1:
-                union |= parts[i]
+        for i in bits(chosen):
+            union |= parts[i]
         _, s = ctx.join_atoms(union)
-        supports.add(s)
-    part_sets = []
-    for s in sorted(supports, key=lambda x: (x.bit_count(), bits(x))):
-        ps = 0
+        below = 0
+        covered = 0
         for i, p in enumerate(parts):
             if p & s == p:
-                ps |= 1 << i
-        union = 0
-        for i in bits(ps):
-            union |= parts[i]
-        if union != s:
+                below |= 1 << i
+                covered |= p
+        if covered != s:
             raise NotGroupLattice("a join of parts is not a union of parts")
-        part_sets.append(ps)
-    if len(set(part_sets)) != len(part_sets):
-        raise NotGroupLattice("two joins contain the same parts")
+        return below, s
+
     for i in range(m):
-        if part_sets.count(1 << i) != 1:
+        if close(1 << i)[0] != 1 << i:
             raise NotGroupLattice("parts are not the atoms of their join poset")
-    return AbstractLattice(part_sets)
+    part_sets = {0: 0}   # join support -> closed set of part indices
+
+    def walk(a: int, j_from: int) -> None:
+        for j in range(j_from, m):
+            if a >> j & 1:
+                continue
+            b, s = close(a | 1 << j)
+            # canonical test: the closure adds no part before j
+            if b & ((1 << j) - 1) == a & ((1 << j) - 1):
+                part_sets[s] = b
+                walk(b, j + 1)
+
+    walk(0, 0)
+    return AbstractLattice([part_sets[s] for s in sorted(part_sets, key=_sort_key)])
 
 
 def _memo_key(lat: AbstractLattice) -> tuple:
@@ -624,7 +598,7 @@ def lattice_derived_length(
         best: int | _NotSolvable = NOT_SOLVABLE
         for n_elem in nontrivial:
             partition = find_coset_partition(ctx, n_elem, classes, limits=limits)
-            quot = join_poset(ctx, partition, limits=limits)
+            quot = join_poset(ctx, partition)
             sub = lattice_derived_length(quot, limits=limits, _memo=_memo)
             if sub is NOT_SOLVABLE:
                 continue

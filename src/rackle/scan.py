@@ -6,7 +6,6 @@ seed and configuration that produced them so a rerun is byte-identical.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 
@@ -34,6 +33,7 @@ from .racks import bits, closure_mask, group_rack, is_closed_mask, mask_of
 from .reconstruct import (
     HypotheticalCosetPartition,
     ReconstructionContext,
+    _tuple_space,
     find_coset_partition,
     is_hypothetical_coset_partition,
     join_poset,
@@ -41,6 +41,7 @@ from .reconstruct import (
     max_normal_abelian,
     maximal_boolean_elements,
     recover_classes,
+    rep_tuples,
 )
 from .topology import (
     mobius_bottom_top,
@@ -167,7 +168,7 @@ def verify_group(
         n_elem = ctx.element_of_atoms(nmask)
         try:
             found = find_coset_partition(ctx, n_elem, classes, limits=limits)
-            jp = join_poset(ctx, found, limits=limits)
+            jp = join_poset(ctx, found)
         except RackleError as exc:
             quot_fail = f"N={sorted(members)}: {exc}"
             break
@@ -234,17 +235,11 @@ def _coset_join_check(
         for c in cosets:
             if not is_closed_mask(rows, c):
                 return f"FAIL coset-joins {name} coset {c:b} of N={sorted(members)} not closed"
-        m = len(cosets)
-        n = len(members)
-        space = (n + 1) ** m - 1
-        if exhaustive or space <= limits.tuple_budget:
-            gen = _all_rep_tuples(cosets)
-        else:
-            gen = _sampled_rep_tuples(cosets, rng, limits.sample_count)
-        for chosen, reps in gen:
+        sampled = not exhaustive and _tuple_space(cosets) > limits.tuple_budget
+        for idxs, reps in rep_tuples(cosets, rng if sampled else None, limits.sample_count):
             union = 0
-            for c in chosen:
-                union |= c
+            for i in idxs:
+                union |= cosets[i]
             direct = closure_mask(rows, union)
             closure = closure_mask(rows, mask_of(reps))
             predicted = 0
@@ -258,24 +253,6 @@ def _coset_join_check(
                 )
             checked += 1
     return f"PASS coset-joins {name} {checked} tuples across {len(normals)} normal subgroups"
-
-
-def _all_rep_tuples(cosets: list[int]):
-    m = len(cosets)
-    for r in range(1, m + 1):
-        for idxs in itertools.combinations(range(m), r):
-            pools = [bits(cosets[i]) for i in idxs]
-            for reps in itertools.product(*pools):
-                yield [cosets[i] for i in idxs], reps
-
-
-def _sampled_rep_tuples(cosets: list[int], rng: random.Random, count: int):
-    m = len(cosets)
-    for _ in range(count):
-        r = rng.randint(1, m)
-        idxs = sorted(rng.sample(range(m), r))
-        reps = tuple(rng.choice(bits(cosets[i])) for i in idxs)
-        yield [cosets[i] for i in idxs], reps
 
 
 # ---------------------------------------------------------------------------

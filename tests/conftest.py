@@ -1,10 +1,15 @@
 """Shared caches so each catalog lattice is enumerated at most once per run."""
 
+from importlib import resources
+
 import pytest
 
 from rackle.catalog import named_group
 from rackle.lattice import enumerate_subrack_lattice, to_abstract
 from rackle.racks import group_rack
+
+# GL(2,3): order 48, derived length 4, outside the catalog
+GL23_PATH = str(resources.files("rackle").joinpath("fixtures", "gl23.pgen"))
 
 _groups: dict = {}
 _lattices: dict = {}

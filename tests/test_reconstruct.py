@@ -1,5 +1,6 @@
 """Lattice-only reconstruction: classes, normal abelian parts, quotients, length."""
 
+import functools
 import math
 import random
 from itertools import combinations
@@ -28,9 +29,15 @@ from rackle import (
     partition_bijection,
     recover_classes,
 )
-from rackle.catalog import stall_lattice
+from rackle.catalog import catalog_entries, dihedral, stall_lattice
 from rackle.errors import FormatError, NoPartition
-from rackle.groups import normal_subgroups, quotient
+from rackle.groups import (
+    derived_length_oracle,
+    load_group,
+    maximal_normal_abelian_oracle,
+    normal_subgroups,
+    quotient,
+)
 from rackle.lattice import (
     AbstractLattice,
     are_isomorphic,
@@ -38,14 +45,39 @@ from rackle.lattice import (
     enumerate_subrack_lattice,
     to_abstract,
 )
-from rackle.racks import group_rack
+from rackle.racks import bits, group_rack, mask_of
 from rackle.reconstruct import HypotheticalCosetPartition, _tuple_space
 
-from conftest import get_abstract, get_group, get_lattice
+from conftest import GL23_PATH, get_abstract, get_group, get_lattice
 
 
 def support_sizes(ab, idxs):
     return sorted(len(ab.atoms_below(x)) for x in idxs)
+
+
+@functools.cache
+def unseeded_contexts():
+    """(group, context) for catalog_entries(24) and D12. Without a shuffle
+    seed, support bit p of the abstract lattice is group element p."""
+    lattices = [(get_group(g.name), get_lattice(g.name)) for g in catalog_entries(24)]
+    d12 = dihedral(24)
+    lattices.append((d12, enumerate_subrack_lattice(group_rack(d12))))
+    return [(g, ReconstructionContext(to_abstract(lat))) for g, lat in lattices]
+
+
+def subset_join_poset(ctx, parts):
+    """Reference quotient: the join of every one of the 2^m sets of parts,
+    as part-index sets ordered like AbstractLattice supports."""
+    joins = set()
+    for chosen in range(1 << len(parts)):
+        union = 0
+        for i in bits(chosen):
+            union |= parts[i]
+        joins.add(ctx.join_atoms(union)[1])
+    return [
+        sum(1 << i for i, p in enumerate(parts) if p & s == p)
+        for s in sorted(joins, key=lambda s: (s.bit_count(), bits(s)))
+    ]
 
 
 class TestRecoverClasses:
@@ -355,6 +387,21 @@ class TestFindCosetPartition:
         hp = find_coset_partition(ctx, n)
         assert hp.count == 1
 
+    def test_finds_the_cosets(self):
+        # the pair-level C3 prune keeps the true partition: for each of the
+        # 23 nontrivial maximal normal abelian N, the search returns its cosets
+        pairs = 0
+        for g, ctx in unseeded_contexts():
+            for members in maximal_normal_abelian_oracle(g):
+                if len(members) == g.order:
+                    continue
+                hp = find_coset_partition(ctx, ctx.element_of_atoms(mask_of(members)))
+                cosets = {mask_of(c) for c in coset_partition_of(g, members)}
+                assert set(hp.parts) == cosets, (g.name, sorted(members))
+                assert hp.parts[hp.distinguished] == mask_of(members)
+                pairs += 1
+        assert pairs == 23
+
     def test_stall_has_none(self):
         lat = stall_lattice()
         ctx = ReconstructionContext(lat)
@@ -389,15 +436,17 @@ class TestJoinPoset:
         jp = join_poset(ctx, hp)
         assert jp.size == 8 and jp.n_atoms == 3 and jp.is_boolean()
 
-    def test_cap(self):
-        from rackle.config import DEFAULT_LIMITS
-        from rackle.errors import TooLarge
-        ab = get_abstract("S3")
-        ctx = ReconstructionContext(ab)
-        n = max_normal_abelian(ctx)[0]
-        hp = find_coset_partition(ctx, n)
-        with pytest.raises(TooLarge):
-            join_poset(ctx, hp, DEFAULT_LIMITS.with_(join_poset_cap=1))
+    def test_matches_every_subset_of_parts(self):
+        # Close-by-One against the join of each of the 2^m sets of parts, on
+        # every lattice-only candidate N of catalog_entries(24) and D12, and
+        # on a Boolean quotient of Z6
+        cases = [(ctx, n) for _, ctx in unseeded_contexts()
+                 for n in max_normal_abelian(ctx)]
+        z6 = ReconstructionContext(get_abstract("Z6"))
+        cases.append((z6, z6.element_of_atoms(0b11)))
+        for ctx, n in cases:
+            hp = find_coset_partition(ctx, n)
+            assert join_poset(ctx, hp).supports == subset_join_poset(ctx, hp.parts)
 
 
 class TestDerivedLength:
@@ -429,6 +478,13 @@ class TestDerivedLength:
         assert lattice_derived_length(ab) is NOT_SOLVABLE
         classes = conjugacy_classes(get_group(name)).count
         assert mobius_bottom_top(ab) == (-1) ** classes == -1
+
+    @pytest.mark.parametrize("seed", [None, 1, 7])
+    def test_gl23_length_four(self, seed):
+        # the centre Z2 gives a 24-part quotient, the lattice of S4
+        g = load_group(GL23_PATH)
+        ab = to_abstract(enumerate_subrack_lattice(group_rack(g)), seed=seed)
+        assert lattice_derived_length(ab) == derived_length_oracle(g)[1] == 4
 
     def test_seed_invariance(self):
         vals = {lattice_derived_length(get_abstract("D5", seed=s))

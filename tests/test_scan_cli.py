@@ -6,8 +6,9 @@ from rackle import full_verification, pairs_scan, verify_group
 from rackle import cli
 from rackle.cli import main
 from rackle.config import DEFAULT_LIMITS
+from rackle.groups import load_group
 
-from conftest import get_group
+from conftest import GL23_PATH, get_group
 
 
 class TestVerifyGroup:
@@ -26,6 +27,16 @@ class TestVerifyGroup:
 
     def test_exhaustive_mode(self):
         lines = verify_group(get_group("S3"), exhaustive=True)
+        assert not [ln for ln in lines if ln.startswith("FAIL")]
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect: on unseeded labels the coset-partition search returns, "
+        "for N = Z(GL(2,3)), a 24-part partition that is not the coset "
+        "partition; it passes C1, C2 and sampled C3, but its join poset has "
+        "252 elements against S4's 212, so quotient-poset FAILs"))
+    def test_gl23_all_pass(self):
+        g = load_group(GL23_PATH)
+        lines = verify_group(g, limits=DEFAULT_LIMITS.with_(ground_cap=48))
         assert not [ln for ln in lines if ln.startswith("FAIL")]
 
     def test_deterministic(self):
@@ -152,6 +163,10 @@ class TestCli:
         monkeypatch.setattr(cli, "group_invariants", broken)
         with pytest.raises(KeyError):
             run_cli("group", "info", "S3")
+
+    def test_derive_gl23_from_file(self, capsys):
+        assert run_cli("derive", "--group", GL23_PATH) == 0
+        assert "PASS derive gl23 lattice=4 oracle=4" in capsys.readouterr().out
 
     def test_derive_a5_not_solvable(self, capsys):
         assert run_cli("derive", "--group", "A5") == 0
