@@ -8,7 +8,7 @@ satisfy the quandle axioms, but raw tables can be fed in and checked too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import BadIndex, FormatError, NotPrime
 from .groups import FiniteGroup, conjugacy_classes
@@ -230,6 +230,35 @@ def closure_extend(
                     mask |= bit
                     work.append(c)
     return mask
+
+
+def memo_closure(rows: Sequence[Sequence[int]]) -> Callable[[int], int]:
+    """Closure of any seed mask over one table, memoized by seed.
+
+    cl(S ∪ {j}) = cl(cl(S) ∪ {j}), so the closure of a seed is the closure
+    of the seed without its lowest bit j, extended by j, or left as it is
+    when it already holds j. Seeds that share their high bits share that
+    work. The walk down to a memoized prefix is a loop, not recursion, so
+    it has no depth limit. The memo keeps every seed asked for and its
+    prefixes for as long as the returned function lives.
+    """
+    memo = {0: 0}
+
+    def closure(seed: int) -> int:
+        pending = []
+        m = seed
+        while m not in memo:
+            pending.append(m)
+            m &= m - 1
+        c = memo[m]
+        for s in reversed(pending):
+            low = s & -s
+            if not c & low:
+                c = closure_extend(rows, c, low.bit_length() - 1)
+            memo[s] = c
+        return c
+
+    return closure
 
 
 def rack_closure(rack: ConjugationRack, seeds: Iterable[int]) -> frozenset[int]:

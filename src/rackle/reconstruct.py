@@ -339,16 +339,17 @@ def rep_tuples(
     seeded samples: a size, an index set of that size, one atom per part.
     """
     m = len(parts)
+    members = [bits(p) for p in parts]
     if rng is None:
         for r in range(1, m + 1):
             for idxs in itertools.combinations(range(m), r):
-                for reps in itertools.product(*(bits(parts[i]) for i in idxs)):
+                for reps in itertools.product(*(members[i] for i in idxs)):
                     yield idxs, reps
         return
     for _ in range(count):
         r = rng.randint(1, m)
         idxs = tuple(sorted(rng.sample(range(m), r)))
-        yield idxs, tuple(rng.choice(bits(parts[i])) for i in idxs)
+        yield idxs, tuple(rng.choice(members[i]) for i in idxs)
 
 
 def is_hypothetical_coset_partition(

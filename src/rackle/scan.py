@@ -29,11 +29,12 @@ from .lattice import (
     enumerate_subrack_lattice,
     to_abstract,
 )
-from .racks import bits, closure_mask, group_rack, is_closed_mask, mask_of
+from .racks import bits, group_rack, is_closed_mask, mask_of, memo_closure
 from .reconstruct import (
     HypotheticalCosetPartition,
     ReconstructionContext,
     _tuple_space,
+    coset_partition_of,
     find_coset_partition,
     is_hypothetical_coset_partition,
     join_poset,
@@ -217,16 +218,22 @@ def verify_group(
 
 
 def _cosets_as_masks(g: FiniteGroup, members: frozenset[int]) -> list[int]:
-    from .reconstruct import coset_partition_of
-
     return [mask_of(c) for c in coset_partition_of(g, members)]
 
 
 def _coset_join_check(
     g: FiniteGroup, name: str, limits: Limits, seed: int, exhaustive: bool
 ) -> str:
-    """Coset-join sweep: joins of coset subsets over all normal subgroups."""
+    """Coset-join sweep: joins of coset subsets over all normal subgroups.
+
+    For each (index set, representative tuple) the closure of the cosets'
+    union must equal the union of the cosets meeting the closure of the
+    representatives. Both closures come from one memo over the group rack,
+    shared by every normal subgroup, so seeds with common high bits share
+    their work.
+    """
     rows = group_rack(g).op
+    close = memo_closure(rows)
     rng = random.Random(seed)
     checked = 0
     normals = normal_subgroups(g)
@@ -240,8 +247,8 @@ def _coset_join_check(
             union = 0
             for i in idxs:
                 union |= cosets[i]
-            direct = closure_mask(rows, union)
-            closure = closure_mask(rows, mask_of(reps))
+            direct = close(union)
+            closure = close(mask_of(reps))
             predicted = 0
             for c in cosets:
                 if c & closure:

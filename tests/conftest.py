@@ -1,12 +1,21 @@
-"""Shared caches so each catalog lattice is enumerated at most once per run."""
+"""Shared caches so each catalog lattice is enumerated at most once per run,
+and the small-rack strategy that several test files draw from."""
 
 from importlib import resources
+from math import gcd
 
 import pytest
+from hypothesis import strategies as st
 
 from rackle.catalog import named_group
+from rackle.groups import conjugacy_classes
 from rackle.lattice import enumerate_subrack_lattice, to_abstract
-from rackle.racks import group_rack
+from rackle.racks import (
+    ConjugationRack,
+    conjugacy_class_rack,
+    group_rack,
+    p_power_rack,
+)
 
 # GL(2,3): order 48, derived length 4, outside the catalog
 GL23_PATH = str(resources.files("rackle").joinpath("fixtures", "gl23.pgen"))
@@ -48,3 +57,35 @@ def lattice_of():
 @pytest.fixture(scope="session")
 def abstract_of():
     return get_abstract
+
+
+def rack_from(op):
+    return ConjugationRack(size=len(op), op=tuple(tuple(row) for row in op))
+
+
+def permutation_rack(perm):
+    """a ▷ b = σ(b): a rack for every σ, a quandle only for σ = id."""
+    return rack_from([perm] * len(perm))
+
+
+def alexander_quandle(n, t):
+    """a ▷ b = t·b + (1 − t)·a mod n; a quandle for every unit t."""
+    return rack_from([[(t * b + (1 - t) * a) % n for b in range(n)] for a in range(n)])
+
+
+SMALL_GROUPS = ("S3", "D4", "Q8", "A4", "D5", "D6", "Dic3", "Z2xZ2xZ2")
+
+small_racks = st.one_of(
+    st.integers(1, 9).flatmap(lambda m: st.permutations(range(m))).map(permutation_rack),
+    st.integers(2, 12).flatmap(
+        lambda n: st.sampled_from([t for t in range(1, n) if gcd(t, n) == 1])
+        .map(lambda t: alexander_quandle(n, t))
+    ),
+    st.sampled_from(SMALL_GROUPS).flatmap(
+        lambda name: st.integers(0, conjugacy_classes(get_group(name)).count - 1)
+        .map(lambda i: conjugacy_class_rack(get_group(name), i))
+    ),
+    st.tuples(st.sampled_from(SMALL_GROUPS), st.sampled_from((2, 3, 5))).map(
+        lambda gp: p_power_rack(get_group(gp[0]), gp[1])
+    ),
+)

@@ -2,7 +2,6 @@
 
 import random
 from itertools import permutations, product
-from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -37,18 +36,23 @@ from rackle.lattice import (
     parse_lattice,
 )
 from rackle.racks import (
-    ConjugationRack,
     bits,
     closure_extend,
     conjugacy_class_rack,
     is_closed_mask,
     mask_of,
-    p_power_rack,
     rack_closure,
     verify_rack_axioms,
 )
 
-from conftest import get_abstract, get_group, get_lattice
+from conftest import (
+    get_abstract,
+    get_group,
+    get_lattice,
+    permutation_rack,
+    rack_from,
+    small_racks,
+)
 
 
 class TestEnumeration:
@@ -102,20 +106,6 @@ class TestEnumeration:
             enumerate_closed_masks(group_rack(get_group("Z8")), limits=lim)
 
 
-def _rack_from(op):
-    return ConjugationRack(size=len(op), op=tuple(tuple(row) for row in op))
-
-
-def permutation_rack(perm):
-    """a ▷ b = σ(b): a rack for every σ, a quandle only for σ = id."""
-    return _rack_from([perm] * len(perm))
-
-
-def alexander_quandle(n, t):
-    """a ▷ b = t·b + (1 − t)·a mod n; a quandle for every unit t."""
-    return _rack_from([[(t * b + (1 - t) * a) % n for b in range(n)] for a in range(n)])
-
-
 def full_closure_lectic(rows, m):
     """Reference enumeration without the abort: finish every closure, then
     reject it when it holds new points below j. Lectic visiting order."""
@@ -133,24 +123,6 @@ def full_closure_lectic(rows, m):
 
     rec(0, 0)
     return out
-
-
-SMALL_GROUPS = ("S3", "D4", "Q8", "A4", "D5", "D6", "Dic3", "Z2xZ2xZ2")
-
-small_racks = st.one_of(
-    st.integers(1, 9).flatmap(lambda m: st.permutations(range(m))).map(permutation_rack),
-    st.integers(2, 12).flatmap(
-        lambda n: st.sampled_from([t for t in range(1, n) if gcd(t, n) == 1])
-        .map(lambda t: alexander_quandle(n, t))
-    ),
-    st.sampled_from(SMALL_GROUPS).flatmap(
-        lambda name: st.integers(0, conjugacy_classes(get_group(name)).count - 1)
-        .map(lambda i: conjugacy_class_rack(get_group(name), i))
-    ),
-    st.tuples(st.sampled_from(SMALL_GROUPS), st.sampled_from((2, 3, 5))).map(
-        lambda gp: p_power_rack(get_group(gp[0]), gp[1])
-    ),
-)
 
 
 @given(small_racks)
@@ -194,7 +166,7 @@ class TestAtomistic:
         for m in (1, 2, 3):
             for op in product(permutations(range(m)), repeat=m):
                 if verify_rack_axioms(op).is_rack:
-                    assert_abstraction_keeps_order(_rack_from(op), seed=m)
+                    assert_abstraction_keeps_order(rack_from(op), seed=m)
                     count += 1
         # racks on 1, 2 and 3 labelled points: 1 + 2 + 13
         assert count == 16

@@ -20,10 +20,11 @@ from rackle.racks import (
     closure_mask,
     format_rack,
     is_closed_mask,
+    memo_closure,
     parse_rack,
 )
 
-from conftest import get_group
+from conftest import get_group, small_racks
 
 
 def bits(mask):
@@ -199,6 +200,29 @@ def test_intersection_of_closed_is_closed(a, b):
     rack = group_rack(get_group("D6"))
     inter = closure_mask(rack.op, a) & closure_mask(rack.op, b)
     assert is_closed_mask(rack.op, inter)
+
+
+@given(small_racks, st.data())
+@settings(max_examples=80, deadline=None)
+def test_memo_closure_matches_closure_mask(rack, data):
+    full = (1 << rack.size) - 1
+    drawn = data.draw(st.lists(st.integers(0, full), max_size=20))
+    again = data.draw(st.lists(st.sampled_from(drawn), max_size=5)) if drawn else []
+    seeds = data.draw(st.permutations([0, full] + drawn + again))
+    close = memo_closure(rack.op)
+    for m in seeds:
+        assert close(m) == closure_mask(rack.op, m), (rack.op, m)
+
+
+def test_memo_closure_walks_long_seeds_without_recursion():
+    # trivial quandle a ▷ b = b: every subset is closed, so the full seed is
+    # its own closure and its walk visits all 1,200 prefixes
+    n = 1200
+    close = memo_closure((tuple(range(n)),) * n)
+    full = (1 << n) - 1
+    assert close(full) == full
+    assert close(full ^ 1) == full ^ 1
+    assert close(1 << (n - 1)) == 1 << (n - 1)
 
 
 class TestFormats:

@@ -7,6 +7,7 @@ from rackle import cli
 from rackle.cli import main
 from rackle.config import DEFAULT_LIMITS
 from rackle.groups import load_group
+from rackle.scan import _coset_join_check
 
 from conftest import GL23_PATH, get_group
 
@@ -38,6 +39,12 @@ class TestVerifyGroup:
         g = load_group(GL23_PATH)
         lines = verify_group(g, limits=DEFAULT_LIMITS.with_(ground_cap=48))
         assert not [ln for ln in lines if ln.startswith("FAIL")]
+
+    def test_gl23_coset_joins(self):
+        g = load_group(GL23_PATH)
+        line = _coset_join_check(g, "gl23", DEFAULT_LIMITS.with_(ground_cap=48),
+                                 seed=0, exhaustive=False)
+        assert line == "PASS coset-joins gl23 3672 tuples across 5 normal subgroups"
 
     def test_deterministic(self):
         a = verify_group(get_group("D4"), seed=5)
