@@ -67,7 +67,6 @@ from .reconstruct import (
     coset_partition_of,
     find_coset_partition,
     is_hypothetical_coset_partition,
-    join_of_cosets,
     join_poset,
     lattice_derived_length,
     matching_bijection_oracle,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from importlib import resources
 
-from .config import DEFAULT_LIMITS, Limits
 from .errors import TooLarge, UnknownGroup
 from .groups import (
     FiniteGroup,
@@ -112,7 +111,7 @@ def fixture_text(filename: str) -> str:
     return ref.read_text(encoding="utf-8")
 
 
-def fixture_group(filename: str, limits: Limits = DEFAULT_LIMITS) -> FiniteGroup:
+def fixture_group(filename: str) -> FiniteGroup:
     stem = filename.rsplit(".", 1)[0]
     return parse_cayley(fixture_text(filename), name=stem)
 
@@ -144,7 +143,7 @@ def _product(a: FiniteGroup, b: FiniteGroup, name: str) -> FiniteGroup:
     return direct_product(a, b, name=name)
 
 
-def catalog_entries(max_order: int = 12, limits: Limits = DEFAULT_LIMITS) -> list[FiniteGroup]:
+def catalog_entries(max_order: int = 12) -> list[FiniteGroup]:
     """Catalog groups of order up to max_order, in (order, name) order."""
     z2, z3, z4 = cyclic(2), cyclic(3), cyclic(4)
     out: list[FiniteGroup] = [cyclic(1)]
@@ -196,7 +195,7 @@ _ALIASES = {
 }
 
 
-def named_group(name: str, limits: Limits = DEFAULT_LIMITS) -> FiniteGroup:
+def named_group(name: str) -> FiniteGroup:
     """Look a group up by catalog name (case-insensitive, a few aliases)."""
     want = _ALIASES.get(name.lower(), name)
     specials = {
@@ -208,7 +207,7 @@ def named_group(name: str, limits: Limits = DEFAULT_LIMITS) -> FiniteGroup:
     for key, maker in specials.items():
         if want.lower() == key.lower():
             return maker()
-    for g in catalog_entries(max_order=10_000, limits=limits):
+    for g in catalog_entries(max_order=10_000):
         if g.name.lower() == want.lower():
             return g
     raise UnknownGroup(f"no catalog group named {name!r}")

@@ -32,7 +32,6 @@ from .lattice import (
 )
 from .racks import ConjugationRack, group_rack, load_rack
 from .reconstruct import (
-    ReconstructionContext,
     lattice_derived_length,
     max_normal_abelian,
     maximal_boolean_elements,
@@ -78,7 +77,7 @@ def _add_cap_flags(p: argparse.ArgumentParser) -> None:
 def _resolve_group(ref: str, limits: Limits) -> FiniteGroup:
     if os.path.exists(ref):
         return load_group(ref, limits=limits)
-    return named_group(ref, limits=limits)
+    return named_group(ref)
 
 
 def _resolve_rack(ref: str, limits: Limits) -> ConjugationRack:
@@ -120,18 +119,17 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     limits = _limits_from(args)
     ab = _as_abstract(load_lattice(args.lattice))
     print(f"lattice {args.lattice}: {ab.size} elements, {len(ab.atoms)} atoms")
-    ctx = ReconstructionContext(ab)
-    classes = recover_classes(ctx)
+    classes = recover_classes(ab)
     print(f"  recovered classes: {classes.count} with sizes {sorted(classes.sizes())}")
-    mb = maximal_boolean_elements(ctx)
+    mb = maximal_boolean_elements(ab)
     print(
         "  maximal Boolean elements: "
-        f"{len(mb)} with atom counts {sorted(ctx.atom_support(x).bit_count() for x in mb)}"
+        f"{len(mb)} with atom counts {sorted(ab.supports[x].bit_count() for x in mb)}"
     )
-    mna = max_normal_abelian(ctx, classes)
+    mna = max_normal_abelian(ab, classes)
     print(
         "  maximal normal abelian candidates: "
-        f"{sorted(ctx.atom_support(x).bit_count() for x in mna)} atoms"
+        f"{sorted(ab.supports[x].bit_count() for x in mna)} atoms"
     )
     dl = lattice_derived_length(ab, limits=limits)
     print(f"  derived length (lattice only): {dl}")

@@ -162,8 +162,8 @@ class AbstractLattice:
     and each subrack is the join of the atoms it contains. An element is
     therefore stored as its support, the bitmask of atoms below it; support
     bit p is atom p. Order is support containment, bottom has support 0 and
-    top is the union of all supports. A support bit that is no atom raises
-    FormatError.
+    top is the union of all supports. A support bit that is no atom, or a
+    missing bottom or top, raises FormatError.
     """
 
     supports: list[int]
@@ -178,8 +178,11 @@ class AbstractLattice:
             full |= s
         self.size = len(self.supports)
         self.n_atoms = full.bit_length()
-        self.bottom = self.supports.index(0)
-        self.top = self.supports.index(full)
+        try:
+            self.bottom = self.supports.index(0)
+            self.top = self.supports.index(full)
+        except ValueError:
+            raise FormatError("no bottom or no top element: the order is unbounded") from None
         if len(self.atoms) != self.n_atoms:
             raise FormatError(
                 f"{self.n_atoms} support bits but {len(self.atoms)} atoms: "
@@ -195,7 +198,8 @@ class AbstractLattice:
         return [x for x in range(self.size) if self.supports[x].bit_count() == 1]
 
     @cached_property
-    def _support_index(self) -> dict[int, int]:
+    def support_index(self) -> dict[int, int]:
+        """Element index of each support."""
         return {s: i for i, s in enumerate(self.supports)}
 
     def is_boolean(self) -> bool:
@@ -221,7 +225,7 @@ class AbstractLattice:
         and takes the lowest rank: in a lattice the join has strictly fewer
         atoms than any other upper bound.
         """
-        hit = self._support_index.get(mask)
+        hit = self.support_index.get(mask)
         if hit is not None:
             return hit
         ranked, rows = self._above
@@ -416,7 +420,7 @@ def are_isomorphic(
         by_inv.setdefault(inv_b[q], []).append(q)
     order = sorted(range(m), key=lambda p: (len(by_inv[inv_a[p]]), inv_a[p]))
     pi = [-1] * m
-    index_b = b._support_index
+    index_b = b.support_index
     budget = limits.iso_node_budget
     nodes = 0
 
@@ -502,6 +506,13 @@ def format_abstract(lat: AbstractLattice) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _ints(tokens: Sequence[str], what: str, line: str) -> list[int]:
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        raise FormatError(f"bad {what} {line!r}") from None
+
+
 def parse_lattice(text: str, name: str = "") -> SubrackLattice | AbstractLattice:
     """Read a .lat file; concrete when member lists are present."""
     lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
@@ -511,7 +522,9 @@ def parse_lattice(text: str, name: str = "") -> SubrackLattice | AbstractLattice
     head = lines[0].split()
     if len(head) != 2:
         raise FormatError(f"bad header {lines[0]!r}")
-    n, ground = int(head[0]), int(head[1])
+    n, ground = _ints(head, "header", lines[0])
+    if n < 1:
+        raise FormatError(f"bad header {lines[0]!r}: a lattice has at least one element")
     if len(lines) < n + 1:
         raise FormatError(f"expected {n} element lines")
     body = lines[1 : n + 1]
@@ -525,7 +538,10 @@ def parse_lattice(text: str, name: str = "") -> SubrackLattice | AbstractLattice
             toks = ln.split()
             if len(toks) != 2:
                 raise FormatError(f"bad cover line {ln!r}")
-            pairs.append((int(toks[0]), int(toks[1])))
+            c, p = _ints(toks, "cover line", ln)
+            if not (0 <= c < n and 0 <= p < n):
+                raise FormatError(f"cover line {ln!r} names an element outside [0,{n})")
+            pairs.append((c, p))
         return abstract_from_cover_pairs(n, pairs)
     masks = [0] * n
     seen_ids = set()
@@ -533,8 +549,7 @@ def parse_lattice(text: str, name: str = "") -> SubrackLattice | AbstractLattice
         toks = ln.split()
         if len(toks) < 2:
             raise FormatError(f"bad element line {ln!r}")
-        idx, pop = int(toks[0]), int(toks[1])
-        members = [int(t) for t in toks[2:]]
+        idx, pop, *members = _ints(toks, "element line", ln)
         if idx in seen_ids or not (0 <= idx < n):
             raise FormatError(f"bad element id {idx}")
         seen_ids.add(idx)

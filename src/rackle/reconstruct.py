@@ -4,8 +4,9 @@ Everything in this module sees only an AbstractLattice: conjugacy classes come
 back as coatom complements, maximal abelian subgroups as maximal Boolean
 intervals, normal abelian candidates as unions of class blocks, quotients as
 join posets over coset partitions, and derived length by recursion over all of
-it. Group-side counterparts (coset partitions, coset joins) live here too so
-the two roads can be compared in tests.
+it. Atom p is support bit p, so parts, blocks and supports are all masks over
+support bits. The group-side coset partition lives here too so the two roads
+can be compared in tests.
 """
 
 from __future__ import annotations
@@ -26,11 +27,7 @@ from .errors import (
 )
 from .groups import NOT_SOLVABLE, FiniteGroup, _NotSolvable, is_normal, is_subgroup
 from .lattice import AbstractLattice, _sort_key, are_isomorphic
-from .racks import bits, closure_mask, group_rack, is_closed_mask, mask_of
-
-
-# ---------------------------------------------------------------------------
-# context: a lattice plus everything the pipeline derives from it
+from .racks import bits, group_rack, is_closed_mask, mask_of
 
 
 @dataclass(frozen=True)
@@ -38,7 +35,6 @@ class AtomClassPartition:
     """Blocks of atoms, one per coatom: the atoms NOT below that coatom."""
 
     blocks: tuple[int, ...]        # masks over atom positions
-    block_of: tuple[int, ...]      # atom position -> block index
 
     @property
     def count(self) -> int:
@@ -56,52 +52,30 @@ class AtomClassPartition:
         return out
 
 
-class ReconstructionContext:
-    """An AbstractLattice seen through its atoms.
+def ReconstructionContext(lat: AbstractLattice) -> AbstractLattice:
+    """Return `lat` unchanged: every function here takes the lattice itself.
 
-    Atom position p is support bit p of the lattice, so parts, blocks and
-    supports are masks over support bits; AbstractLattice guarantees that
-    every support bit is an atom.
+    Kept only because perfbench/workloads.py still wraps its lattice in this
+    call; it goes with the next change to the benchmark.
     """
-
-    def __init__(self, lattice: AbstractLattice):
-        self.lattice = lattice
-        self.n = lattice.n_atoms
-
-    def atom_support(self, elem: int) -> int:
-        """Atoms below an element, as a support mask."""
-        return self.lattice.supports[elem]
-
-    def element_of_atoms(self, mask: int) -> int | None:
-        """The lattice element whose atom set is exactly this mask, if any."""
-        return self.lattice._support_index.get(mask)
-
-    def join_atoms(self, mask: int) -> tuple[int, int]:
-        """Join of a set of atoms; returns (element, its atom support)."""
-        elem = self.lattice.join_mask(mask)
-        return elem, self.lattice.supports[elem]
+    return lat
 
 
 # ---------------------------------------------------------------------------
 # classes, Boolean elements, normal abelian candidates
 
 
-def recover_classes(
-    ctx: ReconstructionContext | AbstractLattice,
-) -> AtomClassPartition:
+def recover_classes(lat: AbstractLattice) -> AtomClassPartition:
     """One block per coatom: the atoms missing under it.
 
     On a group-rack lattice the coatoms are the complements of single
     conjugacy classes, so the blocks tile the atom set; anything else means
     the input is not such a lattice.
     """
-    if isinstance(ctx, AbstractLattice):
-        ctx = ReconstructionContext(ctx)
-    lat = ctx.lattice
-    full = (1 << ctx.n) - 1
+    full = (1 << lat.n_atoms) - 1
     blocks = []
     for co in lat.proper_maximal:
-        blocks.append(full & ~ctx.atom_support(co))
+        blocks.append(full & ~lat.supports[co])
     covered = 0
     for b in blocks:
         if covered & b:
@@ -110,16 +84,10 @@ def recover_classes(
     if covered != full:
         raise NotGroupLattice("coatom complements do not cover the atoms")
     blocks.sort(key=lambda b: bits(b)[0])
-    block_of = [0] * ctx.n
-    for i, b in enumerate(blocks):
-        for p in bits(b):
-            block_of[p] = i
-    return AtomClassPartition(blocks=tuple(blocks), block_of=tuple(block_of))
+    return AtomClassPartition(blocks=tuple(blocks))
 
 
-def maximal_boolean_elements(
-    ctx: ReconstructionContext | AbstractLattice,
-) -> list[int]:
+def maximal_boolean_elements(lat: AbstractLattice) -> list[int]:
     """Elements whose lower interval is Boolean, maximal among those.
 
     Supports are distinct, so [bottom, x] is Boolean exactly when every
@@ -128,7 +96,6 @@ def maximal_boolean_elements(
     maximal when no s ∪ {p} is Boolean, since a larger Boolean support
     contains some s ∪ {p} and with it all of that set's subsets.
     """
-    lat = ctx.lattice if isinstance(ctx, ReconstructionContext) else ctx
     if lat.is_boolean():
         return [lat.top]
     boolean: set[int] = set()
@@ -136,14 +103,14 @@ def maximal_boolean_elements(
         if all(s & ~(1 << p) in boolean for p in bits(s)):
             boolean.add(s)
     return sorted(
-        lat._support_index[s]
+        lat.support_index[s]
         for s in boolean
         if not any(s | 1 << p in boolean for p in range(lat.n_atoms) if not s >> p & 1)
     )
 
 
 def max_normal_abelian(
-    ctx: ReconstructionContext | AbstractLattice,
+    lat: AbstractLattice,
     classes: AtomClassPartition | None = None,
 ) -> list[int]:
     """Candidates for maximal normal abelian subgroups, lattice-only.
@@ -153,18 +120,17 @@ def max_normal_abelian(
     inclusion-maximal results: small unions (down to the identity atom alone)
     occur legitimately but never name a maximal normal abelian subgroup.
     """
-    if isinstance(ctx, AbstractLattice):
-        ctx = ReconstructionContext(ctx)
     if classes is None:
-        classes = recover_classes(ctx)
+        classes = recover_classes(lat)
+    sup = lat.supports
     cands = []
-    for a in maximal_boolean_elements(ctx):
-        sa = ctx.atom_support(a)
+    for a in maximal_boolean_elements(lat):
+        sa = sup[a]
         union = 0
         for b in classes.blocks:
             if b & sa == b:
                 union |= b
-        elem = ctx.element_of_atoms(union)
+        elem = lat.support_index.get(union)
         if elem is None:
             raise MissingElement(
                 f"class-block union {union:b} is not a lattice element"
@@ -176,11 +142,8 @@ def max_normal_abelian(
         if x in seen:
             continue
         seen.add(x)
-        sx = ctx.atom_support(x)
-        if not any(
-            sx != ctx.atom_support(y) and sx & ctx.atom_support(y) == sx
-            for y in cands
-        ):
+        sx = sup[x]
+        if not any(sx != sup[y] and sx & sup[y] == sx for y in cands):
             out.append(x)
     return sorted(out)
 
@@ -209,36 +172,6 @@ def coset_partition_of(
             raise NotNormal(f"coset {sorted(c)} is not closed under conjugation")
     parts.sort(key=lambda c: (g.identity not in c, min(c)))
     return parts
-
-
-def join_of_cosets(
-    g: FiniteGroup, members: frozenset[int], reps: Sequence[int]
-) -> frozenset[int]:
-    """Union of the cosets meeting the subrack generated by the reps.
-
-    Also computes the lattice join of the named cosets directly (closure of
-    their union) and insists the two agree; representative choice must not
-    matter.
-    """
-    parts = coset_partition_of(g, members)
-    rows = group_rack(g).op
-    closure = closure_mask(rows, mask_of(reps))
-    union = 0
-    for c in parts:
-        cmask = mask_of(c)
-        if cmask & closure:
-            union |= cmask
-    rep_cosets = 0
-    for r in reps:
-        for c in parts:
-            if r in c:
-                rep_cosets |= mask_of(c)
-    direct = closure_mask(rows, rep_cosets)
-    if direct != union:
-        raise NotGroupLattice(
-            "coset join disagrees with the union over the generated subrack"
-        )
-    return frozenset(bits(union))
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +240,6 @@ def partition_bijection(
 @dataclass(frozen=True)
 class HypotheticalCosetPartition:
     parts: tuple[int, ...]         # masks over atom positions, C1 first
-    distinguished: int = 0
 
     @property
     def count(self) -> int:
@@ -353,10 +285,10 @@ def rep_tuples(
 
 
 def is_hypothetical_coset_partition(
-    ctx: ReconstructionContext,
+    lat: AbstractLattice,
     partition: HypotheticalCosetPartition,
     classes: AtomClassPartition | None = None,
-    mode: str = "auto",
+    exhaustive: bool = False,
     seed: int = 0,
     limits: Limits = DEFAULT_LIMITS,
 ) -> PartitionReport:
@@ -364,15 +296,16 @@ def is_hypothetical_coset_partition(
 
     Condition three quantifies over index sets and representative tuples; the
     check is exhaustive up to the tuple budget and seeded sampling beyond it
-    (mode "exhaustive" forces the full sweep, "sample" forces sampling).
+    (`exhaustive` forces the full sweep). The distinguished part C1 is the
+    first part.
     """
     if classes is None:
-        classes = recover_classes(ctx)
+        classes = recover_classes(lat)
     lines: list[str] = []
     ok = True
     parts = list(partition.parts)
     m = len(parts)
-    full = (1 << ctx.n) - 1
+    full = (1 << lat.n_atoms) - 1
 
     covered = 0
     disjoint = True
@@ -392,7 +325,7 @@ def is_hypothetical_coset_partition(
                f"part sizes {sorted(sizes)}")
         )
 
-    c1 = parts[partition.distinguished]
+    c1 = parts[0]
     union_blocks = 0
     for b in classes.blocks:
         if b & c1 == b:
@@ -408,15 +341,16 @@ def is_hypothetical_coset_partition(
             lines.append("FAIL C2 distinguished part has no central atom")
 
     space = _tuple_space(parts)
-    exhaustive = mode == "exhaustive" or (mode == "auto" and space <= limits.tuple_budget)
+    sampled = not exhaustive and space > limits.tuple_budget
     witness = None
-    rng = None if exhaustive else random.Random(seed)
+    rng = random.Random(seed) if sampled else None
+    sup = lat.supports
     for idxs, reps in rep_tuples(parts, rng, limits.sample_count):
         union = 0
         for i in idxs:
             union |= parts[i]
-        _, lhs = ctx.join_atoms(union)
-        _, closure = ctx.join_atoms(mask_of(reps))
+        lhs = sup[lat.join_mask(union)]
+        closure = sup[lat.join_mask(mask_of(reps))]
         rhs = 0
         for p in parts:
             if p & closure:
@@ -427,7 +361,7 @@ def is_hypothetical_coset_partition(
     if witness is not None:
         ok = False
         lines.append(f"FAIL C3 {witness}")
-    elif exhaustive:
+    elif not sampled:
         lines.append(f"PASS C3 exhaustive over {space} tuples")
     else:
         lines.append(
@@ -438,7 +372,7 @@ def is_hypothetical_coset_partition(
 
 
 def find_coset_partition(
-    ctx: ReconstructionContext,
+    lat: AbstractLattice,
     n_elem: int,
     classes: AtomClassPartition | None = None,
     limits: Limits = DEFAULT_LIMITS,
@@ -460,16 +394,16 @@ def find_coset_partition(
     condition therefore fails C3, and so does every cover extending it.
     """
     if classes is None:
-        classes = recover_classes(ctx)
-    sn = ctx.atom_support(n_elem)
+        classes = recover_classes(lat)
+    sn = lat.supports[n_elem]
     size = sn.bit_count()
-    full = (1 << ctx.n) - 1
-    if size == 0 or ctx.n % size != 0:
-        raise NoPartition(f"atom count {ctx.n} not divisible by part size {size}")
-    pool = sorted({s for s in ctx.lattice.supports if s.bit_count() == size}, key=bits)
+    full = (1 << lat.n_atoms) - 1
+    if size == 0 or lat.n_atoms % size != 0:
+        raise NoPartition(f"atom count {lat.n_atoms} not divisible by part size {size}")
+    pool = sorted({s for s in lat.supports if s.bit_count() == size}, key=bits)
 
     def join(mask: int) -> int:
-        return ctx.join_atoms(mask)[1]
+        return lat.supports[lat.join_mask(mask)]
 
     def pair_rule(a: int, b: int) -> tuple[int, list[int]]:
         """join(a ∪ b), and the joins join(x, y) that each part inside it meets."""
@@ -496,9 +430,9 @@ def find_coset_partition(
                 yield from covers(covered | cand, placed, rules + new)
 
     for parts in covers(sn, [sn], []):
-        partition = HypotheticalCosetPartition(parts=parts, distinguished=0)
+        partition = HypotheticalCosetPartition(parts=parts)
         if is_hypothetical_coset_partition(
-            ctx, partition, classes=classes, limits=limits
+            lat, partition, classes=classes, limits=limits
         ).ok:
             return partition
     raise NoPartition("no candidate partition satisfies the conditions")
@@ -509,7 +443,7 @@ def find_coset_partition(
 
 
 def join_poset(
-    ctx: ReconstructionContext, partition: HypotheticalCosetPartition
+    lat: AbstractLattice, partition: HypotheticalCosetPartition
 ) -> AbstractLattice:
     """Joins of unions of parts, as a lattice whose atoms are the parts.
 
@@ -531,7 +465,7 @@ def join_poset(
         union = 0
         for i in bits(chosen):
             union |= parts[i]
-        _, s = ctx.join_atoms(union)
+        s = lat.supports[lat.join_mask(union)]
         below = 0
         covered = 0
         for i, p in enumerate(parts):
@@ -581,8 +515,7 @@ def lattice_derived_length(
     """
     if _memo is None:
         _memo = {}
-    ctx = ReconstructionContext(lat)
-    if ctx.n <= 1:
+    if lat.n_atoms <= 1:
         return 0
     if lat.is_boolean():
         return 1
@@ -590,16 +523,16 @@ def lattice_derived_length(
     for cached_lat, cached_val in _memo.get(key, ()):
         if are_isomorphic(cached_lat, lat, limits=limits) is not None:
             return cached_val
-    classes = recover_classes(ctx)
-    cands = max_normal_abelian(ctx, classes)
-    nontrivial = [x for x in cands if ctx.atom_support(x).bit_count() > 1]
+    classes = recover_classes(lat)
+    cands = max_normal_abelian(lat, classes)
+    nontrivial = [x for x in cands if lat.supports[x].bit_count() > 1]
     if not nontrivial:
         result: int | _NotSolvable = NOT_SOLVABLE
     else:
         best: int | _NotSolvable = NOT_SOLVABLE
         for n_elem in nontrivial:
-            partition = find_coset_partition(ctx, n_elem, classes, limits=limits)
-            quot = join_poset(ctx, partition)
+            partition = find_coset_partition(lat, n_elem, classes, limits=limits)
+            quot = join_poset(lat, partition)
             sub = lattice_derived_length(quot, limits=limits, _memo=_memo)
             if sub is NOT_SOLVABLE:
                 continue

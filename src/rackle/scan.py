@@ -32,7 +32,6 @@ from .lattice import (
 from .racks import bits, group_rack, is_closed_mask, mask_of, memo_closure
 from .reconstruct import (
     HypotheticalCosetPartition,
-    ReconstructionContext,
     _tuple_space,
     coset_partition_of,
     find_coset_partition,
@@ -113,9 +112,8 @@ def verify_group(
     else:
         lines.append(f"FAIL coatoms {name} coatoms do not match class complements")
 
-    ctx = ReconstructionContext(ab)
-    mb = maximal_boolean_elements(ctx)
-    mb_supports = {ctx.atom_support(x) for x in mb}
+    mb = maximal_boolean_elements(ab)
+    mb_supports = {ab.supports[x] for x in mb}
     if g.order <= limits.subgroup_cap:
         oracle_ab = {mask_of(h) for h in maximal_abelian_subgroups(g, limits)}
         if mb_supports == oracle_ab:
@@ -128,15 +126,15 @@ def verify_group(
     else:
         lines.append(f"SKIP boolean-elements {name} order over subgroup cap")
 
-    classes = recover_classes(ctx)
+    classes = recover_classes(ab)
     class_masks = {mask_of(c) for c in cc.classes}
     if {b for b in classes.blocks} == class_masks:
         lines.append(f"PASS classes {name} blocks match conjugacy classes")
     else:
         lines.append(f"FAIL classes {name} blocks differ from conjugacy classes")
 
-    mna = max_normal_abelian(ctx, classes)
-    mna_supports = {ctx.atom_support(x) for x in mna}
+    mna = max_normal_abelian(ab, classes)
+    mna_supports = {ab.supports[x] for x in mna}
     oracle_mna = {mask_of(h) for h in maximal_normal_abelian_oracle(g)}
     if mna_supports == oracle_mna:
         lines.append(f"PASS normal-abelian {name} {len(mna)} candidates")
@@ -156,20 +154,16 @@ def verify_group(
         parts_group = _cosets_as_masks(g, members)
         partition = HypotheticalCosetPartition(parts=tuple(parts_group))
         rep = is_hypothetical_coset_partition(
-            ctx,
-            partition,
-            classes=classes,
-            mode="exhaustive" if exhaustive else "auto",
-            seed=seed,
+            ab, partition, classes=classes, exhaustive=exhaustive, seed=seed,
             limits=limits,
         )
         if not rep.ok:
             hyp_fail = f"N={sorted(members)}: " + "; ".join(rep.lines)
             break
-        n_elem = ctx.element_of_atoms(nmask)
+        n_elem = ab.support_index[nmask]
         try:
-            found = find_coset_partition(ctx, n_elem, classes, limits=limits)
-            jp = join_poset(ctx, found)
+            found = find_coset_partition(ab, n_elem, classes, limits=limits)
+            jp = join_poset(ab, found)
         except RackleError as exc:
             quot_fail = f"N={sorted(members)}: {exc}"
             break
@@ -280,7 +274,7 @@ def pairs_scan(
         f"tuple_budget={limits.tuple_budget}"
     )
     report = ScanReport(seed=seed, config=config)
-    groups = [g for g in catalog_entries(max_order, limits) if g.order <= limits.ground_cap]
+    groups = [g for g in catalog_entries(max_order) if g.order <= limits.ground_cap]
     lats = []
     for i, g in enumerate(groups):
         lat = enumerate_subrack_lattice(group_rack(g), limits=limits)
@@ -352,7 +346,7 @@ def full_verification(
         f"tuple_budget={limits.tuple_budget}"
     )
     report = ScanReport(seed=seed, config=config)
-    for g in catalog_entries(max_order, limits):
+    for g in catalog_entries(max_order):
         report.lines.extend(verify_group(g, limits=limits, seed=seed, exhaustive=exhaustive))
     pair_report = pairs_scan(max_order, limits=limits, seed=seed, exhaustive=exhaustive)
     report.lines.extend(pair_report.lines)

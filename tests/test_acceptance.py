@@ -10,7 +10,6 @@ import time
 
 from rackle import (
     NOT_SOLVABLE,
-    ReconstructionContext,
     are_isomorphic,
     check_isomorphism,
     conjugacy_classes,
@@ -164,9 +163,8 @@ def test_criterion_03_maximal_boolean_elements(capsys):
         for name in names:
             g = get_group(name)
             ab = get_abstract(name)   # unshuffled: atom i is ground element i
-            ctx = ReconstructionContext(ab)
             got = {frozenset(
-                i for i in range(ab.n_atoms) if ctx.atom_support(x) >> i & 1)
+                i for i in range(ab.n_atoms) if ab.supports[x] >> i & 1)
                 for x in maximal_boolean_elements(ab)}
             want = {frozenset(h) for h in maximal_abelian_subgroups(g)}
             if got != want:
@@ -184,10 +182,9 @@ def test_criterion_04_max_normal_abelian(capsys):
     try:
         for g in _entries():
             ab = get_abstract(g.name)
-            ctx = ReconstructionContext(ab)
             got = {frozenset(
-                i for i in range(ab.n_atoms) if ctx.atom_support(x) >> i & 1)
-                for x in max_normal_abelian(ctx)}
+                i for i in range(ab.n_atoms) if ab.supports[x] >> i & 1)
+                for x in max_normal_abelian(ab)}
             want = {frozenset(h) for h in maximal_normal_abelian_oracle(g)}
             if got != want:
                 failures.append(f"{g.name}: lattice {sorted(map(sorted, got))} "
@@ -256,14 +253,13 @@ def test_criterion_07_quotient_posets(capsys):
         for g in _entries():
             lat = get_lattice(g.name)
             ab = get_abstract(g.name)
-            ctx = ReconstructionContext(ab)
             for nsub in maximal_normal_abelian_oracle(g):
-                elem = ctx.element_of_atoms(_mask_of(nsub))
+                elem = ab.support_index.get(_mask_of(nsub))
                 if elem is None:
                     failures.append(f"{g.name}: no element for N={sorted(nsub)}")
                     continue
-                hp = find_coset_partition(ctx, elem)
-                jp = join_poset(ctx, hp)
+                hp = find_coset_partition(ab, elem)
+                jp = join_poset(ab, hp)
                 q, _ = quotient(g, nsub)
                 target = to_abstract(enumerate_subrack_lattice(group_rack(q)))
                 mapping = are_isomorphic(jp, target)

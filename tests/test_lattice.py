@@ -630,6 +630,11 @@ class TestLatFormat:
             parse_lattice("")
         with pytest.raises(FormatError):
             parse_lattice("3 2\n0 0\n")
+        # non-integer header, and a lattice with no elements
+        with pytest.raises(FormatError, match="bad header 'x 3'"):
+            parse_lattice("x 3\n")
+        with pytest.raises(FormatError, match="bad header '0 0'"):
+            parse_lattice("0 0\n")
 
     def test_element_errors(self):
         # popcount mismatch
@@ -641,6 +646,13 @@ class TestLatFormat:
         # wrong sort order
         with pytest.raises(FormatError):
             parse_lattice("3 2\n0 1 1\n1 0\n2 2 0 1\nHASSE\n")
+        # non-integer member, non-integer and out-of-range abstract covers
+        with pytest.raises(FormatError, match="bad element line '1 1 zz'"):
+            parse_lattice("2 1\n0 0\n1 1 zz\nHASSE\n0 1\n")
+        with pytest.raises(FormatError, match="bad cover line '0 a'"):
+            parse_lattice("2 1\n0 0 -\n1 1 -\nHASSE\n0 a\n")
+        with pytest.raises(FormatError, match="cover line '0 5'"):
+            parse_lattice("2 1\n0 0 -\n1 1 -\nHASSE\n0 5\n")
 
     def test_abstract_needs_hasse(self):
         with pytest.raises(FormatError):

@@ -10,16 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rackle import (
+    DEFAULT_LIMITS,
     NOT_SOLVABLE,
     BadPartition,
     NotGroupLattice,
     NotNormal,
-    ReconstructionContext,
     conjugacy_classes,
     coset_partition_of,
     find_coset_partition,
     is_hypothetical_coset_partition,
-    join_of_cosets,
     join_poset,
     lattice_derived_length,
     matching_bijection_oracle,
@@ -56,16 +55,16 @@ def support_sizes(ab, idxs):
 
 
 @functools.cache
-def unseeded_contexts():
-    """(group, context) for catalog_entries(24) and D12. Without a shuffle
-    seed, support bit p of the abstract lattice is group element p."""
+def unseeded_lattices():
+    """(group, abstract lattice) for catalog_entries(24) and D12. Without a
+    shuffle seed, support bit p of the abstract lattice is group element p."""
     lattices = [(get_group(g.name), get_lattice(g.name)) for g in catalog_entries(24)]
     d12 = dihedral(24)
     lattices.append((d12, enumerate_subrack_lattice(group_rack(d12))))
-    return [(g, ReconstructionContext(to_abstract(lat))) for g, lat in lattices]
+    return [(g, to_abstract(lat)) for g, lat in lattices]
 
 
-def subset_join_poset(ctx, parts):
+def subset_join_poset(ab, parts):
     """Reference quotient: the join of every one of the 2^m sets of parts,
     as part-index sets ordered like AbstractLattice supports."""
     joins = set()
@@ -73,7 +72,7 @@ def subset_join_poset(ctx, parts):
         union = 0
         for i in bits(chosen):
             union |= parts[i]
-        joins.add(ctx.join_atoms(union)[1])
+        joins.add(ab.supports[ab.join_mask(union)])
     return [
         sum(1 << i for i, p in enumerate(parts) if p & s == p)
         for s in sorted(joins, key=lambda s: (s.bit_count(), bits(s)))
@@ -115,6 +114,12 @@ class TestRecoverClasses:
         # supports over two bits, only one of them an atom: no rack has it
         with pytest.raises(FormatError, match="2 support bits but 1 atoms"):
             AbstractLattice(supports=[0, 1, 3])
+
+    def test_unbounded_supports_rejected(self):
+        # no empty support, then no support holding every atom
+        for supports in ([1], [0, 1, 2]):
+            with pytest.raises(FormatError, match="unbounded"):
+                AbstractLattice(supports=supports)
 
     def test_overlapping_complements_rejected(self):
         # coatoms {a,b}, {a,c}, {c,d}: complements double-cover atoms
@@ -206,29 +211,6 @@ class TestCosetOps:
         with pytest.raises(NotNormal):
             coset_partition_of(g, frozenset({0, t}))
 
-    def test_join_of_cosets_spans(self):
-        g = get_group("S3")
-        n3 = next(h for h in normal_subgroups(g) if len(h) == 3)
-        t = next(x for x in range(6) if g.element_order(x) == 2)
-        joined = join_of_cosets(g, n3, [0, t])
-        assert joined == frozenset(range(6))
-
-    def test_join_of_cosets_single(self):
-        g = get_group("S3")
-        n3 = next(h for h in normal_subgroups(g) if len(h) == 3)
-        assert join_of_cosets(g, n3, [0]) == n3
-
-    def test_join_representative_invariance(self):
-        g = get_group("D4")
-        for n in normal_subgroups(g):
-            parts = coset_partition_of(g, n)
-            rng = random.Random(1)
-            for _ in range(10):
-                reps = [rng.choice(sorted(p)) for p in parts[:2]]
-                a = join_of_cosets(g, n, reps)
-                b = join_of_cosets(g, n, list(reversed(reps)))
-                assert a == b
-
 
 class TestPartitionBijection:
     def test_equal_partitions(self):
@@ -302,7 +284,6 @@ class TestHypotheticalPartition:
         g = get_group("S3")
         lat = get_lattice("S3")
         ab = to_abstract(lat)  # unshuffled: atom position i is ground element i
-        ctx = ReconstructionContext(ab)
         n3 = next(h for h in normal_subgroups(g) if len(h) == 3)
         parts = []
         for coset in coset_partition_of(g, n3):
@@ -310,23 +291,25 @@ class TestHypotheticalPartition:
             for x in coset:
                 m |= 1 << x
             parts.append(m)
-        return ctx, HypotheticalCosetPartition(parts=tuple(parts))
+        return ab, HypotheticalCosetPartition(parts=tuple(parts))
 
     def test_true_cosets_pass(self):
-        ctx, hp = self._s3_setup()
-        rep = is_hypothetical_coset_partition(ctx, hp)
+        ab, hp = self._s3_setup()
+        rep = is_hypothetical_coset_partition(ab, hp)
         assert rep.ok, rep.text()
 
     def test_modes_agree(self):
-        ctx, hp = self._s3_setup()
-        a = is_hypothetical_coset_partition(ctx, hp, mode="exhaustive")
-        b = is_hypothetical_coset_partition(ctx, hp, mode="sample", seed=3)
+        ab, hp = self._s3_setup()
+        a = is_hypothetical_coset_partition(ab, hp, exhaustive=True)
+        # a zero tuple budget forces sampling
+        b = is_hypothetical_coset_partition(
+            ab, hp, seed=3, limits=DEFAULT_LIMITS.with_(tuple_budget=0))
         assert a.ok and b.ok
+        assert "exhaustive" in a.lines[-1] and "sampled" in b.lines[-1]
 
     def test_wrong_partition_fails(self):
         g = get_group("S3")
         ab = to_abstract(get_lattice("S3"))
-        ctx = ReconstructionContext(ab)
         e = g.identity
         ts = [x for x in range(6) if g.element_order(x) == 2]
         rs = [x for x in range(6) if g.element_order(x) == 3]
@@ -336,16 +319,15 @@ class TestHypotheticalPartition:
             1 << rs[1] | 1 << ts[2],
         )
         rep = is_hypothetical_coset_partition(
-            ctx, HypotheticalCosetPartition(parts=parts))
+            ab, HypotheticalCosetPartition(parts=parts))
         assert not rep.ok
         assert any(ln.startswith("FAIL") for ln in rep.lines)
 
     def test_c1_violations(self):
         ab = to_abstract(get_lattice("S3"))
-        ctx = ReconstructionContext(ab)
         overlap = (0b11, 0b110, 0b111000)  # parts share atom 1
         rep = is_hypothetical_coset_partition(
-            ctx, HypotheticalCosetPartition(parts=overlap))
+            ab, HypotheticalCosetPartition(parts=overlap))
         assert not rep.ok
         assert any("C1" in ln for ln in rep.lines if ln.startswith("FAIL"))
 
@@ -367,58 +349,53 @@ class TestHypotheticalPartition:
 class TestFindCosetPartition:
     def test_s3(self):
         ab = get_abstract("S3", seed=1)
-        ctx = ReconstructionContext(ab)
-        n = max_normal_abelian(ctx)[0]
-        hp = find_coset_partition(ctx, n)
+        n = max_normal_abelian(ab)[0]
+        hp = find_coset_partition(ab, n)
         assert hp.count == 2 and hp.parts[0].bit_count() == 3
-        assert hp.parts[hp.distinguished] == ctx.atom_support(n)
+        assert hp.parts[0] == ab.supports[n]
 
     def test_d4(self):
         ab = get_abstract("D4", seed=2)
-        ctx = ReconstructionContext(ab)
-        for n in max_normal_abelian(ctx):
-            hp = find_coset_partition(ctx, n)
+        for n in max_normal_abelian(ab):
+            hp = find_coset_partition(ab, n)
             assert hp.count == 2 and hp.parts[0].bit_count() == 4
 
     def test_whole_lattice_single_part(self):
         ab = get_abstract("Z6")
-        ctx = ReconstructionContext(ab)
-        n = max_normal_abelian(ctx)[0]   # the top of a Boolean lattice
-        hp = find_coset_partition(ctx, n)
+        n = max_normal_abelian(ab)[0]   # the top of a Boolean lattice
+        hp = find_coset_partition(ab, n)
         assert hp.count == 1
 
     def test_finds_the_cosets(self):
         # the pair-level C3 prune keeps the true partition: for each of the
         # 23 nontrivial maximal normal abelian N, the search returns its cosets
         pairs = 0
-        for g, ctx in unseeded_contexts():
+        for g, ab in unseeded_lattices():
             for members in maximal_normal_abelian_oracle(g):
                 if len(members) == g.order:
                     continue
-                hp = find_coset_partition(ctx, ctx.element_of_atoms(mask_of(members)))
+                hp = find_coset_partition(ab, ab.support_index[mask_of(members)])
                 cosets = {mask_of(c) for c in coset_partition_of(g, members)}
                 assert set(hp.parts) == cosets, (g.name, sorted(members))
-                assert hp.parts[hp.distinguished] == mask_of(members)
+                assert hp.parts[0] == mask_of(members)
                 pairs += 1
         assert pairs == 23
 
     def test_stall_has_none(self):
         lat = stall_lattice()
-        ctx = ReconstructionContext(lat)
-        part = recover_classes(ctx)
+        part = recover_classes(lat)
         three = next(x for x in range(lat.size)
                      if len(lat.atoms_below(x)) == 3)
         with pytest.raises(NoPartition):
-            find_coset_partition(ctx, three, part)
+            find_coset_partition(lat, three, part)
 
 
 class TestJoinPoset:
     def test_s3_quotient_is_b1(self):
         ab = get_abstract("S3")
-        ctx = ReconstructionContext(ab)
-        n = max_normal_abelian(ctx)[0]
-        hp = find_coset_partition(ctx, n)
-        jp = join_poset(ctx, hp)
+        n = max_normal_abelian(ab)[0]
+        hp = find_coset_partition(ab, n)
+        jp = join_poset(ab, hp)
         g = get_group("S3")
         n3 = next(h for h in normal_subgroups(g) if len(h) == 3)
         q, _ = quotient(g, n3)
@@ -429,24 +406,23 @@ class TestJoinPoset:
     def test_boolean_quotient(self):
         # B6 with a 2-element block structure collapses to B3
         ab = get_abstract("Z6")
-        ctx = ReconstructionContext(ab)
         n = next(x for x in range(ab.size)
                  if len(ab.atoms_below(x)) == 2 and ab.leq(ab.atoms[0], x))
-        hp = find_coset_partition(ctx, n)
-        jp = join_poset(ctx, hp)
+        hp = find_coset_partition(ab, n)
+        jp = join_poset(ab, hp)
         assert jp.size == 8 and jp.n_atoms == 3 and jp.is_boolean()
 
     def test_matches_every_subset_of_parts(self):
         # Close-by-One against the join of each of the 2^m sets of parts, on
         # every lattice-only candidate N of catalog_entries(24) and D12, and
         # on a Boolean quotient of Z6
-        cases = [(ctx, n) for _, ctx in unseeded_contexts()
-                 for n in max_normal_abelian(ctx)]
-        z6 = ReconstructionContext(get_abstract("Z6"))
-        cases.append((z6, z6.element_of_atoms(0b11)))
-        for ctx, n in cases:
-            hp = find_coset_partition(ctx, n)
-            assert join_poset(ctx, hp).supports == subset_join_poset(ctx, hp.parts)
+        cases = [(ab, n) for _, ab in unseeded_lattices()
+                 for n in max_normal_abelian(ab)]
+        z6 = get_abstract("Z6")
+        cases.append((z6, z6.support_index[0b11]))
+        for ab, n in cases:
+            hp = find_coset_partition(ab, n)
+            assert join_poset(ab, hp).supports == subset_join_poset(ab, hp.parts)
 
 
 class TestDerivedLength:

@@ -151,6 +151,25 @@ class TestCli:
             assert run_cli("invariants", "--lattice", str(path)) == 2
             assert "not atomistic" in capsys.readouterr().err
 
+    def test_malformed_lattice_is_bad_input(self, tmp_path, capsys):
+        texts = [
+            "x 3\n",
+            "0 0\n",
+            "2 1\n0 0\n1 1 zz\nHASSE\n0 1\n",
+            "2 1\n0 0 -\n1 1 -\nHASSE\n0 a\n",
+            "2 1\n0 0 -\n1 1 -\nHASSE\n0 5\n",
+            "1 1\n0 1 0\n",                    # no empty subrack
+            "3 2\n0 0\n1 1 0\n2 1 1\n",      # no top
+        ]
+        good = tmp_path / "s3.lat"
+        assert run_cli("lattice", "build", "--in", "S3", "--out", str(good)) == 0
+        for i, text in enumerate(texts):
+            bad = tmp_path / f"bad{i}.lat"
+            bad.write_text(text)
+            assert run_cli("invariants", "--lattice", str(bad)) == 2, text
+            assert run_cli("compare", str(good), str(bad)) == 2, text
+        assert capsys.readouterr().err.count("error: ") == 2 * len(texts)
+
     def test_missing_file(self):
         assert run_cli("group", "info", "/no/such/file.cay") == 2
 
