@@ -9,10 +9,13 @@ which keeps the order relation and nothing else.
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Sequence
+from functools import cached_property, reduce
+from itertools import islice
+from operator import and_
+from typing import Iterable, Iterator, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import BadIndex, FormatError, IsomorphismTimeout, TooLarge
@@ -229,10 +232,27 @@ class AbstractLattice:
         if hit is not None:
             return hit
         ranked, rows = self._above
-        upper = -1
-        for p in bits(mask):
-            upper &= rows[p]
+        upper = reduce(and_, (rows[p] for p in bits(mask)), -1)
         return ranked[(upper & -upper).bit_length() - 1]
+
+    def atom_joins(self, x: int, atoms: int) -> Iterator[tuple[int, int]]:
+        """(p, x ∨ p) for each atom p in the mask atoms, all outside supp x.
+
+        A miss ANDs the row of p into the upper-bound row of x (the AND of
+        the rank rows over supp x, built on the first miss) and takes the
+        lowest rank, as join_mask does."""
+        sx = self.supports[x]
+        get = self.support_index.get
+        upper = None
+        for p in bits(atoms):
+            y = get(sx | 1 << p)
+            if y is None:
+                ranked, rows = self._above
+                if upper is None:
+                    upper = reduce(and_, (rows[q] for q in bits(sx)), -1)
+                u = upper & rows[p]
+                y = ranked[(u & -u).bit_length() - 1]
+            yield p, y
 
     def cover_pairs(self) -> list[tuple[int, int]]:
         """Hasse cover pairs (x, y), x covered by y, from joins with one atom.
@@ -246,13 +266,12 @@ class AbstractLattice:
         upper cover y is x ∨ q for some such q, so none is missed.
         """
         sup = self.supports
+        full = (1 << self.n_atoms) - 1
         pairs = []
         for x, sx in enumerate(sup):
             counts: dict[int, int] = {}
-            for p in range(self.n_atoms):
-                if not sx >> p & 1:
-                    y = self.join_mask(sx | 1 << p)
-                    counts[y] = counts.get(y, 0) + 1
+            for _, y in self.atom_joins(x, full ^ sx):
+                counts[y] = counts.get(y, 0) + 1
             k = sx.bit_count()
             pairs.extend((x, y) for y, c in counts.items() if c == sup[y].bit_count() - k)
         return pairs
@@ -494,9 +513,7 @@ def format_abstract(lat: AbstractLattice) -> str:
     n = lat.size
     sup = lat.supports
     order = sorted(range(n), key=lambda x: _sort_key(sup[x]))
-    pos = [0] * n
-    for newi, old in enumerate(order):
-        pos[old] = newi
+    pos = {old: newi for newi, old in enumerate(order)}
     lines = [f"{n} {lat.n_atoms}"]
     for old in order:
         lines.append(f"{pos[old]} {sup[old].bit_count()} -")
@@ -513,28 +530,34 @@ def _ints(tokens: Sequence[str], what: str, line: str) -> list[int]:
         raise FormatError(f"bad {what} {line!r}") from None
 
 
+def _in_order(a: int, b: int) -> bool:
+    """a before b in popcount-then-lex order; ties break at the lowest bit of a ^ b."""
+    ka, kb = a.bit_count(), b.bit_count()
+    d = a ^ b
+    return ka < kb or (ka == kb and a & d & -d != 0)
+
+
 def parse_lattice(text: str, name: str = "") -> SubrackLattice | AbstractLattice:
-    """Read a .lat file; concrete when member lists are present."""
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines:
+    """Read a .lat file; concrete when member lists are present. Lines are
+    read lazily, so a concrete file's HASSE section is never parsed."""
+    lines = filter(None, (ln.split("#", 1)[0].strip() for ln in text.splitlines()))
+    header = next(lines, None)
+    if header is None:
         raise FormatError("empty lattice file")
-    head = lines[0].split()
+    head = header.split()
     if len(head) != 2:
-        raise FormatError(f"bad header {lines[0]!r}")
-    n, ground = _ints(head, "header", lines[0])
+        raise FormatError(f"bad header {header!r}")
+    n, ground = _ints(head, "header", header)
     if n < 1:
-        raise FormatError(f"bad header {lines[0]!r}: a lattice has at least one element")
-    if len(lines) < n + 1:
+        raise FormatError(f"bad header {header!r}: a lattice has at least one element")
+    body = list(islice(lines, n))
+    if len(body) < n:
         raise FormatError(f"expected {n} element lines")
-    body = lines[1 : n + 1]
-    rest = lines[n + 1 :]
-    abstract = any(ln.split()[-1] == "-" for ln in body)
-    if abstract:
-        if not rest or rest[0] != "HASSE":
+    if any(ln.split()[-1] == "-" for ln in body):
+        if next(lines, None) != "HASSE":
             raise FormatError("abstract lattice needs a HASSE section")
         pairs = []
-        for ln in rest[1:]:
+        for ln in lines:
             toks = ln.split()
             if len(toks) != 2:
                 raise FormatError(f"bad cover line {ln!r}")
@@ -563,15 +586,12 @@ def parse_lattice(text: str, name: str = "") -> SubrackLattice | AbstractLattice
         masks[idx] = mask
     if len(set(masks)) != n:
         raise FormatError("duplicate element bitsets")
-    expected = sorted(masks, key=_sort_key)
-    if masks != expected:
+    if not all(map(_in_order, masks, masks[1:])):
         raise FormatError("elements are not in popcount-then-lex order")
     return SubrackLattice(elements=masks, ground_size=ground, name=name)
 
 
 def load_lattice(path: str) -> SubrackLattice | AbstractLattice:
-    import os
-
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     stem = os.path.basename(path).rsplit(".", 1)[0]

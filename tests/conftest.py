@@ -1,5 +1,6 @@
 """Shared caches so each catalog lattice is enumerated at most once per run,
-and the small-rack strategy that several test files draw from."""
+and the small-rack and closed-family strategies that several test files
+draw from."""
 
 from importlib import resources
 from math import gcd
@@ -89,3 +90,20 @@ small_racks = st.one_of(
         lambda gp: p_power_rack(get_group(gp[0]), gp[1])
     ),
 )
+
+
+@st.composite
+def closed_families(draw, k=None):
+    """Intersection-closed set families holding ∅, the full set and every
+    singleton: atomistic lattices whose supports are the sets themselves."""
+    if k is None:
+        k = draw(st.integers(1, 6))
+    full = (1 << k) - 1
+    family = {0, full} | {1 << p for p in range(k)}
+    family |= set(draw(st.lists(st.integers(0, full), max_size=12)))
+    while True:
+        meets = {x & y for x in family for y in family} - family
+        if not meets:
+            break
+        family |= meets
+    return sorted(family)

@@ -29,6 +29,8 @@ from rackle.lattice import (
     SubrackLattice,
     _atom_joins,
     _enumerate_subtree,
+    _in_order,
+    _sort_key,
     abstract_from_cover_pairs,
     enumerate_closed_masks,
     format_abstract,
@@ -46,6 +48,7 @@ from rackle.racks import (
 )
 
 from conftest import (
+    closed_families,
     get_abstract,
     get_group,
     get_lattice,
@@ -481,23 +484,6 @@ def brute_force_isomorphic(sa, sb):
 
 
 @st.composite
-def closed_families(draw, k=None):
-    """Intersection-closed set families holding ∅, the full set and every
-    singleton: atomistic lattices whose supports are the sets themselves."""
-    if k is None:
-        k = draw(st.integers(1, 6))
-    full = (1 << k) - 1
-    family = {0, full} | {1 << p for p in range(k)}
-    family |= set(draw(st.lists(st.integers(0, full), max_size=12)))
-    while True:
-        meets = {x & y for x in family for y in family} - family
-        if not meets:
-            break
-        family |= meets
-    return sorted(family)
-
-
-@st.composite
 def family_pairs(draw):
     """A relabelled, reordered copy, a family of the same size over as many
     atoms (mostly not isomorphic), or an unrelated family."""
@@ -570,6 +556,12 @@ def test_joins_and_covers_match_brute_force(sets):
     for mask in range(1 << lat.n_atoms):
         least = min((s for s in sets if s & mask == mask), key=int.bit_count)
         assert lat.supports[lat.join_mask(mask)] == least
+    full = (1 << lat.n_atoms) - 1
+    for x, s in enumerate(sets):
+        outside = full ^ s
+        assert list(lat.atom_joins(x, outside)) == [
+            (p, lat.join_mask(s | 1 << p)) for p in bits(outside)
+        ]
     assert sorted(lat.cover_pairs()) == naive_cover_pairs(sets)
 
 
@@ -588,6 +580,39 @@ def test_shuffled_abstraction_always_isomorphic(seed):
     mapping = are_isomorphic(base, shuf)
     assert mapping is not None
     assert check_isomorphism(base, shuf, mapping)
+
+
+def concrete_text(masks, ground):
+    lines = [f"{len(masks)} {ground}"]
+    lines += [" ".join(map(str, [i, m.bit_count(), *bits(m)])) for i, m in enumerate(masks)]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def mask_orders(draw):
+    """Distinct masks: unordered, popcount-then-lex sorted, or sorted with
+    one neighbouring pair swapped, which often has equal popcounts."""
+    masks = draw(st.lists(st.integers(0, 255), min_size=1, max_size=20, unique=True))
+    kind = draw(st.sampled_from(("any", "sorted", "one swap")))
+    if kind != "any":
+        masks.sort(key=_sort_key)
+    if kind == "one swap" and len(masks) > 1:
+        i = draw(st.integers(0, len(masks) - 2))
+        masks[i], masks[i + 1] = masks[i + 1], masks[i]
+    return masks
+
+
+@given(mask_orders())
+@settings(max_examples=300, deadline=None)
+def test_adjacent_order_check_matches_sort(masks):
+    for a, b in zip(masks, masks[1:]):
+        assert _in_order(a, b) == (_sort_key(a) < _sort_key(b))
+    text = concrete_text(masks, 8)
+    if masks == sorted(masks, key=_sort_key):
+        assert parse_lattice(text).elements == masks
+    else:
+        with pytest.raises(FormatError, match="not in popcount-then-lex order"):
+            parse_lattice(text)
 
 
 class TestLatFormat:
@@ -643,9 +668,11 @@ class TestLatFormat:
         # member outside the ground set
         with pytest.raises(FormatError):
             parse_lattice("2 1\n0 0\n1 1 7\nHASSE\n0 1\n")
-        # wrong sort order
+        # wrong sort order, by popcount and by members at equal popcount
         with pytest.raises(FormatError):
             parse_lattice("3 2\n0 1 1\n1 0\n2 2 0 1\nHASSE\n")
+        with pytest.raises(FormatError, match="not in popcount-then-lex order"):
+            parse_lattice("4 2\n0 0\n1 1 1\n2 1 0\n3 2 0 1\nHASSE\n")
         # non-integer member, non-integer and out-of-range abstract covers
         with pytest.raises(FormatError, match="bad element line '1 1 zz'"):
             parse_lattice("2 1\n0 0\n1 1 zz\nHASSE\n0 1\n")

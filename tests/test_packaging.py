@@ -61,3 +61,24 @@ def test_reconstruction_context_is_the_lattice():
 
     lat = rackle.stall_lattice()
     assert rackle.ReconstructionContext(lat) is lat
+
+
+def test_traced_layers_resolve():
+    # perfbench/layers.py times rackle.<layer>.<name>; a renamed or deleted
+    # function would silently drop out of its layer's timing
+    import importlib
+
+    tree = ast.parse((ROOT / "perfbench" / "layers.py").read_text(encoding="utf-8"))
+    layers = next(
+        ast.literal_eval(node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "LAYERS"
+    )
+    missing = {
+        f"{layer}.{name}"
+        for layer, names in layers.items()
+        for name in names
+        if not callable(getattr(importlib.import_module(f"rackle.{layer}"), name, None))
+    }
+    # deleted from rackle, still listed by the benchmark (ROADMAP item 4)
+    assert missing == {"lattice.is_boolean_interval"}

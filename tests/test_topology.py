@@ -1,19 +1,66 @@
 """Mobius number of the full lattice and the reduced Euler characteristic."""
 
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rackle import (
+    enumerate_subrack_lattice,
+    group_rack,
+    load_group,
     mobius_bottom_top,
     proper_part,
     recover_classes,
     reduced_euler_characteristic,
     sphere_check,
+    to_abstract,
 )
+from rackle.catalog import catalog_entries
 from rackle.config import DEFAULT_LIMITS
 from rackle.errors import TooLarge
 from rackle.lattice import AbstractLattice, abstract_from_cover_pairs
 
-from conftest import get_abstract, get_group
+from conftest import GL23_PATH, closed_families, get_abstract, get_group, get_lattice
+
+
+def mobius_by_recursion(lat):
+    """mu(bottom, top) by the defining recursion mu(x) = -sum of mu(y) over
+    y < x, in a pass by support size. O(n²); the test oracle for the
+    Weisner push, which it agrees with on lattices only."""
+    if lat.is_boolean():
+        return (-1) ** lat.n_atoms
+    sup = lat.supports
+    mu = {lat.bottom: 1}
+    for x in sorted(range(lat.size), key=lambda x: sup[x].bit_count()):
+        if x != lat.bottom:
+            sx = sup[x]
+            mu[x] = -sum(v for y, v in mu.items() if sup[y] & sx == sup[y])
+    return mu[lat.top]
+
+
+@lru_cache(maxsize=None)
+def gl23_lattice():
+    return enumerate_subrack_lattice(group_rack(load_group(GL23_PATH)))
+
+
+MOBIUS_GROUPS = [g.name for g in catalog_entries(24)] + ["A5", "S5", "gl23"]
+
+
+@pytest.mark.parametrize("seed", [None, 1, 7])
+@pytest.mark.parametrize("name", MOBIUS_GROUPS)
+def test_mobius_matches_recursion_on_groups(name, seed):
+    lat = gl23_lattice() if name == "gl23" else get_lattice(name)
+    ab = to_abstract(lat, seed=seed)
+    assert mobius_bottom_top(ab) == mobius_by_recursion(ab)
+
+
+@given(closed_families().flatmap(st.permutations))
+@settings(max_examples=300, deadline=None)
+def test_mobius_matches_recursion_on_families(sets):
+    lat = AbstractLattice(sets)
+    assert mobius_bottom_top(lat) == mobius_by_recursion(lat)
 
 
 class TestMobius:
