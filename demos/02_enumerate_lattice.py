@@ -30,8 +30,7 @@ print(f"\nR(S3): {lat.size} subracks "
       f"(brute force agrees: {lat.elements == brute})")
 
 print(f"atoms: {len(lat.atoms)} (the singletons)")
-print(f"coatoms: {len(lat.coatoms)} (one per conjugacy class)")
-print(f"height: {lat.height()}")
+print(f"coatoms: {len(lat.proper_maximal)} (one per conjugacy class)")
 
 by_size = {}
 for mask in lat.elements:

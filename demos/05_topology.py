@@ -15,7 +15,6 @@ from rackle import (
     mobius_bottom_top,
     proper_part,
     reduced_euler_characteristic,
-    sphere_check,
     to_abstract,
 )
 from rackle.catalog import named_group
@@ -36,7 +35,7 @@ for name in ("Z2", "Z4", "S3", "D4", "Q8", "A4", "D5", "D6", "S4"):
     else:
         chi, chi_text = None, "-"
 
-    ok = sphere_check(ab, c) and (chi is None or chi == mu)
+    ok = mu == (-1) ** c and (chi is None or chi == mu)
     print(f"{name:>6} {c:>8} {mu:>4} {chi_text:>5}  "
           f"{'sphere sign confirmed' if ok else 'MISMATCH'}")
 

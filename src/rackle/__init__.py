@@ -79,7 +79,6 @@ from .topology import (
     mobius_bottom_top,
     proper_part,
     reduced_euler_characteristic,
-    sphere_check,
 )
 from .catalog import (
     alternating,

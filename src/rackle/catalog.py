@@ -20,7 +20,7 @@ from .groups import (
     group_from_permutation_generators,
     parse_cayley,
 )
-from .lattice import AbstractLattice, SubrackLattice, parse_lattice
+from .lattice import AbstractLattice, parse_lattice
 
 
 def cyclic(n: int) -> FiniteGroup:
@@ -116,7 +116,7 @@ def fixture_group(filename: str) -> FiniteGroup:
     return parse_cayley(fixture_text(filename), name=stem)
 
 
-def fixture_lattice(filename: str) -> SubrackLattice | AbstractLattice:
+def fixture_lattice(filename: str) -> AbstractLattice:
     stem = filename.rsplit(".", 1)[0]
     return parse_lattice(fixture_text(filename), name=stem)
 
@@ -130,9 +130,7 @@ def sl23() -> FiniteGroup:
 
 def stall_lattice() -> AbstractLattice:
     """Synthetic lattice whose normal-abelian candidates are all single atoms."""
-    lat = fixture_lattice("stall.lat")
-    assert isinstance(lat, AbstractLattice)
-    return lat
+    return fixture_lattice("stall.lat")
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,6 @@ from .groups import (
     load_group,
 )
 from .lattice import (
-    AbstractLattice,
-    SubrackLattice,
     are_isomorphic,
     enumerate_subrack_lattice,
     load_lattice,
@@ -85,12 +83,6 @@ def _resolve_rack(ref: str, limits: Limits) -> ConjugationRack:
     return group_rack(_resolve_group(ref, limits))
 
 
-def _as_abstract(lat: SubrackLattice | AbstractLattice) -> AbstractLattice:
-    if isinstance(lat, SubrackLattice):
-        return to_abstract(lat)
-    return lat
-
-
 def _cmd_group_info(args: argparse.Namespace) -> int:
     limits = _limits_from(args)
     g = _resolve_group(args.group, limits)
@@ -116,7 +108,7 @@ def _cmd_lattice_build(args: argparse.Namespace) -> int:
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
     limits = _limits_from(args)
-    ab = _as_abstract(load_lattice(args.lattice))
+    ab = load_lattice(args.lattice)
     print(f"lattice {args.lattice}: {ab.size} elements, {len(ab.atoms)} atoms")
     classes = recover_classes(ab)
     print(f"  recovered classes: {classes.count} with sizes {sorted(classes.sizes())}")
@@ -153,8 +145,8 @@ def _cmd_derive(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     limits = _limits_from(args)
-    a = _as_abstract(load_lattice(args.a))
-    b = _as_abstract(load_lattice(args.b))
+    a = load_lattice(args.a)
+    b = load_lattice(args.b)
     mapping = are_isomorphic(a, b, limits=limits)
     if mapping is None:
         print(f"not isomorphic: {args.a} ({a.size} elements) vs {args.b} ({b.size} elements)")
@@ -167,12 +159,11 @@ def _cmd_topology(args: argparse.Namespace) -> int:
     limits = _limits_from(args)
     g = _resolve_group(args.group, limits)
     lat = enumerate_subrack_lattice(group_rack(g), limits=limits)
-    ab = to_abstract(lat)
     cc = conjugacy_classes(g)
-    mu = mobius_bottom_top(ab)
+    mu = mobius_bottom_top(lat)
     print(f"mu(bottom, top) of the subrack lattice of {g.name}: {mu}")
-    if ab.size - 2 <= limits.chain_count_cap:
-        chi = reduced_euler_characteristic(proper_part(ab), limits=limits)
+    if lat.size - 2 <= limits.chain_count_cap:
+        chi = reduced_euler_characteristic(proper_part(lat), limits=limits)
         tag = "agrees with mu" if chi == mu else "DISAGREES with mu"
         print(f"reduced Euler characteristic of the proper part: {chi} ({tag})")
     else:

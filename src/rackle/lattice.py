@@ -2,9 +2,10 @@
 
 The enumerator walks closed sets in lectic order with the canonical-generation
 test (Close-by-One): a closure aborts at its first new point below the one
-being added, so cost scales with the output, never with 2^m. Everything
-downstream that claims to be "lattice only" goes through AbstractLattice,
-which keeps the order relation and nothing else.
+being added, so cost scales with the output, never with 2^m. There is one
+lattice type, AbstractLattice, which keeps the order relation as atom
+supports; a SubrackLattice is one that also keeps its member sets. Code that
+claims to be "lattice only" reads the supports and nothing else.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import islice
-from operator import and_
+from operator import and_, or_
 from typing import Iterable, Iterator, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
@@ -74,86 +75,16 @@ def brute_force_closed_masks(rack: ConjugationRack) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# concrete lattice
-
-
-@dataclass
-class SubrackLattice:
-    elements: list[int]                  # member bitmasks, popcount-then-lex
-    ground_size: int
-    name: str = ""
-
-    @property
-    def size(self) -> int:
-        return len(self.elements)
-
-    @property
-    def bottom(self) -> int:
-        return 0
-
-    @property
-    def top(self) -> int:
-        return len(self.elements) - 1
-
-    def members(self, x: int) -> tuple[int, ...]:
-        return tuple(bits(self.elements[x]))
-
-    def leq(self, x: int, y: int) -> bool:
-        ex, ey = self.elements[x], self.elements[y]
-        return ex & ey == ex
-
-    @cached_property
-    def atoms(self) -> list[int]:
-        """Minimal nonempty elements, from the member sets alone.
-
-        Elements come popcount first, so a nonempty element is an atom when
-        it contains no earlier atom. A one-point element is always an atom,
-        so an element meeting their union is skipped without a scan.
-        """
-        out: list[int] = []
-        wide: list[int] = []             # masks of the atoms with 2+ points
-        points = 0                       # union of the one-point atoms
-        for i, mask in enumerate(self.elements):
-            if not mask or mask & points or any(a & mask == a for a in wide):
-                continue
-            out.append(i)
-            if mask.bit_count() == 1:
-                points |= mask
-            else:
-                wide.append(mask)
-        return out
-
-    @cached_property
-    def hasse(self) -> list[tuple[int, int]]:
-        """Cover pairs (child, parent), sorted."""
-        return sorted(to_abstract(self).cover_pairs())
-
-    @cached_property
-    def coatoms(self) -> list[int]:
-        return to_abstract(self).proper_maximal
-
-    def height(self) -> int:
-        """Length (number of covers) of a longest bottom-to-top chain."""
-        best = [0] * self.size
-        for x, y in self.hasse:
-            if best[x] + 1 > best[y]:
-                best[y] = best[x] + 1
-        return best[self.top]
-
-    def __repr__(self) -> str:
-        label = self.name or "lattice"
-        return f"<{label}: {self.size} elements over {self.ground_size} points>"
-
-
-def enumerate_subrack_lattice(
-    rack: ConjugationRack, limits: Limits = DEFAULT_LIMITS
-) -> SubrackLattice:
-    masks = enumerate_closed_masks(rack, limits=limits)
-    return SubrackLattice(elements=masks, ground_size=rack.size, name=rack.name)
-
-
-# ---------------------------------------------------------------------------
 # abstract lattice
+
+
+def _columns(masks: Sequence[int], m: int) -> list[int]:
+    """Transpose: entry p has bit r set when masks[r] has bit p, for p < m."""
+    # column p of the bit strings, read from the last mask up, is entry p in binary
+    columns = zip(*(format(s, f"0{m}b") for s in reversed(masks)))
+    rows = [int("".join(c), 2) for c in columns]
+    rows.reverse()
+    return rows
 
 
 @dataclass
@@ -213,13 +144,7 @@ class AbstractLattice:
         """Elements ranked by support size, and for each atom p a bitmask
         over ranks whose bit r is set when the r-th element lies above p."""
         ranked = sorted(range(self.size), key=lambda x: self.supports[x].bit_count())
-        m = self.n_atoms
-        # transpose the support bit strings: column p read from the highest
-        # rank down is row p in binary
-        columns = zip(*(format(self.supports[x], f"0{m}b") for x in reversed(ranked)))
-        rows = [int("".join(c), 2) for c in columns]
-        rows.reverse()
-        return ranked, rows
+        return ranked, _columns([self.supports[x] for x in ranked], self.n_atoms)
 
     def join_mask(self, mask: int) -> int:
         """The least element whose support contains mask: the join of those atoms.
@@ -304,38 +229,96 @@ class AbstractLattice:
         return f"<abstract lattice, {self.size} elements, {self.n_atoms} atoms>"
 
 
-def to_abstract(lat: SubrackLattice, seed: int | None = None) -> AbstractLattice:
-    """Strip member sets, keeping only the order relation.
+@dataclass
+class SubrackLattice(AbstractLattice):
+    """A subrack lattice that keeps its member sets.
 
-    With a seed, elements and atom positions are shuffled so downstream code
-    cannot lean on the concrete construction order. Two elements over the
-    same atoms mean the input is not atomistic, which no rack produces, so
-    that raises FormatError naming them.
+    Element x has member bitmask elements[x], in popcount-then-lex order.
+    Its support (bit i per atom i inside it, atoms in element order) is
+    computed once, here; every order query is AbstractLattice's. When atom i
+    is the point i for every i and the atoms cover the top, as in every
+    quandle, each element is its own support. Otherwise each atom is tested
+    against each element, and two elements over the same atoms raise
+    FormatError: no rack produces them.
     """
-    atom_masks = [lat.elements[a] for a in lat.atoms]
-    n = lat.size
-    order = list(range(n))
-    atom_perm = list(range(len(atom_masks)))
-    if seed is not None:
-        rng = random.Random(seed)
-        rng.shuffle(order)
-        rng.shuffle(atom_perm)
-    seen: dict[int, int] = {}
-    supports = [0] * n
-    for newi, old in enumerate(order):
-        mask = lat.elements[old]
-        s = 0
-        for i, am in enumerate(atom_masks):
-            if am & mask == am:
-                s |= 1 << atom_perm[i]
-        if s in seen:
-            x, y = sorted((seen[s], old))
-            raise FormatError(
-                f"elements {x} and {y} contain the same atoms: the lattice is "
-                "not atomistic, so it is no subrack lattice"
-            )
-        seen[s] = old
-        supports[newi] = s
+
+    elements: list[int]
+    ground_size: int
+    name: str = ""
+    supports: list[int] = field(init=False)
+
+    def __post_init__(self) -> None:
+        # elements come popcount first, so a nonempty element is an atom when
+        # it contains no earlier atom; one-point elements always are, so an
+        # element meeting their union is skipped without a scan
+        atoms: list[int] = []
+        wide: list[int] = []             # the atoms with 2+ points
+        points = 0                       # union of the one-point atoms
+        for mask in self.elements:
+            if not mask or mask & points or any(a & mask == a for a in wide):
+                continue
+            atoms.append(mask)
+            if mask.bit_count() == 1:
+                points |= mask
+            else:
+                wide.append(mask)
+        k = len(atoms)
+        if atoms == [1 << i for i in range(k)] and self.elements[-1:] == [(1 << k) - 1]:
+            self.supports = self.elements
+        else:
+            seen: dict[int, int] = {}
+            self.supports = []
+            for y, mask in enumerate(self.elements):
+                s = mask_of(i for i, a in enumerate(atoms) if a & mask == a)
+                if s in seen:
+                    raise FormatError(
+                        f"elements {seen[s]} and {y} contain the same atoms: the "
+                        "lattice is not atomistic, so it is no subrack lattice"
+                    )
+                seen[s] = y
+                self.supports.append(s)
+        super().__post_init__()
+
+    def __repr__(self) -> str:
+        label = self.name or "lattice"
+        return f"<{label}: {self.size} elements over {self.ground_size} points>"
+
+
+def enumerate_subrack_lattice(
+    rack: ConjugationRack, limits: Limits = DEFAULT_LIMITS
+) -> SubrackLattice:
+    masks = enumerate_closed_masks(rack, limits=limits)
+    return SubrackLattice(elements=masks, ground_size=rack.size, name=rack.name)
+
+
+def to_abstract(lat: AbstractLattice, seed: int | None = None) -> AbstractLattice:
+    """Strip labels, keeping only the order relation.
+
+    With no seed the supports are kept as they are. With a seed, elements
+    and atom positions are shuffled so downstream code cannot lean on the
+    concrete construction order; support bit p moves to bit atom_perm[p],
+    a byte at a time through a table of the 256 images of each byte.
+    """
+    if seed is None:
+        return AbstractLattice(lat.supports)
+    order = list(range(lat.size))
+    atom_perm = list(range(lat.n_atoms))
+    rng = random.Random(seed)
+    rng.shuffle(order)
+    rng.shuffle(atom_perm)
+    tables = []
+    for k in range(0, lat.n_atoms, 8):
+        table = [0]                      # entry b: the image of byte b at bit k
+        for q in atom_perm[k:k + 8]:
+            table += [t | 1 << q for t in table]
+        tables.append(table)
+    supports = []
+    for old in order:
+        s, t = lat.supports[old], 0
+        for table in tables:
+            t |= table[s & 255]
+            s >>= 8
+        supports.append(t)
     return AbstractLattice(supports)
 
 
@@ -370,25 +353,32 @@ def abstract_from_cover_pairs(
     if len(order) != n:
         raise FormatError("cover relation contains a cycle")
     bottoms = [x for x in range(n) if down[x].bit_count() == 1]
-    tops = [x for x in range(n) if all(not down[y] >> x & 1 for y in range(n) if y != x)]
+    # a finite poset has one maximal element iff some element is above all
+    tops = [x for x in range(n) if down[x].bit_count() == n]
     if len(bottoms) != 1 or len(tops) != 1:
         raise FormatError("cover relation is not a bounded lattice")
     bottom = bottoms[0]
     atoms = [x for x in range(n) if x != bottom and down[x] == 1 << bottom | 1 << x]
-    supports = []
-    for x in range(n):
-        s = 0
-        for i, a in enumerate(atoms):
-            if down[x] >> a & 1:
-                s |= 1 << i
-        supports.append(s)
-    for x in range(n):
-        for y in range(n):
-            if (supports[x] & supports[y] == supports[x]) != bool(down[y] >> x & 1):
-                raise FormatError(
-                    f"elements {x} and {y}: the atoms below {x} are all below "
-                    f"{y}, but {x} is not below {y}, so the order is not atomistic"
-                )
+    supports = [0] * n
+    for i, a in enumerate(atoms):
+        supports[a] = 1 << i
+    for x in order:                      # children before parents
+        for p in kids.get(x, ()):
+            supports[p] |= supports[x]
+    # the elements with supports inside supp y are those above no atom
+    # outside it, and atomistic means they are exactly the elements below y
+    above = _columns(supports, len(atoms))
+    full = (1 << len(atoms)) - 1
+    everything = (1 << n) - 1
+    for y, sy in enumerate(supports):
+        outside = reduce(or_, (above[i] for i in bits(full ^ sy)), 0)
+        wrong = everything & ~outside & ~down[y]
+        if wrong:
+            x = (wrong & -wrong).bit_length() - 1
+            raise FormatError(
+                f"elements {x} and {y}: the atoms below {x} are all below "
+                f"{y}, but {x} is not below {y}, so the order is not atomistic"
+            )
     return AbstractLattice(supports)
 
 
@@ -498,13 +488,11 @@ def check_isomorphism(
 
 
 def format_lattice(lat: SubrackLattice) -> str:
+    """Concrete export: the header and one line of members per element."""
     lines = [f"{lat.size} {lat.ground_size}"]
     for i, mask in enumerate(lat.elements):
         mem = " ".join(str(x) for x in bits(mask))
         lines.append(f"{i} {mask.bit_count()}" + (f" {mem}" if mem else ""))
-    lines.append("HASSE")
-    for c, p in lat.hasse:
-        lines.append(f"{c} {p}")
     return "\n".join(lines) + "\n"
 
 
@@ -537,9 +525,9 @@ def _in_order(a: int, b: int) -> bool:
     return ka < kb or (ka == kb and a & d & -d != 0)
 
 
-def parse_lattice(text: str, name: str = "") -> SubrackLattice | AbstractLattice:
+def parse_lattice(text: str, name: str = "") -> AbstractLattice:
     """Read a .lat file; concrete when member lists are present. Lines are
-    read lazily, so a concrete file's HASSE section is never parsed."""
+    read lazily, so the HASSE section of an older concrete file is skipped."""
     lines = filter(None, (ln.split("#", 1)[0].strip() for ln in text.splitlines()))
     header = next(lines, None)
     if header is None:
@@ -591,14 +579,14 @@ def parse_lattice(text: str, name: str = "") -> SubrackLattice | AbstractLattice
     return SubrackLattice(elements=masks, ground_size=ground, name=name)
 
 
-def load_lattice(path: str) -> SubrackLattice | AbstractLattice:
+def load_lattice(path: str) -> AbstractLattice:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     stem = os.path.basename(path).rsplit(".", 1)[0]
     return parse_lattice(text, name=stem)
 
 
-def save_lattice(path: str, lat: SubrackLattice | AbstractLattice) -> None:
+def save_lattice(path: str, lat: AbstractLattice) -> None:
     text = (
         format_lattice(lat)
         if isinstance(lat, SubrackLattice)

@@ -102,17 +102,15 @@ def verify_group(
     cc = conjugacy_classes(g)
     full = (1 << g.order) - 1
     complements = {full ^ mask_of(c) for c in cc.classes}
-    # with no shuffle seed, element x keeps index x and support bit p is the
-    # atom {p}, ground element p
-    ab = to_abstract(lat)
-    agree = {lat.elements[x] for x in ab.proper_maximal} == complements
+    # a group rack is a quandle: support bit p is the atom {p}, ground element p
+    agree = {lat.elements[x] for x in lat.proper_maximal} == complements
     if agree:
         lines.append(f"PASS coatoms {name} c={cc.count} class complements")
     else:
         lines.append(f"FAIL coatoms {name} coatoms do not match class complements")
 
-    mb = maximal_boolean_elements(ab)
-    mb_supports = {ab.supports[x] for x in mb}
+    mb = maximal_boolean_elements(lat)
+    mb_supports = {lat.supports[x] for x in mb}
     if g.order <= limits.subgroup_cap:
         oracle_ab = {mask_of(h) for h in maximal_abelian_subgroups(g, limits)}
         if mb_supports == oracle_ab:
@@ -125,15 +123,15 @@ def verify_group(
     else:
         lines.append(f"SKIP boolean-elements {name} order over subgroup cap")
 
-    classes = recover_classes(ab)
+    classes = recover_classes(lat)
     class_masks = {mask_of(c) for c in cc.classes}
     if {b for b in classes.blocks} == class_masks:
         lines.append(f"PASS classes {name} blocks match conjugacy classes")
     else:
         lines.append(f"FAIL classes {name} blocks differ from conjugacy classes")
 
-    mna = max_normal_abelian(ab, classes)
-    mna_supports = {ab.supports[x] for x in mna}
+    mna = max_normal_abelian(lat, classes)
+    mna_supports = {lat.supports[x] for x in mna}
     oracle_mna = {mask_of(h) for h in maximal_normal_abelian_oracle(g)}
     if mna_supports == oracle_mna:
         lines.append(f"PASS normal-abelian {name} {len(mna)} candidates")
@@ -153,16 +151,16 @@ def verify_group(
         parts_group = _cosets_as_masks(g, members)
         partition = HypotheticalCosetPartition(parts=tuple(parts_group))
         rep = is_hypothetical_coset_partition(
-            ab, partition, classes=classes, exhaustive=exhaustive, seed=seed,
+            lat, partition, classes=classes, exhaustive=exhaustive, seed=seed,
             limits=limits,
         )
         if not rep.ok:
             hyp_fail = f"N={sorted(members)}: " + "; ".join(rep.lines)
             break
-        n_elem = ab.support_index[nmask]
+        n_elem = lat.support_index[nmask]
         try:
-            found = find_coset_partition(ab, n_elem, classes, limits=limits)
-            jp = join_poset(ab, found)
+            found = find_coset_partition(lat, n_elem, classes, limits=limits)
+            jp = join_poset(lat, found)
         except RackleError as exc:
             quot_fail = f"N={sorted(members)}: {exc}"
             break
@@ -194,11 +192,11 @@ def verify_group(
     else:
         lines.append(f"FAIL derive {name} lattice={dl_lat} oracle={dl_oracle}")
 
-    mu = mobius_bottom_top(ab)
+    mu = mobius_bottom_top(lat)
     sphere_ok = mu == (-1) ** cc.count
     chi_note = ""
-    if ab.size - 2 <= limits.chain_count_cap:
-        chi = reduced_euler_characteristic(proper_part(ab), limits=limits)
+    if lat.size - 2 <= limits.chain_count_cap:
+        chi = reduced_euler_characteristic(proper_part(lat), limits=limits)
         if chi != mu:
             lines.append(f"FAIL sphere {name} mu={mu} chain-count={chi}")
             return lines

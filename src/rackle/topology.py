@@ -82,8 +82,3 @@ def reduced_euler_characteristic(
         below = [j for j in order if j != i and part.leq(j, i)]
         c[i] = 1 - sum(c[j] for j in below)
     return -1 + sum(c.values())
-
-
-def sphere_check(lat: AbstractLattice, class_count: int) -> bool:
-    """Does mu(bottom, top) match (-1)^(number of classes)?"""
-    return mobius_bottom_top(lat) == (-1) ** class_count

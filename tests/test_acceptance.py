@@ -132,7 +132,7 @@ def test_criterion_02_coatom_class_duality(capsys):
             full = (1 << g.order) - 1
             expected = {full & ~_mask_of(c) for c in classes.classes}
             if lat.size <= 5000:
-                got = {lat.elements[c] for c in lat.coatoms}
+                got = {lat.elements[c] for c in lat.proper_maximal}
                 if got != expected:
                     failures.append(f"{g.name}: coatom set mismatch")
             else:

@@ -148,7 +148,12 @@ def assert_abstraction_keeps_order(rack, seed):
     relabelling, found by the atom search and checked in O(n·m).
     """
     lat = enumerate_subrack_lattice(rack)
+    assert isinstance(lat, AbstractLattice)
     ab = to_abstract(lat)
+    assert lat.supports == ab.supports
+    if verify_rack_axioms(rack.op).is_quandle:
+        # every atom is one point: the member sets are the supports
+        assert lat.supports is lat.elements
     atom_masks = [lat.elements[a] for a in lat.atoms]
     assert ab.n_atoms == len(ab.atoms) == len(atom_masks)
     for x, mask in enumerate(lat.elements):
@@ -177,7 +182,7 @@ class TestAtomistic:
     def test_concrete_chain_is_rejected(self):
         text = "4 3\n0 0\n1 1 0\n2 2 0 1\n3 3 0 1 2\nHASSE\n0 1\n1 2\n2 3\n"
         with pytest.raises(FormatError, match=r"elements 1 and 2\b"):
-            to_abstract(parse_lattice(text))
+            parse_lattice(text)
 
     def test_abstract_chain_is_rejected(self):
         text = "4 1\n0 0 -\n1 1 -\n2 1 -\n3 1 -\nHASSE\n0 1\n1 2\n2 3\n"
@@ -237,26 +242,22 @@ class TestLatticeQueries:
             for x in cl:
                 m |= 1 << x
             expected.add(full & ~m)
-        assert {lat.elements[c] for c in lat.coatoms} == expected
+        assert {lat.elements[c] for c in lat.proper_maximal} == expected
 
     def test_hasse_covers_have_no_intermediate(self):
         lat = get_lattice("D4")
         elems = lat.elements
-        for c, p in lat.hasse:
+        for c, p in sorted(lat.cover_pairs()):
             ec, ep = elems[c], elems[p]
             assert ec != ep and ec & ep == ec
             for z in elems:
                 if z not in (ec, ep) and ec & z == ec and z & ep == z:
                     pytest.fail(f"{z:b} sits between cover {ec:b} < {ep:b}")
 
-    def test_height_of_powerset(self):
-        assert get_lattice("Z4").height() == 4
-        assert get_lattice("Z6").height() == 6
-
     def test_hasse_matches_triple_loop(self):
         for g in catalog_entries(12):
             lat = get_lattice(g.name)
-            assert lat.hasse == naive_cover_pairs(lat.elements), g.name
+            assert sorted(lat.cover_pairs()) == naive_cover_pairs(lat.elements), g.name
 
     def test_atoms_of_permutation_rack_are_orbits(self):
         # a ▷ b = σ(b) is no quandle: the subrack {a} generates is a's σ-orbit
@@ -281,9 +282,9 @@ class TestAbstraction:
     def test_supports_encode_order(self):
         lat = get_lattice("Q8")
         ab = to_abstract(lat)
-        for x in range(lat.size):
-            for y in range(lat.size):
-                assert lat.leq(x, y) == ab.leq(x, y)
+        for x, ex in enumerate(lat.elements):
+            for y, ey in enumerate(lat.elements):
+                assert (ex & ey == ex) == ab.leq(x, y)
 
     def test_shuffle_is_isomorphic(self):
         ab = get_abstract("S3")
@@ -609,7 +610,11 @@ def test_adjacent_order_check_matches_sort(masks):
         assert _in_order(a, b) == (_sort_key(a) < _sort_key(b))
     text = concrete_text(masks, 8)
     if masks == sorted(masks, key=_sort_key):
-        assert parse_lattice(text).elements == masks
+        # a sorted family passes the order check, though it may be no lattice
+        try:
+            assert parse_lattice(text).elements == masks
+        except FormatError as exc:
+            assert "not in popcount-then-lex order" not in str(exc)
     else:
         with pytest.raises(FormatError, match="not in popcount-then-lex order"):
             parse_lattice(text)
@@ -624,7 +629,7 @@ class TestLatFormat:
         assert isinstance(again, SubrackLattice)
         assert again.elements == lat.elements
         assert again.ground_size == lat.ground_size
-        assert again.hasse == lat.hasse
+        assert again.supports == lat.supports
 
     def test_rackless_lattice_queries(self, tmp_path):
         for name in ("S3", "D4"):
@@ -633,8 +638,8 @@ class TestLatFormat:
             save_lattice(str(p), lat)
             again = load_lattice(str(p))
             assert again.atoms == lat.atoms
-            assert again.coatoms == lat.coatoms
-            assert again.hasse == lat.hasse
+            assert again.proper_maximal == lat.proper_maximal
+            assert sorted(again.cover_pairs()) == sorted(lat.cover_pairs())
 
     def test_abstract_roundtrip(self, tmp_path):
         ab = get_abstract("S3", seed=5)
@@ -690,4 +695,11 @@ class TestLatFormat:
         head, *rest = text.splitlines()
         assert head == "4 2"
         assert rest[0] == "0 0"
-        assert "HASSE" in rest
+        assert "HASSE" not in rest
+
+    def test_concrete_hasse_section_is_skipped(self):
+        # older concrete files end in a HASSE section; it is never read
+        text = format_lattice(get_lattice("S3"))
+        covers = "".join(f"{c} {p}\n" for c, p in sorted(get_lattice("S3").cover_pairs()))
+        old = parse_lattice(text + "HASSE\n" + covers)
+        assert old.elements == parse_lattice(text).elements == get_lattice("S3").elements

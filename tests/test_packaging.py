@@ -56,6 +56,38 @@ def test_benchmark_names_resolve():
     assert sorted(name for name in used if not hasattr(rackle, name)) == []
 
 
+def test_benchmark_ops_run(tmp_path, monkeypatch):
+    # every derive op at one seed, and the invariants op on S4 and the stall
+    # lattice, whose .lat files the workload's own set-up steps write
+    import importlib.util
+
+    import rackle
+
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+
+    ops, _ = workloads.setup_derive(rackle, 1, tmp_path, False)
+    assert {op.name: op.run() for op in ops} == {op.name: None for op in ops}
+
+    s4, stall = tmp_path / "S4.lat", tmp_path / "stall.lat"
+    workloads._build_lattice(rackle, "S4", s4)
+    workloads._save_stall(rackle, stall)
+    s4_expected = workloads._invariant_oracle(rackle, rackle.named_group("S4"))
+    assert workloads._invariants_op(rackle, str(s4), 5, s4_expected) is None
+    stall_expected = (
+        workloads.STALL_CLASS_SIZES,
+        workloads.STALL_BOOLEAN_ATOMS,
+        workloads.STALL_NORMAL_ABELIAN_ATOMS,
+        rackle.NOT_SOLVABLE,
+        (-1) ** len(workloads.STALL_CLASS_SIZES),
+    )
+    assert workloads._invariants_op(rackle, str(stall), 0, stall_expected) is None
+
+
 def test_reconstruction_context_is_the_lattice():
     import rackle
 
