@@ -16,15 +16,43 @@ from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import islice
 from operator import and_, or_
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import BadIndex, FormatError, IsomorphismTimeout, TooLarge
-from .racks import ConjugationRack, bits, closure_extend, is_closed_mask, mask_of
+from .racks import (
+    ConjugationRack,
+    bits,
+    closure_extend,
+    is_closed_mask,
+    mask_of,
+    moves_of,
+)
 
 
-def _sort_key(mask: int) -> tuple[int, list[int]]:
-    return (mask.bit_count(), bits(mask))
+# bit b of byte k is bit 7 - b of entry k
+_REVERSED_BYTES = bytes(int(f"{k:08b}"[::-1], 2) for k in range(256))
+
+
+def order_key(width: int) -> Callable[[int], int]:
+    """Sort key for masks of at most width bits: popcount, then members lex.
+
+    Of two masks with equal popcount, the one that holds the lowest bit of
+    their difference comes first. Reversing the bits at a fixed width W
+    makes that bit the highest of the difference, so the key is
+    popcount·2^W minus the reversal, one integer per mask. W is width
+    rounded up to whole bytes, and each byte is reversed through a table.
+    The width must be fixed: reversed at its own length, 0x1 would read
+    the same as 0x100.
+    """
+    n = (width + 7) // 8
+    shift = 8 * n
+
+    def key(mask: int) -> int:
+        rev = int.from_bytes(mask.to_bytes(n, "little").translate(_REVERSED_BYTES), "big")
+        return (mask.bit_count() << shift) - rev
+
+    return key
 
 
 # ---------------------------------------------------------------------------
@@ -34,23 +62,29 @@ def _sort_key(mask: int) -> tuple[int, list[int]]:
 def _enumerate_subtree(
     rows: Sequence[Sequence[int]], m: int, start: int, j0: int, cap: int
 ) -> list[int]:
-    """All closed sets in the canonical subtree rooted at a closed set."""
-    out: list[int] = []
+    """All closed sets in the canonical subtree rooted at a closed set.
 
-    def rec(a: int, j_from: int) -> None:
-        out.append(a)
+    The sets come in preorder. The walk is a loop: the stack holds each
+    set whose children are still being tried, with the next point to add.
+    """
+    moves = moves_of(rows)
+    out = [start]
+    stack = [(start, j0)]
+    while stack:
+        a, j = stack.pop()
+        while j < m:
+            if not a >> j & 1:
+                # canonical test: adding j must not sneak in smaller new
+                # points, so the closure aborts at the first one
+                b = closure_extend(rows, moves, a, j, (1 << j) - 1)
+                if b is not None:
+                    out.append(b)
+                    stack.append((a, j + 1))
+                    a = b
+            j += 1
+        # out grew by at most one chain of m sets since the last check
         if len(out) > cap:
             raise TooLarge(f"lattice exceeds cap of {cap} elements")
-        for j in range(j_from, m):
-            if a >> j & 1:
-                continue
-            # canonical test: adding j must not sneak in smaller new points,
-            # so the closure aborts at the first one
-            b = closure_extend(rows, a, j, (1 << j) - 1)
-            if b is not None:
-                rec(b, j + 1)
-
-    rec(start, j0)
     return out
 
 
@@ -59,7 +93,7 @@ def enumerate_closed_masks(
 ) -> list[int]:
     """Closed subsets of the rack as bitmasks, sorted by popcount then members."""
     masks = _enumerate_subtree(rack.op, rack.size, 0, 0, limits.lattice_cap)
-    masks.sort(key=_sort_key)
+    masks.sort(key=order_key(rack.size))
     return masks
 
 
@@ -70,7 +104,7 @@ def brute_force_closed_masks(rack: ConjugationRack) -> list[int]:
         raise TooLarge("brute-force scan is for small ground sets only")
     rows = rack.op
     out = [s for s in range(1 << m) if is_closed_mask(rows, s)]
-    out.sort(key=_sort_key)
+    out.sort(key=order_key(m))
     return out
 
 
@@ -432,31 +466,44 @@ def are_isomorphic(
     index_b = b.support_index
     budget = limits.iso_node_budget
     nodes = 0
-
-    def place(i: int, placed: int, images: int) -> list[int] | None:
-        nonlocal nodes
+    tried = [0] * (m + 1)            # candidates tried so far at each depth
+    i = placed = images = 0
+    while True:
+        q = -1
         if i == m:
             mapping = [index_b.get(_transport(s, pi)) for s in a.supports]
-            return None if None in mapping else mapping
-        p = order[i]
-        for q in by_inv[inv_a[p]]:
-            if images >> q & 1:
-                continue
-            nodes += 1
-            if nodes > budget:
-                raise IsomorphismTimeout(f"isomorphism search exceeded {budget} nodes")
-            if all(
-                ja[p][r].bit_count() == jb[q][pi[r]].bit_count()
-                and _transport(ja[p][r] & placed, pi) == jb[q][pi[r]] & images
-                for r in bits(placed)
-            ):
-                pi[p] = q
-                mapping = place(i + 1, placed | 1 << p, images | 1 << q)
-                if mapping is not None:
-                    return mapping
-        return None
-
-    return place(0, 0, 0)
+            if None not in mapping:
+                return mapping
+        else:
+            p = order[i]
+            cands = by_inv[inv_a[p]]
+            while q < 0 and tried[i] < len(cands):
+                c = cands[tried[i]]
+                tried[i] += 1
+                if images >> c & 1:
+                    continue
+                nodes += 1
+                if nodes > budget:
+                    raise IsomorphismTimeout(f"isomorphism search exceeded {budget} nodes")
+                if all(
+                    ja[p][r].bit_count() == jb[c][pi[r]].bit_count()
+                    and _transport(ja[p][r] & placed, pi) == jb[c][pi[r]] & images
+                    for r in bits(placed)
+                ):
+                    q = c
+        if q >= 0:
+            pi[p] = q
+            placed |= 1 << p
+            images |= 1 << q
+            i += 1
+            tried[i] = 0
+        elif i == 0:
+            return None
+        else:                            # undo the placement one level up
+            i -= 1
+            p = order[i]
+            placed ^= 1 << p
+            images ^= 1 << pi[p]
 
 
 def check_isomorphism(
@@ -500,7 +547,8 @@ def format_abstract(lat: AbstractLattice) -> str:
     """Abstract export: '-' in the member column, covers from cover_pairs."""
     n = lat.size
     sup = lat.supports
-    order = sorted(range(n), key=lambda x: _sort_key(sup[x]))
+    key = order_key(lat.n_atoms)
+    order = sorted(range(n), key=lambda x: key(sup[x]))
     pos = {old: newi for newi, old in enumerate(order)}
     lines = [f"{n} {lat.n_atoms}"]
     for old in order:

@@ -1,8 +1,16 @@
-"""Racks as operation tables and the three conjugation-rack constructors.
+"""Racks as operation tables, the three conjugation-rack constructors, and
+subrack closure over bitmasks.
 
 A rack here is a square table op[a][b] = a ▷ b over indices 0..m-1. For
 conjugation racks a ▷ b is a b a^-1 inside some finite group; those always
 satisfy the quandle axioms, but raw tables can be fed in and checked too.
+
+Closures that grow a closed set one point at a time (closure_extend, and
+memo_closure built on it) cross a new point a only with the members of
+moves[a], the points b for which a ▷ b ≠ b or b ▷ a ≠ a (see moves_of).
+Every other product is b or a, both already present. In a conjugation rack
+moves[a] is the complement of a's centralizer, so an abelian group's rack
+closes every set without a single product.
 """
 
 from __future__ import annotations
@@ -184,7 +192,7 @@ def closure_mask(rows: Sequence[Sequence[int]], seed_mask: int) -> int:
     """Least superset of the seed closed under internal ▷, as a bitmask.
 
     Worklist saturation: when a point enters, cross it with everything
-    already present, both ways. This is the hot loop of the whole package.
+    already present, both ways.
     """
     mask = seed_mask
     work = bits(seed_mask)
@@ -204,20 +212,45 @@ def closure_mask(rows: Sequence[Sequence[int]], seed_mask: int) -> int:
     return mask
 
 
+def moves_of(rows: Sequence[Sequence[int]]) -> list[int]:
+    """moves[a]: bitmask of the points b with a ▷ b ≠ b or b ▷ a ≠ a.
+
+    Both sides count. A rule that kept only a ▷ b ≠ b would miss b ▷ a when
+    a enters a set holding b, and the converse rule would miss a ▷ b.
+    """
+    m = len(rows)
+    out = []
+    for a in range(m):
+        ra = rows[a]
+        mask = 0
+        for b in range(m):
+            if ra[b] != b or rows[b][a] != a:
+                mask |= 1 << b
+        out.append(mask)
+    return out
+
+
 def closure_extend(
-    rows: Sequence[Sequence[int]], closed_mask: int, j: int, forbidden: int = 0
+    rows: Sequence[Sequence[int]],
+    moves: Sequence[int],
+    closed_mask: int,
+    j: int,
+    forbidden: int = 0,
 ) -> int | None:
     """Closure of closed_mask ∪ {j}, exploiting that closed_mask is closed.
 
-    Returns None as soon as a new point inside the forbidden mask enters, so
-    a caller that would discard such a closure never pays for finishing it.
+    moves is moves_of(rows). Each point a that enters is crossed, both ways,
+    only with the members in moves[a]: for any other member b the products
+    are b and a, already present. Returns None as soon as a new point inside
+    the forbidden mask enters, so a caller that would discard such a closure
+    never pays for finishing it.
     """
     mask = closed_mask | (1 << j)
     work = [j]
     while work:
         a = work.pop()
         ra = rows[a]
-        m = mask
+        m = mask & moves[a]
         while m:
             low = m & -m
             b = low.bit_length() - 1
@@ -243,6 +276,7 @@ def memo_closure(rows: Sequence[Sequence[int]]) -> Callable[[int], int]:
     prefixes for as long as the returned function lives.
     """
     memo = {0: 0}
+    moves = moves_of(rows)
 
     def closure(seed: int) -> int:
         pending = []
@@ -254,7 +288,7 @@ def memo_closure(rows: Sequence[Sequence[int]]) -> Callable[[int], int]:
         for s in reversed(pending):
             low = s & -s
             if not c & low:
-                c = closure_extend(rows, c, low.bit_length() - 1)
+                c = closure_extend(rows, moves, c, low.bit_length() - 1)
             memo[s] = c
         return c
 

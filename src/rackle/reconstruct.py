@@ -15,7 +15,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import (
@@ -26,7 +26,7 @@ from .errors import (
     NotNormal,
 )
 from .groups import NOT_SOLVABLE, FiniteGroup, _NotSolvable, is_normal, is_subgroup
-from .lattice import AbstractLattice, _sort_key, are_isomorphic
+from .lattice import AbstractLattice, are_isomorphic, order_key
 from .racks import bits, group_rack, is_closed_mask, mask_of
 
 
@@ -371,6 +371,43 @@ def is_hypothetical_coset_partition(
     return PartitionReport(ok=ok, lines=tuple(lines))
 
 
+def _pair_rule(join: Callable[[int], int], a: int, b: int) -> tuple[int, list[int]]:
+    """join(a ∪ b), and the joins join(x, y) that each part inside it meets."""
+    return join(a | b), [join(1 << x | 1 << y) for x in bits(a) for y in bits(b)]
+
+
+def _obeys(part: int, rule: tuple[int, list[int]]) -> bool:
+    j, rep_joins = rule
+    return part & j != part or all(part & r for r in rep_joins)
+
+
+def _covers(
+    pool: Sequence[int],
+    full: int,
+    join: Callable[[int], int],
+    covered: int,
+    chosen: list[int],
+    rules: list[tuple[int, list[int]]],
+) -> Iterator[tuple[int, ...]]:
+    """Exact covers of full by parts from pool that extend chosen, each step
+    placing a part through the lowest uncovered atom, and every placed part
+    obeying the rule of every pair of placed parts."""
+    if covered == full:
+        yield tuple(chosen)
+        return
+    free = ~covered & full
+    first_free = (free & -free).bit_length() - 1
+    for cand in pool:
+        if not cand >> first_free & 1 or cand & covered:
+            continue
+        if not all(_obeys(cand, rule) for rule in rules):
+            continue
+        new = [_pair_rule(join, cand, prev) for prev in chosen]
+        placed = chosen + [cand]
+        if all(_obeys(p, rule) for rule in new for p in placed):
+            yield from _covers(pool, full, join, covered | cand, placed, rules + new)
+
+
 def find_coset_partition(
     lat: AbstractLattice,
     n_elem: int,
@@ -405,31 +442,7 @@ def find_coset_partition(
     def join(mask: int) -> int:
         return lat.supports[lat.join_mask(mask)]
 
-    def pair_rule(a: int, b: int) -> tuple[int, list[int]]:
-        """join(a ∪ b), and the joins join(x, y) that each part inside it meets."""
-        return join(a | b), [join(1 << x | 1 << y) for x in bits(a) for y in bits(b)]
-
-    def obeys(part: int, rule: tuple[int, list[int]]) -> bool:
-        j, rep_joins = rule
-        return part & j != part or all(part & r for r in rep_joins)
-
-    def covers(covered: int, chosen: list[int], rules: list):
-        if covered == full:
-            yield tuple(chosen)
-            return
-        free = ~covered & full
-        first_free = (free & -free).bit_length() - 1
-        for cand in pool:
-            if not cand >> first_free & 1 or cand & covered:
-                continue
-            if not all(obeys(cand, rule) for rule in rules):
-                continue
-            new = [pair_rule(cand, prev) for prev in chosen]
-            placed = chosen + [cand]
-            if all(obeys(p, rule) for rule in new for p in placed):
-                yield from covers(covered | cand, placed, rules + new)
-
-    for parts in covers(sn, [sn], []):
+    for parts in _covers(pool, full, join, sn, [sn], []):
         partition = HypotheticalCosetPartition(parts=parts)
         if is_hypothetical_coset_partition(
             lat, partition, classes=classes, limits=limits
@@ -480,19 +493,20 @@ def join_poset(
         if close(1 << i)[0] != 1 << i:
             raise NotGroupLattice("parts are not the atoms of their join poset")
     part_sets = {0: 0}   # join support -> closed set of part indices
-
-    def walk(a: int, j_from: int) -> None:
-        for j in range(j_from, m):
-            if a >> j & 1:
-                continue
-            b, s = close(a | 1 << j)
-            # canonical test: the closure adds no part before j
-            if b & ((1 << j) - 1) == a & ((1 << j) - 1):
-                part_sets[s] = b
-                walk(b, j + 1)
-
-    walk(0, 0)
-    return AbstractLattice([part_sets[s] for s in sorted(part_sets, key=_sort_key)])
+    stack = [(0, 0)]     # closed sets whose children are still being tried
+    while stack:
+        a, j = stack.pop()
+        while j < m:
+            if not a >> j & 1:
+                b, s = close(a | 1 << j)
+                # canonical test: the closure adds no part before j
+                if b & ((1 << j) - 1) == a & ((1 << j) - 1):
+                    part_sets[s] = b
+                    stack.append((a, j + 1))
+                    a = b
+            j += 1
+    key = order_key(lat.n_atoms)
+    return AbstractLattice([part_sets[s] for s in sorted(part_sets, key=key)])
 
 
 def _memo_key(lat: AbstractLattice) -> tuple:

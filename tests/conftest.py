@@ -74,9 +74,24 @@ def alexander_quandle(n, t):
     return rack_from([[(t * b + (1 - t) * a) % n for b in range(n)] for a in range(n)])
 
 
+def relabelled_rack(op, perm):
+    """The same rack with point a renamed perm[a]."""
+    out = [[0] * len(op) for _ in op]
+    for a, row in enumerate(op):
+        for b, c in enumerate(row):
+            out[perm[a]][perm[b]] = perm[c]
+    return rack_from(out)
+
+
+# point 2 swaps 0 and 1, which act trivially: a closure that crosses a new
+# point only with the points it moves, or only with those moving it, misses
+# a product under one of the labellings
+ONE_SIDED = ((0, 1, 2), (0, 1, 2), (1, 0, 2))
+
 SMALL_GROUPS = ("S3", "D4", "Q8", "A4", "D5", "D6", "Dic3", "Z2xZ2xZ2")
 
 small_racks = st.one_of(
+    st.permutations(range(3)).map(lambda perm: relabelled_rack(ONE_SIDED, perm)),
     st.integers(1, 9).flatmap(lambda m: st.permutations(range(m))).map(permutation_rack),
     st.integers(2, 12).flatmap(
         lambda n: st.sampled_from([t for t in range(1, n) if gcd(t, n) == 1])

@@ -30,30 +30,34 @@ from rackle.lattice import (
     _atom_joins,
     _enumerate_subtree,
     _in_order,
-    _sort_key,
     abstract_from_cover_pairs,
     enumerate_closed_masks,
     format_abstract,
     format_lattice,
+    order_key,
     parse_lattice,
 )
 from rackle.racks import (
     bits,
     closure_extend,
+    closure_mask,
     conjugacy_class_rack,
     is_closed_mask,
     mask_of,
+    moves_of,
     rack_closure,
     verify_rack_axioms,
 )
 
 from conftest import (
+    ONE_SIDED,
     closed_families,
     get_abstract,
     get_group,
     get_lattice,
     permutation_rack,
     rack_from,
+    relabelled_rack,
     small_racks,
 )
 
@@ -119,7 +123,7 @@ def full_closure_lectic(rows, m):
         for j in range(j_from, m):
             if a >> j & 1:
                 continue
-            b = closure_extend(rows, a, j)
+            b = closure_mask(rows, a | 1 << j)
             below = (1 << j) - 1
             if b & below == a & below:
                 rec(b, j + 1)
@@ -136,6 +140,13 @@ def test_abort_matches_brute_force(rack):
     cap = DEFAULT_LIMITS.lattice_cap
     raw = _enumerate_subtree(rack.op, rack.size, 0, 0, cap)
     assert raw == full_closure_lectic(rack.op, rack.size)
+
+
+@pytest.mark.parametrize("perm", list(permutations(range(3))))
+def test_products_count_from_both_sides(perm):
+    rack = relabelled_rack(ONE_SIDED, perm)
+    assert verify_rack_axioms(rack.op).is_quandle
+    assert enumerate_closed_masks(rack) == brute_force_closed_masks(rack)
 
 
 def assert_abstraction_keeps_order(rack, seed):
@@ -206,8 +217,9 @@ class TestClosureAbort:
     def test_abort_returns_none_on_forbidden_point(self):
         # a ▷ b = σ(b) with σ = (0 1 2): adding 2 drags in 0, which is below 2
         rows = permutation_rack((1, 2, 0)).op
-        assert closure_extend(rows, 0, 2) == 0b111
-        assert closure_extend(rows, 0, 2, 0b011) is None
+        moves = moves_of(rows)
+        assert closure_extend(rows, moves, 0, 2) == 0b111
+        assert closure_extend(rows, moves, 0, 2, 0b011) is None
 
 
 def sorted_members(mask):
@@ -589,6 +601,47 @@ def concrete_text(masks, ground):
     return "\n".join(lines) + "\n"
 
 
+def lex_key(mask):
+    """Popcount, then the members ascending: the reference for order_key."""
+    return (mask.bit_count(), bits(mask))
+
+
+@st.composite
+def mask_pairs(draw):
+    """A width of 1 to 130 bits and two masks within it: unrelated, equal
+    below bit 64, or of different byte lengths."""
+    width = draw(st.integers(1, 130))
+    within = st.integers(0, (1 << width) - 1)
+    a, b = draw(within), draw(within)
+    kind = draw(st.sampled_from(("any", "high bits", "byte lengths")))
+    if kind == "high bits" and width > 64:
+        low = (1 << 64) - 1
+        b = a & low | b & ~low
+    elif kind == "byte lengths" and width > 8:
+        k = draw(st.integers(1, (width - 1) // 8))     # a fits in k bytes, b does not
+        a = draw(st.integers(0, (1 << 8 * k) - 1))
+        b = draw(st.integers(1 << 8 * k, (1 << width) - 1))
+    return width, a, b
+
+
+@given(mask_pairs())
+@settings(max_examples=400, deadline=None)
+def test_order_key_matches_lex_key(pair):
+    width, a, b = pair
+    key = order_key(width)
+    assert (key(a) < key(b)) == (lex_key(a) < lex_key(b))
+    assert (key(a) == key(b)) == (a == b)
+
+
+def test_order_key_reverses_at_a_fixed_width():
+    # reversed at their own lengths, 0x1 and 0x100 would get one key
+    key = order_key(9)
+    assert key(0x1) < key(0x100) < key(0x3)
+    key = order_key(130)
+    masks = [1 << 129, 1 << 64 | 1, 1 << 65, 1 << 64, 3 << 64, 1]
+    assert sorted(masks, key=key) == sorted(masks, key=lex_key)
+
+
 @st.composite
 def mask_orders(draw):
     """Distinct masks: unordered, popcount-then-lex sorted, or sorted with
@@ -596,7 +649,7 @@ def mask_orders(draw):
     masks = draw(st.lists(st.integers(0, 255), min_size=1, max_size=20, unique=True))
     kind = draw(st.sampled_from(("any", "sorted", "one swap")))
     if kind != "any":
-        masks.sort(key=_sort_key)
+        masks.sort(key=lex_key)
     if kind == "one swap" and len(masks) > 1:
         i = draw(st.integers(0, len(masks) - 2))
         masks[i], masks[i + 1] = masks[i + 1], masks[i]
@@ -607,9 +660,9 @@ def mask_orders(draw):
 @settings(max_examples=300, deadline=None)
 def test_adjacent_order_check_matches_sort(masks):
     for a, b in zip(masks, masks[1:]):
-        assert _in_order(a, b) == (_sort_key(a) < _sort_key(b))
+        assert _in_order(a, b) == (lex_key(a) < lex_key(b))
     text = concrete_text(masks, 8)
-    if masks == sorted(masks, key=_sort_key):
+    if masks == sorted(masks, key=lex_key):
         # a sorted family passes the order check, though it may be no lattice
         try:
             assert parse_lattice(text).elements == masks

@@ -20,7 +20,9 @@ from rackle.racks import (
     closure_mask,
     format_rack,
     is_closed_mask,
+    mask_of,
     memo_closure,
+    moves_of,
     parse_rack,
 )
 
@@ -170,7 +172,18 @@ class TestClosure:
     def test_closure_extend_one_step(self):
         rack = group_rack(get_group("S3"))
         for j in range(6):
-            assert closure_extend(rack.op, 0, j) == closure_mask(rack.op, 1 << j)
+            assert closure_extend(rack.op, moves_of(rack.op), 0, j) == closure_mask(
+                rack.op, 1 << j)
+
+    def test_moves_are_two_sided(self):
+        # point 2 swaps 0 and 1, which both act trivially: 2 ▷ 0 = 1 puts 2
+        # in the moves of 0 although 0 acts trivially
+        assert moves_of(((0, 1, 2), (0, 1, 2), (1, 0, 2))) == [0b100, 0b100, 0b011]
+        rack = group_rack(get_group("S3"))
+        centralizers = [
+            mask_of(b for b in range(6) if rack.op[a][b] == b) for a in range(6)
+        ]
+        assert moves_of(rack.op) == [63 ^ c for c in centralizers]
 
     def test_is_closed_mask(self):
         g = get_group("S3")

@@ -1,6 +1,7 @@
 """Lattice-only reconstruction: classes, normal abelian parts, quotients, length."""
 
 import functools
+import gc
 import math
 import random
 from itertools import combinations
@@ -466,3 +467,21 @@ class TestDerivedLength:
         vals = {lattice_derived_length(get_abstract("D5", seed=s))
                 for s in (None, 1, 2)}
         assert vals == {2}
+
+
+def test_no_reference_cycles():
+    """Reconstruction, the isomorphism search and enumeration leave nothing
+    for the cycle collector: each lattice they build is freed when its last
+    reference goes, not at the next full collection."""
+    sl23 = get_abstract("sl23", 1)
+    d8, q16 = get_abstract("D8", 2), get_abstract("Q16", 3)
+    rack = group_rack(get_group("D6"))
+    gc.collect()
+    gc.disable()
+    try:
+        assert lattice_derived_length(sl23) == 3
+        are_isomorphic(d8, q16)
+        enumerate_subrack_lattice(rack)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
