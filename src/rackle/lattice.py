@@ -59,17 +59,15 @@ def order_key(width: int) -> Callable[[int], int]:
 # enumeration
 
 
-def _enumerate_subtree(
-    rows: Sequence[Sequence[int]], m: int, start: int, j0: int, cap: int
-) -> list[int]:
-    """All closed sets in the canonical subtree rooted at a closed set.
+def _enumerate_subtree(rows: Sequence[Sequence[int]], m: int, cap: int) -> list[int]:
+    """All closed sets of the rack, from the empty set, in canonical preorder.
 
-    The sets come in preorder. The walk is a loop: the stack holds each
-    set whose children are still being tried, with the next point to add.
+    The walk is a loop: the stack holds each set whose children are still
+    being tried, with the next point to add.
     """
     moves = moves_of(rows)
-    out = [start]
-    stack = [(start, j0)]
+    out = [0]
+    stack = [(0, 0)]
     while stack:
         a, j = stack.pop()
         while j < m:
@@ -92,7 +90,7 @@ def enumerate_closed_masks(
     rack: ConjugationRack, limits: Limits = DEFAULT_LIMITS
 ) -> list[int]:
     """Closed subsets of the rack as bitmasks, sorted by popcount then members."""
-    masks = _enumerate_subtree(rack.op, rack.size, 0, 0, limits.lattice_cap)
+    masks = _enumerate_subtree(rack.op, rack.size, limits.lattice_cap)
     masks.sort(key=order_key(rack.size))
     return masks
 
@@ -163,7 +161,7 @@ class AbstractLattice:
 
     @cached_property
     def atoms(self) -> list[int]:
-        return [x for x in range(self.size) if self.supports[x].bit_count() == 1]
+        return [x for x, s in enumerate(self.supports) if s.bit_count() == 1]
 
     @cached_property
     def support_index(self) -> dict[int, int]:
@@ -242,22 +240,44 @@ class AbstractLattice:
     def proper_maximal(self) -> list[int]:
         """Coatoms: maximal elements among everything below top.
 
-        Bottom stays in the candidate pool so the 2-element lattice reports
-        its one coatom; anywhere else it loses to the atoms above it.
+        Walking by falling support size, an element below top is a coatom
+        when no coatom found so far contains it: any other element lies
+        below a coatom, which has more atoms and so came first. That is
+        O(n·c) for c coatoms. Bottom stays in the walk so the 2-element
+        lattice reports its one coatom; anywhere else a coatom contains it.
         """
-        by_pop: dict[int, list[int]] = {}
-        for x in range(self.size):
-            if x != self.top:
-                by_pop.setdefault(self.supports[x].bit_count(), []).append(x)
-        pops = sorted(by_pop, reverse=True)
-        out: list[int] = []
-        for p in pops:
-            for x in by_pop[p]:
-                sx = self.supports[x]
-                bigger = (y for q in pops if q > p for y in by_pop[q])
-                if not any(sx & self.supports[y] == sx for y in bigger):
-                    out.append(x)
-        return sorted(out)
+        found: list[int] = []            # supports of the coatoms so far
+        # top has the one largest support, so it comes first and is dropped
+        for s in sorted(self.supports, key=int.bit_count, reverse=True)[1:]:
+            for c in found:
+                if s | c == c:
+                    break
+            else:
+                found.append(s)
+        return sorted(map(self.support_index.__getitem__, found))
+
+    @cached_property
+    def maximal_boolean(self) -> list[int]:
+        """Elements whose lower interval is Boolean, maximal among those.
+
+        Supports are distinct, so [bottom, x] is Boolean exactly when every
+        subset of supp x is a support. Those supports form a down-set: walking
+        by popcount, s is Boolean when every s − {p} already is. A Boolean s is
+        maximal when no s ∪ {p} is Boolean, that is when s is no b − {p} for
+        a Boolean b: a larger Boolean support contains some s ∪ {p}, and
+        with it all of that set's subsets.
+        """
+        if self.is_boolean():
+            return [self.top]
+        boolean: set[int] = set()
+        for s in sorted(self.supports, key=int.bit_count):
+            t = s                        # the bits p of s still to try
+            while t and s ^ (t & -t) in boolean:
+                t &= t - 1
+            if not t:
+                boolean.add(s)
+        below = {b ^ 1 << p for b in boolean for p in bits(b)}
+        return sorted(self.support_index[s] for s in boolean - below)
 
     def __repr__(self) -> str:
         return f"<abstract lattice, {self.size} elements, {self.n_atoms} atoms>"
@@ -561,7 +581,7 @@ def format_abstract(lat: AbstractLattice) -> str:
 
 def _ints(tokens: Sequence[str], what: str, line: str) -> list[int]:
     try:
-        return [int(t) for t in tokens]
+        return list(map(int, tokens))
     except ValueError:
         raise FormatError(f"bad {what} {line!r}") from None
 
@@ -575,7 +595,8 @@ def _in_order(a: int, b: int) -> bool:
 
 def parse_lattice(text: str, name: str = "") -> AbstractLattice:
     """Read a .lat file; concrete when member lists are present. Lines are
-    read lazily, so the HASSE section of an older concrete file is skipped."""
+    read lazily, so the HASSE section of an older concrete file is skipped.
+    A member list that repeats a member is rejected."""
     lines = filter(None, (ln.split("#", 1)[0].strip() for ln in text.splitlines()))
     header = next(lines, None)
     if header is None:
@@ -589,7 +610,8 @@ def parse_lattice(text: str, name: str = "") -> AbstractLattice:
     body = list(islice(lines, n))
     if len(body) < n:
         raise FormatError(f"expected {n} element lines")
-    if any(ln.split()[-1] == "-" for ln in body):
+    # a last token "-" ends the line, so only such lines are split here
+    if any(ln.endswith("-") and ln.split()[-1] == "-" for ln in body):
         if next(lines, None) != "HASSE":
             raise FormatError("abstract lattice needs a HASSE section")
         pairs = []
@@ -602,23 +624,31 @@ def parse_lattice(text: str, name: str = "") -> AbstractLattice:
                 raise FormatError(f"cover line {ln!r} names an element outside [0,{n})")
             pairs.append((c, p))
         return abstract_from_cover_pairs(n, pairs)
+    bit: dict[str, int] = {}             # tokens read so far, not all of range(ground)
     masks = [0] * n
-    seen_ids = set()
+    seen_ids = bytearray(n)
     for ln in body:
         toks = ln.split()
         if len(toks) < 2:
             raise FormatError(f"bad element line {ln!r}")
-        idx, pop, *members = _ints(toks, "element line", ln)
-        if idx in seen_ids or not (0 <= idx < n):
+        rest = toks[2:]
+        try:
+            mask, members = reduce(or_, map(bit.__getitem__, rest), 0), []
+        except KeyError:                 # a new token, or "zz": through int()
+            mask, members = 0, _ints(rest, "element line", ln)
+        idx, pop = _ints(toks[:2], "element line", ln)
+        if not (0 <= idx < n) or seen_ids[idx]:
             raise FormatError(f"bad element id {idx}")
-        seen_ids.add(idx)
-        if len(members) != pop:
+        seen_ids[idx] = 1
+        if len(rest) != pop:
             raise FormatError(f"popcount mismatch on line {ln!r}")
-        mask = 0
-        for v in members:
+        for t, v in zip(rest, members):
             if not (0 <= v < ground):
                 raise FormatError(f"member {v} outside ground set")
-            mask |= 1 << v
+            bit[t] = 1 << v
+            mask |= bit[t]
+        if mask.bit_count() != pop:
+            raise FormatError(f"repeated member on line {ln!r}")
         masks[idx] = mask
     if len(set(masks)) != n:
         raise FormatError("duplicate element bitsets")

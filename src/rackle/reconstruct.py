@@ -32,7 +32,8 @@ from .racks import bits, group_rack, is_closed_mask, mask_of
 
 @dataclass(frozen=True)
 class AtomClassPartition:
-    """Blocks of atoms, one per coatom: the atoms NOT below that coatom."""
+    """Blocks of atoms, one per coatom: the atoms NOT below that coatom.
+    The blocks are disjoint, so the sum of some blocks is their union."""
 
     blocks: tuple[int, ...]        # masks over atom positions
 
@@ -45,11 +46,7 @@ class AtomClassPartition:
 
     def central_atoms(self) -> int:
         """Mask of atoms sitting in singleton blocks."""
-        out = 0
-        for b in self.blocks:
-            if b.bit_count() == 1:
-                out |= b
-        return out
+        return sum(b for b in self.blocks if b.bit_count() == 1)
 
 
 def ReconstructionContext(lat: AbstractLattice) -> AbstractLattice:
@@ -73,9 +70,7 @@ def recover_classes(lat: AbstractLattice) -> AtomClassPartition:
     the input is not such a lattice.
     """
     full = (1 << lat.n_atoms) - 1
-    blocks = []
-    for co in lat.proper_maximal:
-        blocks.append(full & ~lat.supports[co])
+    blocks = [full & ~lat.supports[co] for co in lat.proper_maximal]
     covered = 0
     for b in blocks:
         if covered & b:
@@ -90,23 +85,9 @@ def recover_classes(lat: AbstractLattice) -> AtomClassPartition:
 def maximal_boolean_elements(lat: AbstractLattice) -> list[int]:
     """Elements whose lower interval is Boolean, maximal among those.
 
-    Supports are distinct, so [bottom, x] is Boolean exactly when every
-    subset of supp x is a support. Those supports form a down-set: walking
-    by popcount, s is Boolean when every s − {p} already is. A Boolean s is
-    maximal when no s ∪ {p} is Boolean, since a larger Boolean support
-    contains some s ∪ {p} and with it all of that set's subsets.
+    A copy of lat.maximal_boolean, which each lattice computes once.
     """
-    if lat.is_boolean():
-        return [lat.top]
-    boolean: set[int] = set()
-    for s in sorted(lat.supports, key=int.bit_count):
-        if all(s & ~(1 << p) in boolean for p in bits(s)):
-            boolean.add(s)
-    return sorted(
-        lat.support_index[s]
-        for s in boolean
-        if not any(s | 1 << p in boolean for p in range(lat.n_atoms) if not s >> p & 1)
-    )
+    return list(lat.maximal_boolean)
 
 
 def max_normal_abelian(
@@ -123,29 +104,18 @@ def max_normal_abelian(
     if classes is None:
         classes = recover_classes(lat)
     sup = lat.supports
-    cands = []
-    for a in maximal_boolean_elements(lat):
-        sa = sup[a]
-        union = 0
-        for b in classes.blocks:
-            if b & sa == b:
-                union |= b
+    cands = set()
+    for a in lat.maximal_boolean:
+        union = sum(b for b in classes.blocks if b & sup[a] == b)
         elem = lat.support_index.get(union)
         if elem is None:
             raise MissingElement(
                 f"class-block union {union:b} is not a lattice element"
             )
-        cands.append(elem)
-    out = []
-    seen = set()
-    for x in cands:
-        if x in seen:
-            continue
-        seen.add(x)
-        sx = sup[x]
-        if not any(sx != sup[y] and sx & sup[y] == sx for y in cands):
-            out.append(x)
-    return sorted(out)
+        cands.add(elem)
+    return sorted(
+        x for x in cands if not any(x != y and sup[x] & sup[y] == sup[x] for y in cands)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -181,23 +151,34 @@ def coset_partition_of(
 def matching_bijection_oracle(
     p_parts: Sequence[frozenset], q_parts: Sequence[frozenset]
 ) -> list[int] | None:
-    """Perfect matching on the intersection graph, by augmenting paths."""
+    """Perfect matching on the intersection graph, by augmenting paths.
+
+    Each part of P in turn starts a depth-first search for a free part of Q,
+    kept as a loop: taken holds the parts of Q on the alternating path, and
+    nexts, for each part of P on it, the rest of its row to try.
+    """
     m = len(p_parts)
     adj = [[j for j in range(m) if p_parts[i] & q_parts[j]] for i in range(m)]
     match_q: list[int | None] = [None] * m
-
-    def augment(i: int, seen: set[int]) -> bool:
-        for j in adj[i]:
-            if j in seen:
-                continue
-            seen.add(j)
-            if match_q[j] is None or augment(match_q[j], seen):
-                match_q[j] = i
-                return True
-        return False
-
-    for i in range(m):
-        if not augment(i, set()):
+    for root in range(m):
+        seen: set[int] = set()
+        taken: list[int] = []
+        nexts = [iter(adj[root])]
+        while nexts:
+            j = next((j for j in nexts[-1] if j not in seen), None)
+            if j is None:                # a dead end: back up one step
+                nexts.pop()
+                del taken[-1:]
+            elif match_q[j] is None:     # flip the path, root first
+                i = root
+                for q in taken + [j]:
+                    i, match_q[q] = match_q[q], i
+                break
+            else:
+                seen.add(j)
+                taken.append(j)
+                nexts.append(iter(adj[match_q[j]]))
+        else:
             return None
     f: list[int] = [0] * m
     for j, i in enumerate(match_q):
@@ -326,10 +307,7 @@ def is_hypothetical_coset_partition(
         )
 
     c1 = parts[0]
-    union_blocks = 0
-    for b in classes.blocks:
-        if b & c1 == b:
-            union_blocks |= b
+    union_blocks = sum(b for b in classes.blocks if b & c1 == b)
     central = classes.central_atoms()
     if union_blocks == c1 and c1 & central:
         lines.append("PASS C2 distinguished part is a class union with a central atom")
@@ -539,20 +517,12 @@ def lattice_derived_length(
             return cached_val
     classes = recover_classes(lat)
     cands = max_normal_abelian(lat, classes)
-    nontrivial = [x for x in cands if lat.supports[x].bit_count() > 1]
-    if not nontrivial:
-        result: int | _NotSolvable = NOT_SOLVABLE
-    else:
-        best: int | _NotSolvable = NOT_SOLVABLE
-        for n_elem in nontrivial:
-            partition = find_coset_partition(lat, n_elem, classes, limits=limits)
-            quot = join_poset(lat, partition)
-            sub = lattice_derived_length(quot, limits=limits, _memo=_memo)
-            if sub is NOT_SOLVABLE:
-                continue
-            cand_val = 1 + sub
-            if best is NOT_SOLVABLE or cand_val < best:
-                best = cand_val
-        result = best
+    # with no nontrivial candidate the recursion stalls: not solvable
+    result: int | _NotSolvable = NOT_SOLVABLE
+    for n_elem in (x for x in cands if lat.supports[x].bit_count() > 1):
+        partition = find_coset_partition(lat, n_elem, classes, limits=limits)
+        sub = lattice_derived_length(join_poset(lat, partition), limits=limits, _memo=_memo)
+        if sub is not NOT_SOLVABLE and (result is NOT_SOLVABLE or 1 + sub < result):
+            result = 1 + sub
     _memo.setdefault(key, []).append((lat, result))
     return result

@@ -138,7 +138,7 @@ def test_abort_matches_brute_force(rack):
     assert verify_rack_axioms(rack.op).is_rack
     assert enumerate_closed_masks(rack) == brute_force_closed_masks(rack)
     cap = DEFAULT_LIMITS.lattice_cap
-    raw = _enumerate_subtree(rack.op, rack.size, 0, 0, cap)
+    raw = _enumerate_subtree(rack.op, rack.size, cap)
     assert raw == full_closure_lectic(rack.op, rack.size)
 
 
@@ -211,7 +211,7 @@ class TestClosureAbort:
     def test_catalog_visiting_order_unchanged(self):
         for g in catalog_entries(12) + [get_group("S4")]:
             rows = group_rack(g).op
-            raw = _enumerate_subtree(rows, g.order, 0, 0, DEFAULT_LIMITS.lattice_cap)
+            raw = _enumerate_subtree(rows, g.order, DEFAULT_LIMITS.lattice_cap)
             assert raw == full_closure_lectic(rows, g.order), g.name
 
     def test_abort_returns_none_on_forbidden_point(self):
@@ -585,6 +585,35 @@ def test_maximal_boolean_matches_brute_force(sets):
     assert maximal_boolean_elements(lat) == brute_force_maximal_boolean(lat)
 
 
+def test_maximal_boolean_elements_returns_a_copy():
+    ab = get_abstract("S3", seed=3)
+    got = maximal_boolean_elements(ab)
+    expected = list(got)
+    got.append(-1)
+    got.reverse()
+    assert maximal_boolean_elements(ab) == ab.maximal_boolean == expected
+
+
+def all_pairs_coatoms(lat):
+    """Coatoms by definition: elements below top with nothing between."""
+    below_top = [x for x in range(lat.size) if x != lat.top]
+    return [x for x in below_top if not any(y != x and lat.leq(x, y) for y in below_top)]
+
+
+@given(closed_families().flatmap(st.permutations))
+@settings(max_examples=200, deadline=None)
+def test_proper_maximal_matches_all_pairs(sets):
+    lat = AbstractLattice(sets)
+    assert lat.proper_maximal == all_pairs_coatoms(lat)
+
+
+@pytest.mark.parametrize("sets", [[0], [0, 1], [1, 0]])
+def test_proper_maximal_of_one_and_two_elements(sets):
+    lat = AbstractLattice(sets)
+    expected = [] if len(sets) == 1 else [lat.bottom]
+    assert lat.proper_maximal == all_pairs_coatoms(lat) == expected
+
+
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=15, deadline=None)
 def test_shuffled_abstraction_always_isomorphic(seed):
@@ -734,6 +763,11 @@ class TestLatFormat:
         # non-integer member, non-integer and out-of-range abstract covers
         with pytest.raises(FormatError, match="bad element line '1 1 zz'"):
             parse_lattice("2 1\n0 0\n1 1 zz\nHASSE\n0 1\n")
+        # a repeated member, though its count matches the popcount field;
+        # a member written with a leading zero still reads as its number
+        with pytest.raises(FormatError, match="repeated member on line '3 3 0 1 1'"):
+            parse_lattice("4 2\n0 0\n1 1 0\n2 1 1\n3 3 0 1 1\n")
+        assert parse_lattice("4 2\n0 0\n1 1 00\n2 1 1\n3 2 0 01\n").elements == [0, 1, 2, 3]
         with pytest.raises(FormatError, match="bad cover line '0 a'"):
             parse_lattice("2 1\n0 0 -\n1 1 -\nHASSE\n0 a\n")
         with pytest.raises(FormatError, match="cover line '0 5'"):

@@ -4,6 +4,7 @@ import functools
 import gc
 import math
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -251,6 +252,64 @@ class TestPartitionBijection:
         p = [frozenset({1}), frozenset({2})]
         q = [frozenset({3}), frozenset({4})]
         assert matching_bijection_oracle(p, q) is None
+
+    def test_matching_oracle_leaves_no_cycles(self):
+        p = [frozenset({0, 1}), frozenset({2, 3})]
+        q = [frozenset({0, 2}), frozenset({1, 3})]
+        gc.collect()
+        gc.disable()
+        try:
+            assert matching_bijection_oracle(p, q) is not None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_matching_oracle_path_longer_than_recursion_limit(self):
+        # part i of P meets parts i and i + 1 of Q, and the last part meets
+        # only part 0, so the last search runs through every other part
+        m = sys.getrecursionlimit() + 10
+        edges = [(i, i + 1) for i in range(m - 1)] + [(m - 1, 0)]
+        p, q = edge_partitions(m, edges)
+        assert matching_bijection_oracle(p, q) == [*range(1, m), 0]
+
+
+def edge_partitions(m, edges):
+    """Two partitions of the edges (i, j) of a bipartite graph, by i and by
+    j: part i of the first meets part j of the second iff (i, j) is an edge."""
+    p, q = [set() for _ in range(m)], [set() for _ in range(m)]
+    for i, j in edges:
+        p[i].add((i, j))
+        q[j].add((i, j))
+    return [frozenset(x) for x in p], [frozenset(x) for x in q]
+
+
+def recursive_matching(p_parts, q_parts):
+    """Reference matcher: the same augmenting-path search as a recursion."""
+    m = len(p_parts)
+    adj = [[j for j in range(m) if p_parts[i] & q_parts[j]] for i in range(m)]
+    match_q = [None] * m
+
+    def augment(i, seen):
+        for j in adj[i]:
+            if j not in seen:
+                seen.add(j)
+                if match_q[j] is None or augment(match_q[j], seen):
+                    match_q[j] = i
+                    return True
+        return False
+
+    if not all(augment(i, set()) for i in range(m)):
+        return None
+    return [match_q.index(i) for i in range(m)]
+
+
+@given(st.integers(1, 7).flatmap(
+    lambda m: st.tuples(st.just(m), st.sets(st.tuples(st.integers(0, m - 1),
+                                                      st.integers(0, m - 1))))))
+@settings(max_examples=200, deadline=None)
+def test_matching_oracle_matches_recursion(graph):
+    p, q = edge_partitions(*graph)
+    assert matching_bijection_oracle(p, q) == recursive_matching(p, q)
 
 
 @st.composite

@@ -1,5 +1,7 @@
 """The verification scan and the command-line interface."""
 
+from functools import cached_property
+
 import pytest
 
 from rackle import full_verification, pairs_scan, verify_group
@@ -7,6 +9,7 @@ from rackle import cli
 from rackle.cli import main
 from rackle.config import DEFAULT_LIMITS
 from rackle.groups import load_group
+from rackle.lattice import AbstractLattice
 from rackle.scan import _coset_join_check
 
 from conftest import GL23_PATH, get_group
@@ -102,6 +105,27 @@ class TestCli:
         text = capsys.readouterr().out
         assert "classes" in text and "derived" in text
 
+    def test_invariants_reads_maximal_boolean_once(self, tmp_path, capsys, monkeypatch):
+        # cli invariants, max_normal_abelian and the derived-length recursion
+        # all read the maximal Boolean elements; each lattice computes them once
+        calls = []
+        compute = AbstractLattice.maximal_boolean.func
+
+        def counted(lat):
+            calls.append(lat)
+            return compute(lat)
+
+        prop = cached_property(counted)
+        prop.__set_name__(AbstractLattice, "maximal_boolean")
+        monkeypatch.setattr(AbstractLattice, "maximal_boolean", prop)
+        out = tmp_path / "s4.lat"
+        assert run_cli("lattice", "build", "--in", "S4", "--out", str(out)) == 0
+        assert run_cli("invariants", "--lattice", str(out)) == 0
+        assert "derived length (lattice only): 3" in capsys.readouterr().out
+        # the file's lattice and the quotient lattices of the recursion
+        assert len(calls) > 1
+        assert len({id(lat) for lat in calls}) == len(calls)
+
     def test_derive_agreement(self, capsys):
         assert run_cli("derive", "--group", "S3") == 0
         out = capsys.readouterr().out
@@ -160,6 +184,7 @@ class TestCli:
             "2 1\n0 0 -\n1 1 -\nHASSE\n0 5\n",
             "1 1\n0 1 0\n",                    # no empty subrack
             "3 2\n0 0\n1 1 0\n2 1 1\n",      # no top
+            "4 2\n0 0\n1 1 0\n2 1 1\n3 3 0 1 1\n",  # a repeated member
         ]
         good = tmp_path / "s3.lat"
         assert run_cli("lattice", "build", "--in", "S3", "--out", str(good)) == 0
