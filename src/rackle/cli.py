@@ -43,32 +43,27 @@ from .topology import (
 )
 
 
+# cap flag -> (Limits field, help); each subcommand registers the flags it reads
+_CAP_FLAGS = {
+    "--lattice-cap": ("lattice_cap", "max number of lattice elements"),
+    "--subgroup-cap": ("subgroup_cap", "max group order for subgroup enumeration"),
+    "--iso-budget": ("iso_node_budget", "atom placements in the isomorphism search"),
+    "--budget": ("tuple_budget", "exhaustive tuple checking up to this many tuples"),
+    "--samples": ("sample_count", "sample count above the tuple budget"),
+}
+
+
 def _limits_from(args: argparse.Namespace) -> Limits:
-    lim = DEFAULT_LIMITS
-    overrides = {}
-    for flag, field in (
-        ("ground_cap", "ground_cap"),
-        ("lattice_cap", "lattice_cap"),
-        ("subgroup_cap", "subgroup_cap"),
-        ("iso_budget", "iso_node_budget"),
-        ("budget", "tuple_budget"),
-        ("samples", "sample_count"),
-    ):
-        val = getattr(args, flag, None)
-        if val is not None:
-            overrides[field] = val
-    return lim.with_(**overrides) if overrides else lim
+    return DEFAULT_LIMITS.with_(**{
+        field: val for field, _ in _CAP_FLAGS.values()
+        if (val := getattr(args, field, None)) is not None
+    })
 
 
-def _add_cap_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--ground-cap", type=int, dest="ground_cap")
-    p.add_argument("--lattice-cap", type=int, dest="lattice_cap")
-    p.add_argument("--subgroup-cap", type=int, dest="subgroup_cap")
-    p.add_argument("--iso-budget", type=int, dest="iso_budget")
-    p.add_argument("--budget", type=int, dest="budget",
-                   help="exhaustive tuple checking up to this many tuples")
-    p.add_argument("--samples", type=int, dest="samples",
-                   help="sample count above the tuple budget")
+def _add_cap_flags(p: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        field, help_ = _CAP_FLAGS[flag]
+        p.add_argument(flag, type=int, dest=field, help=help_)
 
 
 def _resolve_group(ref: str, limits: Limits) -> FiniteGroup:
@@ -197,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     group_sub = p_group.add_subparsers(dest="group_command", required=True)
     p_info = group_sub.add_parser("info", help="order, invariants, classes")
     p_info.add_argument("group", help="catalog name or .cay/.pgen file")
-    _add_cap_flags(p_info)
     p_info.set_defaults(func=_cmd_group_info)
 
     p_lat = sub.add_parser("lattice", help="lattice construction")
@@ -206,12 +200,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--in", dest="infile", required=True,
                          help="group name, group file, or .rk rack file")
     p_build.add_argument("--out", dest="outfile", required=True)
-    _add_cap_flags(p_build)
+    _add_cap_flags(p_build, "--lattice-cap")
     p_build.set_defaults(func=_cmd_lattice_build)
 
     p_inv = sub.add_parser("invariants", help="lattice-only reconstruction")
     p_inv.add_argument("--lattice", required=True, help=".lat file")
-    _add_cap_flags(p_inv)
+    _add_cap_flags(p_inv, "--budget", "--samples")
     p_inv.set_defaults(func=_cmd_invariants)
 
     p_der = sub.add_parser("derive", help="derived length from the lattice")
@@ -219,18 +213,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_der.add_argument("--lattice-only", action="store_true")
     p_der.add_argument("--seed", type=int, default=None,
                        help="shuffle seed for the abstract lattice")
-    _add_cap_flags(p_der)
+    _add_cap_flags(p_der, "--lattice-cap", "--budget", "--samples")
     p_der.set_defaults(func=_cmd_derive)
 
     p_cmp = sub.add_parser("compare", help="poset isomorphism of two lattices")
     p_cmp.add_argument("a", help="first .lat file")
     p_cmp.add_argument("b", help="second .lat file")
-    _add_cap_flags(p_cmp)
+    _add_cap_flags(p_cmp, "--iso-budget")
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_top = sub.add_parser("topology", help="Mobius and Euler characteristics")
     p_top.add_argument("--group", required=True)
-    _add_cap_flags(p_top)
+    _add_cap_flags(p_top, "--lattice-cap")
     p_top.set_defaults(func=_cmd_topology)
 
     p_ver = sub.add_parser("verify", help="full catalog verification report")
@@ -238,7 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--exhaustive", action="store_true",
                        help="never sample; sweep every representative tuple")
-    _add_cap_flags(p_ver)
+    _add_cap_flags(
+        p_ver, "--lattice-cap", "--subgroup-cap", "--iso-budget", "--budget", "--samples"
+    )
     p_ver.set_defaults(func=_cmd_verify)
     return parser
 

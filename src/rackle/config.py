@@ -1,9 +1,11 @@
 """Caps and budgets.
 
-Every cap is configuration: the defaults keep desk-scale inputs fast, and
-callers (or CLI flags) may raise them. The quotient step has no cap of its
-own: its join poset costs about |quotient lattice| × parts joins, and its
-partition search is pruned by condition C3 on pairs of parts.
+Every cap guards a cost some input reaches: the defaults keep desk-scale
+inputs fast, and callers (or the CLI flags of the subcommands that read them)
+may raise them. Which catalog groups a sweep runs is set by its max_order, not
+here. The quotient step has no cap of its own: its join poset costs about
+|quotient lattice| × parts joins, and its partition search is pruned by
+condition C3 on pairs of parts.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ from dataclasses import dataclass, replace
 class Limits:
     generation_cap: int = 10_000      # max order for permutation-generated groups
     subgroup_cap: int = 48            # max |G| for full subgroup enumeration
-    ground_cap: int = 30              # max group order in the catalog sweeps (scan.py);
-                                      # enumeration itself is bounded by lattice_cap
     lattice_cap: int = 2_000_000      # max number of lattice elements
     iso_node_budget: int = 10_000_000 # atom placements in the isomorphism search
     tuple_budget: int = 10_000        # exhaustive representative-tuple checks up to here

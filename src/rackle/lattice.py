@@ -596,7 +596,8 @@ def _in_order(a: int, b: int) -> bool:
 def parse_lattice(text: str, name: str = "") -> AbstractLattice:
     """Read a .lat file; concrete when member lists are present. Lines are
     read lazily, so the HASSE section of an older concrete file is skipped.
-    A member list that repeats a member is rejected."""
+    A member list that repeats a member, or a top that is not the whole
+    ground set, is rejected."""
     lines = filter(None, (ln.split("#", 1)[0].strip() for ln in text.splitlines()))
     header = next(lines, None)
     if header is None:
@@ -624,6 +625,10 @@ def parse_lattice(text: str, name: str = "") -> AbstractLattice:
                 raise FormatError(f"cover line {ln!r} names an element outside [0,{n})")
             pairs.append((c, p))
         return abstract_from_cover_pairs(n, pairs)
+    # the top's line lists every point, so the text bounds the ground size;
+    # checked before any member bit is built, with room to spare
+    if not 0 <= ground <= 8 * len(text):
+        raise FormatError(f"header ground size {ground} is not one the file could list")
     bit: dict[str, int] = {}             # tokens read so far, not all of range(ground)
     masks = [0] * n
     seen_ids = bytearray(n)
@@ -654,6 +659,8 @@ def parse_lattice(text: str, name: str = "") -> AbstractLattice:
         raise FormatError("duplicate element bitsets")
     if not all(map(_in_order, masks, masks[1:])):
         raise FormatError("elements are not in popcount-then-lex order")
+    if masks[-1] != (1 << ground) - 1:
+        raise FormatError(f"the last element is not the whole ground set of {ground} points")
     return SubrackLattice(elements=masks, ground_size=ground, name=name)
 
 

@@ -26,7 +26,7 @@ from .errors import (
     NotNormal,
 )
 from .groups import NOT_SOLVABLE, FiniteGroup, _NotSolvable, is_normal, is_subgroup
-from .lattice import AbstractLattice, are_isomorphic, order_key
+from .lattice import AbstractLattice, order_key
 from .racks import bits, group_rack, is_closed_mask, mask_of
 
 
@@ -487,15 +487,8 @@ def join_poset(
     return AbstractLattice([part_sets[s] for s in sorted(part_sets, key=key)])
 
 
-def _memo_key(lat: AbstractLattice) -> tuple:
-    pops = tuple(sorted(s.bit_count() for s in lat.supports))
-    return (lat.size, lat.n_atoms, pops)
-
-
 def lattice_derived_length(
-    lat: AbstractLattice,
-    limits: Limits = DEFAULT_LIMITS,
-    _memo: dict | None = None,
+    lat: AbstractLattice, limits: Limits = DEFAULT_LIMITS
 ) -> int | _NotSolvable:
     """Derived length read off the lattice alone.
 
@@ -503,26 +496,19 @@ def lattice_derived_length(
     general: recover classes, take the maximal normal abelian candidates; if
     they are all single atoms the recursion has stalled and the group cannot
     be solvable; otherwise recurse into each candidate's quotient lattice and
-    take the minimum. Memoized up to isomorphism within one run.
+    take the minimum.
     """
-    if _memo is None:
-        _memo = {}
     if lat.n_atoms <= 1:
         return 0
     if lat.is_boolean():
         return 1
-    key = _memo_key(lat)
-    for cached_lat, cached_val in _memo.get(key, ()):
-        if are_isomorphic(cached_lat, lat, limits=limits) is not None:
-            return cached_val
     classes = recover_classes(lat)
     cands = max_normal_abelian(lat, classes)
     # with no nontrivial candidate the recursion stalls: not solvable
     result: int | _NotSolvable = NOT_SOLVABLE
     for n_elem in (x for x in cands if lat.supports[x].bit_count() > 1):
         partition = find_coset_partition(lat, n_elem, classes, limits=limits)
-        sub = lattice_derived_length(join_poset(lat, partition), limits=limits, _memo=_memo)
+        sub = lattice_derived_length(join_poset(lat, partition), limits=limits)
         if sub is not NOT_SOLVABLE and (result is NOT_SOLVABLE or 1 + sub < result):
             result = 1 + sub
-    _memo.setdefault(key, []).append((lat, result))
     return result

@@ -99,9 +99,7 @@ class TestEnumeration:
         assert keys == sorted(keys)
 
     def test_ground_cap(self):
-        # the ground cap filters catalog sweeps only; enumeration is bounded
-        # by its output, so A5 (60 points, over the cap) enumerates here
-        assert DEFAULT_LIMITS.ground_cap < 60
+        # enumeration is bounded by its output, so A5 (60 points) enumerates
         assert get_lattice("A5").size == 490
         lim = DEFAULT_LIMITS.with_(lattice_cap=489)
         with pytest.raises(TooLarge):
@@ -768,6 +766,14 @@ class TestLatFormat:
         with pytest.raises(FormatError, match="repeated member on line '3 3 0 1 1'"):
             parse_lattice("4 2\n0 0\n1 1 0\n2 1 1\n3 3 0 1 1\n")
         assert parse_lattice("4 2\n0 0\n1 1 00\n2 1 1\n3 2 0 01\n").elements == [0, 1, 2, 3]
+        # a ground size the file cannot list is rejected before any member
+        # bit is built; a top short of the ground set is no subrack lattice
+        with pytest.raises(FormatError, match="header ground size 100000000"):
+            parse_lattice("2 100000000\n0 0\n1 1 99999999\n")
+        with pytest.raises(FormatError, match="header ground size -1"):
+            parse_lattice("1 -1\n0 0\n")
+        with pytest.raises(FormatError, match="not the whole ground set of 3 points"):
+            parse_lattice("2 3\n0 0\n1 2 0 1\n")
         with pytest.raises(FormatError, match="bad cover line '0 a'"):
             parse_lattice("2 1\n0 0 -\n1 1 -\nHASSE\n0 a\n")
         with pytest.raises(FormatError, match="cover line '0 5'"):

@@ -26,27 +26,31 @@ class TestVerifyGroup:
         assert not [ln for ln in lines if ln.startswith("FAIL")]
 
     def test_oversized_group_skips(self):
+        # A5 (60 points) runs every check; only the subgroup oracle is over its cap
         lines = verify_group(get_group("A5"))
-        assert len(lines) == 1 and lines[0].startswith("SKIP")
+        assert not [ln for ln in lines if ln.startswith("FAIL")], lines
+        assert [ln for ln in lines if ln.startswith("SKIP")] == [
+            "SKIP boolean-elements A5 order over subgroup cap"
+        ]
+        assert any(ln.startswith("PASS derive A5") and "NOT_SOLVABLE" in ln for ln in lines)
 
     def test_exhaustive_mode(self):
         lines = verify_group(get_group("S3"), exhaustive=True)
         assert not [ln for ln in lines if ln.startswith("FAIL")]
 
-    @pytest.mark.xfail(strict=True, reason=(
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
         "known defect: on unseeded labels the coset-partition search returns, "
         "for N = Z(GL(2,3)), a 24-part partition that is not the coset "
         "partition; it passes C1, C2 and sampled C3, but its join poset has "
         "252 elements against S4's 212, so quotient-poset FAILs"))
     def test_gl23_all_pass(self):
         g = load_group(GL23_PATH)
-        lines = verify_group(g, limits=DEFAULT_LIMITS.with_(ground_cap=48))
+        lines = verify_group(g)
         assert not [ln for ln in lines if ln.startswith("FAIL")]
 
     def test_gl23_coset_joins(self):
         g = load_group(GL23_PATH)
-        line = _coset_join_check(g, "gl23", DEFAULT_LIMITS.with_(ground_cap=48),
-                                 seed=0, exhaustive=False)
+        line = _coset_join_check(g, "gl23", DEFAULT_LIMITS, seed=0, exhaustive=False)
         assert line == "PASS coset-joins gl23 3672 tuples across 5 normal subgroups"
 
     def test_deterministic(self):
@@ -185,6 +189,7 @@ class TestCli:
             "1 1\n0 1 0\n",                    # no empty subrack
             "3 2\n0 0\n1 1 0\n2 1 1\n",      # no top
             "4 2\n0 0\n1 1 0\n2 1 1\n3 3 0 1 1\n",  # a repeated member
+            "2 100000000\n0 0\n1 1 99999999\n",   # ground size the file cannot list
         ]
         good = tmp_path / "s3.lat"
         assert run_cli("lattice", "build", "--in", "S3", "--out", str(good)) == 0
@@ -199,9 +204,36 @@ class TestCli:
         assert run_cli("group", "info", "/no/such/file.cay") == 2
 
     def test_cap_flag_throttles(self, capsys):
-        # the ground cap limits which catalog groups the sweep enumerates
-        assert run_cli("verify", "--order-max", "6", "--ground-cap", "4") == 0
-        assert "SKIP enumerate S3 ground set 6 over cap 4" in capsys.readouterr().out
+        # the subgroup cap limits which groups get the subgroup oracle
+        assert run_cli("verify", "--order-max", "6", "--subgroup-cap", "4") == 0
+        assert "SKIP boolean-elements S3 order over subgroup cap" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, flags", [
+        pytest.param(["group", "info", "S3"], (), id="group-info"),
+        pytest.param(["lattice", "build", "--in", "S3", "--out", "s3.lat"],
+                     ("--lattice-cap",), id="lattice-build"),
+        pytest.param(["invariants", "--lattice", "s3.lat"], ("--budget", "--samples"),
+                     id="invariants"),
+        pytest.param(["derive", "--group", "S3"], ("--lattice-cap", "--budget", "--samples"),
+                     id="derive"),
+        pytest.param(["compare", "a.lat", "b.lat"], ("--iso-budget",), id="compare"),
+        pytest.param(["topology", "--group", "S3"], ("--lattice-cap",), id="topology"),
+        pytest.param(["verify"], ("--lattice-cap", "--subgroup-cap", "--iso-budget",
+                                  "--budget", "--samples"), id="verify"),
+    ])
+    def test_cap_flags_per_subcommand(self, argv, flags, capsys):
+        # a subcommand takes exactly the cap flags its code path reads
+        parser = cli.build_parser()
+        for flag in ("--ground-cap", "--lattice-cap", "--subgroup-cap", "--iso-budget",
+                     "--budget", "--samples"):
+            if flag in flags:
+                limits = cli._limits_from(parser.parse_args([*argv, flag, "7"]))
+                assert limits != DEFAULT_LIMITS and 7 in vars(limits).values()
+            else:
+                with pytest.raises(SystemExit) as exc:
+                    run_cli(*argv, flag, "7")
+                assert exc.value.code == 2
+                assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_unknown_derive_group(self, capsys):
         assert run_cli("derive", "--group", "NoSuchGroup") == 2
