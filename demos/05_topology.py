@@ -13,7 +13,6 @@ from rackle import (
     enumerate_subrack_lattice,
     group_rack,
     mobius_bottom_top,
-    proper_part,
     reduced_euler_characteristic,
     to_abstract,
 )
@@ -28,9 +27,8 @@ for name in ("Z2", "Z4", "S3", "D4", "Q8", "A4", "D5", "D6", "S4"):
     c = conjugacy_classes(g).count
     mu = mobius_bottom_top(ab)
 
-    pp = proper_part(ab)
-    if pp.size <= DEFAULT_LIMITS.chain_count_cap:
-        chi = reduced_euler_characteristic(pp)
+    if ab.size - 2 <= DEFAULT_LIMITS.chain_count_cap:
+        chi = reduced_euler_characteristic(ab)
         chi_text = str(chi)
     else:
         chi, chi_text = None, "-"

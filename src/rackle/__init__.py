@@ -75,11 +75,7 @@ from .reconstruct import (
     partition_bijection,
     recover_classes,
 )
-from .topology import (
-    mobius_bottom_top,
-    proper_part,
-    reduced_euler_characteristic,
-)
+from .topology import mobius_bottom_top, reduced_euler_characteristic
 from .catalog import (
     alternating,
     catalog_entries,

@@ -21,6 +21,7 @@ from .groups import (
     parse_cayley,
 )
 from .lattice import AbstractLattice, parse_lattice
+from .textio import stem
 
 
 def cyclic(n: int) -> FiniteGroup:
@@ -112,20 +113,17 @@ def fixture_text(filename: str) -> str:
 
 
 def fixture_group(filename: str) -> FiniteGroup:
-    stem = filename.rsplit(".", 1)[0]
-    return parse_cayley(fixture_text(filename), name=stem)
+    return parse_cayley(fixture_text(filename), name=stem(filename))
 
 
 def fixture_lattice(filename: str) -> AbstractLattice:
-    stem = filename.rsplit(".", 1)[0]
-    return parse_lattice(fixture_text(filename), name=stem)
+    return parse_lattice(fixture_text(filename), name=stem(filename))
 
 
 def sl23() -> FiniteGroup:
     """The order-24 fixture: a dicyclic (quaternion) normal part extended by
     an order-3 rotation; derived length 3."""
-    g = fixture_group("sl23.cay")
-    return g
+    return fixture_group("sl23.cay")
 
 
 def stall_lattice() -> AbstractLattice:
@@ -137,25 +135,21 @@ def stall_lattice() -> AbstractLattice:
 # the catalog
 
 
-def _product(a: FiniteGroup, b: FiniteGroup, name: str) -> FiniteGroup:
-    return direct_product(a, b, name=name)
-
-
 def catalog_entries(max_order: int = 12) -> list[FiniteGroup]:
     """Catalog groups of order up to max_order, in (order, name) order."""
     z2, z3, z4 = cyclic(2), cyclic(3), cyclic(4)
     out: list[FiniteGroup] = [cyclic(1)]
     out += [cyclic(n) for n in range(2, 17)]
     out += [
-        _product(z2, z2, "Z2xZ2"),
-        _product(z4, z2, "Z4xZ2"),
-        _product(_product(z2, z2, "Z2xZ2"), z2, "Z2xZ2xZ2"),
-        _product(z3, z3, "Z3xZ3"),
-        _product(cyclic(6), z2, "Z6xZ2"),
-        _product(cyclic(8), z2, "Z8xZ2"),
-        _product(z4, z4, "Z4xZ4"),
-        _product(_product(z4, z2, "Z4xZ2"), z2, "Z4xZ2xZ2"),
-        _product(_product(_product(z2, z2, "x"), z2, "x"), z2, "Z2xZ2xZ2xZ2"),
+        direct_product(z2, z2, "Z2xZ2"),
+        direct_product(z4, z2, "Z4xZ2"),
+        direct_product(direct_product(z2, z2, "Z2xZ2"), z2, "Z2xZ2xZ2"),
+        direct_product(z3, z3, "Z3xZ3"),
+        direct_product(cyclic(6), z2, "Z6xZ2"),
+        direct_product(cyclic(8), z2, "Z8xZ2"),
+        direct_product(z4, z4, "Z4xZ4"),
+        direct_product(direct_product(z4, z2, "Z4xZ2"), z2, "Z4xZ2xZ2"),
+        direct_product(direct_product(direct_product(z2, z2, "x"), z2, "x"), z2, "Z2xZ2xZ2xZ2"),
         symmetric(3),
         dihedral(8),
         dicyclic(8),
@@ -166,8 +160,8 @@ def catalog_entries(max_order: int = 12) -> list[FiniteGroup]:
         dihedral(14),
         dihedral(16),
         dicyclic(16),
-        _product(z2, dihedral(8), "Z2xD4"),
-        _product(z2, dicyclic(8), "Z2xQ8"),
+        direct_product(z2, dihedral(8), "Z2xD4"),
+        direct_product(z2, dicyclic(8), "Z2xQ8"),
         symmetric(4),
         sl23(),
         alternating(5),

@@ -7,12 +7,14 @@ operation is a pure function.
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import BadIndex, FormatError, NotAGroup, NotNormal, TooLarge
+from .textio import content_lines, format_table, ints, parse_table, read_file
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -544,33 +546,17 @@ def direct_product(a: FiniteGroup, b: FiniteGroup, name: str = "") -> FiniteGrou
 
 
 def parse_cayley(text: str, name: str = "") -> FiniteGroup:
-    """Cayley table text: first line n, then n rows of n indices. '#' comments."""
-    lines = [
-        ln.split("#", 1)[0].strip()
-        for ln in text.splitlines()
-    ]
-    lines = [ln for ln in lines if ln]
-    if not lines:
-        raise FormatError("empty table file")
+    """Cayley table text: first line n, then n rows of n indices. '#' comments.
+
+    A table that is no group raises FormatError naming the reason."""
     try:
-        n = int(lines[0])
-    except ValueError as exc:
-        raise FormatError(f"bad order line {lines[0]!r}") from exc
-    if len(lines) != n + 1:
-        raise FormatError(f"expected {n} table rows, found {len(lines) - 1}")
-    table = []
-    for ln in lines[1:]:
-        try:
-            row = [int(tok) for tok in ln.split()]
-        except ValueError as exc:
-            raise FormatError(f"bad table row {ln!r}") from exc
-        table.append(row)
-    return group_from_cayley_table(table, name=name)
+        return group_from_cayley_table(parse_table(text), name=name)
+    except NotAGroup as exc:
+        raise FormatError(f"table is not a group: {exc.reason}") from exc
 
 
 def format_cayley(g: FiniteGroup) -> str:
-    rows = [" ".join(str(x) for x in row) for row in g.mul]
-    return "\n".join([str(g.order)] + rows) + "\n"
+    return format_table(g.mul)
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -587,10 +573,7 @@ def parse_cycles(line: str, degree: int) -> tuple[int, ...]:
     perm = list(range(degree))
     seen: set[int] = set()
     for body in _CYCLE_RE.findall(stripped):
-        try:
-            pts = [int(tok) for tok in body.split()]
-        except ValueError as exc:
-            raise FormatError(f"bad cycle {body!r}") from exc
+        pts = ints(body.split(), "cycle", body)
         if not pts:
             continue
         for p in pts:
@@ -606,31 +589,19 @@ def parse_cycles(line: str, degree: int) -> tuple[int, ...]:
 
 def parse_pgen(text: str, name: str = "", limits: Limits = DEFAULT_LIMITS) -> FiniteGroup:
     """Permutation-generator text: first line degree, then one generator per line."""
-    lines = [
-        ln.split("#", 1)[0].strip()
-        for ln in text.splitlines()
-    ]
-    lines = [ln for ln in lines if ln]
+    lines = list(content_lines(text))
     if not lines:
         raise FormatError("empty generator file")
-    try:
-        degree = int(lines[0])
-    except ValueError as exc:
-        raise FormatError(f"bad degree line {lines[0]!r}") from exc
+    (degree,) = ints(lines[:1], "degree line", lines[0])
     gens = [parse_cycles(ln, degree) for ln in lines[1:]]
     return group_from_permutation_generators(degree, gens, name=name, limits=limits)
 
 
 def load_group(path: str, limits: Limits = DEFAULT_LIMITS) -> FiniteGroup:
     """Load a .cay or .pgen file, picking the parser by extension."""
-    import os
-
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    base = os.path.basename(path)
-    stem = base.rsplit(".", 1)[0]
+    text, name = read_file(path)
     if path.endswith(".pgen"):
-        return parse_pgen(text, name=stem, limits=limits)
+        return parse_pgen(text, name=name, limits=limits)
     if path.endswith(".cay"):
-        return parse_cayley(text, name=stem)
-    raise FormatError(f"unknown group file extension on {base!r}")
+        return parse_cayley(text, name=name)
+    raise FormatError(f"unknown group file extension on {os.path.basename(path)!r}")

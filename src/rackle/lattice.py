@@ -10,7 +10,6 @@ claims to be "lattice only" reads the supports and nothing else.
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
@@ -28,6 +27,7 @@ from .racks import (
     mask_of,
     moves_of,
 )
+from .textio import content_lines, ints, read_file
 
 
 # bit b of byte k is bit 7 - b of entry k
@@ -579,13 +579,6 @@ def format_abstract(lat: AbstractLattice) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _ints(tokens: Sequence[str], what: str, line: str) -> list[int]:
-    try:
-        return list(map(int, tokens))
-    except ValueError:
-        raise FormatError(f"bad {what} {line!r}") from None
-
-
 def _in_order(a: int, b: int) -> bool:
     """a before b in popcount-then-lex order; ties break at the lowest bit of a ^ b."""
     ka, kb = a.bit_count(), b.bit_count()
@@ -598,14 +591,14 @@ def parse_lattice(text: str, name: str = "") -> AbstractLattice:
     read lazily, so the HASSE section of an older concrete file is skipped.
     A member list that repeats a member, or a top that is not the whole
     ground set, is rejected."""
-    lines = filter(None, (ln.split("#", 1)[0].strip() for ln in text.splitlines()))
+    lines = content_lines(text)
     header = next(lines, None)
     if header is None:
         raise FormatError("empty lattice file")
     head = header.split()
     if len(head) != 2:
         raise FormatError(f"bad header {header!r}")
-    n, ground = _ints(head, "header", header)
+    n, ground = ints(head, "header", header)
     if n < 1:
         raise FormatError(f"bad header {header!r}: a lattice has at least one element")
     body = list(islice(lines, n))
@@ -620,7 +613,7 @@ def parse_lattice(text: str, name: str = "") -> AbstractLattice:
             toks = ln.split()
             if len(toks) != 2:
                 raise FormatError(f"bad cover line {ln!r}")
-            c, p = _ints(toks, "cover line", ln)
+            c, p = ints(toks, "cover line", ln)
             if not (0 <= c < n and 0 <= p < n):
                 raise FormatError(f"cover line {ln!r} names an element outside [0,{n})")
             pairs.append((c, p))
@@ -640,8 +633,8 @@ def parse_lattice(text: str, name: str = "") -> AbstractLattice:
         try:
             mask, members = reduce(or_, map(bit.__getitem__, rest), 0), []
         except KeyError:                 # a new token, or "zz": through int()
-            mask, members = 0, _ints(rest, "element line", ln)
-        idx, pop = _ints(toks[:2], "element line", ln)
+            mask, members = 0, ints(rest, "element line", ln)
+        idx, pop = ints(toks[:2], "element line", ln)
         if not (0 <= idx < n) or seen_ids[idx]:
             raise FormatError(f"bad element id {idx}")
         seen_ids[idx] = 1
@@ -665,10 +658,8 @@ def parse_lattice(text: str, name: str = "") -> AbstractLattice:
 
 
 def load_lattice(path: str) -> AbstractLattice:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    stem = os.path.basename(path).rsplit(".", 1)[0]
-    return parse_lattice(text, name=stem)
+    text, name = read_file(path)
+    return parse_lattice(text, name=name)
 
 
 def save_lattice(path: str, lat: AbstractLattice) -> None:

@@ -20,6 +20,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import BadIndex, FormatError, NotPrime
 from .groups import FiniteGroup, conjugacy_classes
+from .textio import format_table, parse_table, read_file
 
 OpTable = tuple[tuple[int, ...], ...]
 
@@ -92,19 +93,24 @@ def verify_rack_axioms(op: Sequence[Sequence[int]]) -> AxiomReport:
 # constructors from groups
 
 
+def _conjugation_rack(
+    g: FiniteGroup, members: Sequence[int], source: str, name: str
+) -> ConjugationRack:
+    """Conjugation a ▷ b = a b a^-1 on members, a subset closed under it;
+    point i of the rack is members[i]."""
+    pos = {x: i for i, x in enumerate(members)}
+    return ConjugationRack(
+        size=len(members),
+        op=tuple(tuple(pos[g.conj(a, b)] for b in members) for a in members),
+        ground_labels=tuple(members),
+        source=source,
+        name=name,
+    )
+
+
 def group_rack(g: FiniteGroup) -> ConjugationRack:
     """Whole-group conjugation quandle: op[a][b] = a b a^-1."""
-    n = g.order
-    op = tuple(
-        tuple(g.conj(a, b) for b in range(n)) for a in range(n)
-    )
-    return ConjugationRack(
-        size=n,
-        op=op,
-        ground_labels=tuple(range(n)),
-        source="group-rack",
-        name=g.name,
-    )
+    return _conjugation_rack(g, range(g.order), "group-rack", g.name)
 
 
 def conjugacy_class_rack(g: FiniteGroup, class_index: int) -> ConjugationRack:
@@ -112,17 +118,8 @@ def conjugacy_class_rack(g: FiniteGroup, class_index: int) -> ConjugationRack:
     cc = conjugacy_classes(g)
     if not (0 <= class_index < cc.count):
         raise BadIndex(f"class index {class_index} out of range [0,{cc.count})")
-    members = cc.classes[class_index]
-    pos = {x: i for i, x in enumerate(members)}
-    op = tuple(
-        tuple(pos[g.conj(a, b)] for b in members) for a in members
-    )
-    return ConjugationRack(
-        size=len(members),
-        op=op,
-        ground_labels=tuple(members),
-        source="class-rack",
-        name=f"{g.name or 'G'}-class{class_index}",
+    return _conjugation_rack(
+        g, cc.classes[class_index], "class-rack", f"{g.name or 'G'}-class{class_index}"
     )
 
 
@@ -153,17 +150,7 @@ def p_power_rack(g: FiniteGroup, p: int) -> ConjugationRack:
             k //= p
         if k == 1:
             members.append(x)
-    pos = {x: i for i, x in enumerate(members)}
-    op = tuple(
-        tuple(pos[g.conj(a, b)] for b in members) for a in members
-    )
-    return ConjugationRack(
-        size=len(members),
-        op=op,
-        ground_labels=tuple(members),
-        source="p-power-rack",
-        name=f"{g.name or 'G'}-{p}power",
-    )
+    return _conjugation_rack(g, members, "p-power-rack", f"{g.name or 'G'}-{p}power")
 
 
 # ---------------------------------------------------------------------------
@@ -321,40 +308,17 @@ def is_closed_mask(rows: Sequence[Sequence[int]], mask: int) -> bool:
 
 def parse_rack(text: str, name: str = "") -> ConjugationRack:
     """Rack table text: first line m, then m rows of m indices. '#' comments."""
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines:
-        raise FormatError("empty rack file")
-    try:
-        m = int(lines[0])
-    except ValueError as exc:
-        raise FormatError(f"bad size line {lines[0]!r}") from exc
-    if len(lines) != m + 1:
-        raise FormatError(f"expected {m} table rows, found {len(lines) - 1}")
-    op = []
-    for ln in lines[1:]:
-        try:
-            row = tuple(int(tok) for tok in ln.split())
-        except ValueError as exc:
-            raise FormatError(f"bad table row {ln!r}") from exc
-        if len(row) != m or any(not (0 <= x < m) for x in row):
-            raise FormatError(f"row {ln!r} is not {m} indices in [0,{m})")
-        op.append(row)
+    op = tuple(parse_table(text))
     report = verify_rack_axioms(op)
     if not report.is_rack:
         raise FormatError(f"table violates rack axioms: {report.witnesses[0]}")
-    return ConjugationRack(size=m, op=tuple(op), source="raw", name=name)
+    return ConjugationRack(size=len(op), op=op, source="raw", name=name)
 
 
 def format_rack(rack: ConjugationRack) -> str:
-    rows = [" ".join(str(x) for x in row) for row in rack.op]
-    return "\n".join([str(rack.size)] + rows) + "\n"
+    return format_table(rack.op)
 
 
 def load_rack(path: str) -> ConjugationRack:
-    import os
-
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    stem = os.path.basename(path).rsplit(".", 1)[0]
-    return parse_rack(text, name=stem)
+    text, name = read_file(path)
+    return parse_rack(text, name=name)

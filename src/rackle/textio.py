@@ -1,0 +1,59 @@
+"""The line rules shared by the four text formats (.cay, .pgen, .rk, .lat).
+
+`#` starts a comment anywhere on a line, surrounding whitespace is stripped,
+and lines left empty are skipped. A token that should be an integer and is
+not raises FormatError naming the line it came from.
+"""
+
+from __future__ import annotations
+
+import os
+from typing import Iterator, Sequence
+
+from .errors import FormatError
+
+
+def content_lines(text: str) -> Iterator[str]:
+    """The non-empty lines of text with comments cut, produced lazily."""
+    return filter(None, (ln.split("#", 1)[0].strip() for ln in text.splitlines()))
+
+
+def ints(tokens: Sequence[str], what: str, line: str) -> list[int]:
+    try:
+        return list(map(int, tokens))
+    except ValueError:
+        raise FormatError(f"bad {what} {line!r}") from None
+
+
+def parse_table(text: str) -> list[tuple[int, ...]]:
+    """A square table (.cay, .rk): a line holding only the size n, then n
+    rows of n indices in [0, n)."""
+    lines = list(content_lines(text))
+    if not lines:
+        raise FormatError("empty table file")
+    (n,) = ints(lines[:1], "size line", lines[0])
+    if len(lines) != n + 1:
+        raise FormatError(f"expected {n} table rows, found {len(lines) - 1}")
+    table = []
+    for ln in lines[1:]:
+        row = tuple(ints(ln.split(), "table row", ln))
+        if len(row) != n or any(not (0 <= x < n) for x in row):
+            raise FormatError(f"row {ln!r} is not {n} indices in [0,{n})")
+        table.append(row)
+    return table
+
+
+def format_table(rows: Sequence[Sequence[int]]) -> str:
+    lines = [str(len(rows))] + [" ".join(map(str, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def stem(path: str) -> str:
+    """The file name without its directory and last extension."""
+    return os.path.basename(path).rsplit(".", 1)[0]
+
+
+def read_file(path: str) -> tuple[str, str]:
+    """The text of a file and its stem, which loaders use as the name."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read(), stem(path)

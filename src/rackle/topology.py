@@ -8,8 +8,6 @@ that statement is mu(bottom, top) = (-1)^c, checked here by Weisner's theorem
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .config import DEFAULT_LIMITS, Limits
 from .errors import TooLarge
 from .lattice import AbstractLattice
@@ -39,46 +37,26 @@ def mobius_bottom_top(lat: AbstractLattice) -> int:
     return mu
 
 
-@dataclass(frozen=True)
-class ProperPart:
-    """The lattice with its ends removed; order inherited."""
-
-    source: AbstractLattice
-    members: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    def leq(self, i: int, j: int) -> bool:
-        return self.source.leq(self.members[i], self.members[j])
-
-
-def proper_part(lat: AbstractLattice) -> ProperPart:
-    members = tuple(x for x in range(lat.size) if x not in (lat.bottom, lat.top))
-    return ProperPart(source=lat, members=members)
-
-
 def reduced_euler_characteristic(
-    part: ProperPart, limits: Limits = DEFAULT_LIMITS
+    lat: AbstractLattice, limits: Limits = DEFAULT_LIMITS
 ) -> int:
-    """Alternating chain count over the proper part.
+    """Alternating chain count over the proper part (bottom and top removed).
 
     A chain of k elements contributes (-1)^(k-1); the empty chain contributes
-    -1. Dynamic programming over a linear extension keeps it polynomial, and
-    Python integers absorb the growth.
+    -1. Supports sorted by popcount are a linear extension with bottom first
+    and top last, so one pass over the rest finishes every element after all
+    elements below it; Python integers absorb the growth. Only containment is
+    used, never Weisner's theorem, so this stays an independent check on
+    mobius_bottom_top.
     """
-    n = part.size
+    n = lat.size - 2
     if n > limits.chain_count_cap:
         raise TooLarge(
             f"chain counting capped at {limits.chain_count_cap} elements, got {n}"
         )
-    order = sorted(
-        range(n), key=lambda i: sum(1 for j in range(n) if part.leq(j, i))
-    )
-    # c[i] = signed count of chains whose maximum is element i
-    c: dict[int, int] = {}
-    for i in order:
-        below = [j for j in order if j != i and part.leq(j, i)]
-        c[i] = 1 - sum(c[j] for j in below)
-    return -1 + sum(c.values())
+    # (support, signed count of the chains whose maximum it is); supports are
+    # distinct, so an earlier one inside s lies strictly below it
+    counted: list[tuple[int, int]] = []
+    for s in sorted(lat.supports, key=int.bit_count)[1:-1]:
+        counted.append((s, 1 - sum(c for t, c in counted if t & s == t)))
+    return -1 + sum(c for _, c in counted)

@@ -203,6 +203,14 @@ class TestCli:
     def test_missing_file(self):
         assert run_cli("group", "info", "/no/such/file.cay") == 2
 
+    @pytest.mark.parametrize("text", ["2\n0 1\n1 1\n", "2\n0 1\n1\n"],
+                             ids=["not-latin", "ragged"])
+    def test_malformed_group_file_is_bad_input(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.cay"
+        bad.write_text(text)
+        assert run_cli("group", "info", str(bad)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_cap_flag_throttles(self, capsys):
         # the subgroup cap limits which groups get the subgroup oracle
         assert run_cli("verify", "--order-max", "6", "--subgroup-cap", "4") == 0

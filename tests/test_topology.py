@@ -11,7 +11,6 @@ from rackle import (
     group_rack,
     load_group,
     mobius_bottom_top,
-    proper_part,
     recover_classes,
     reduced_euler_characteristic,
     to_abstract,
@@ -62,6 +61,14 @@ def test_mobius_matches_recursion_on_families(sets):
     assert mobius_bottom_top(lat) == mobius_by_recursion(lat)
 
 
+@given(closed_families().flatmap(st.permutations))
+@settings(max_examples=300, deadline=None)
+def test_chain_count_matches_recursion_on_families(sets):
+    # Philip Hall: the reduced Euler characteristic of the proper part is mu
+    lat = AbstractLattice(sets)
+    assert reduced_euler_characteristic(lat) == mobius_by_recursion(lat)
+
+
 class TestMobius:
     def test_one_element(self):
         lat = AbstractLattice(supports=[0])
@@ -84,27 +91,27 @@ class TestMobius:
 
 
 class TestEulerCharacteristic:
-    def test_b2_proper_part_is_two_points(self):
+    def test_b2_two_incomparable_points(self):
+        # B2 minus its ends is two incomparable atoms: -1 + 2 one-point chains
         ab = get_abstract("Z2")
-        pp = proper_part(ab)
-        assert pp.size == ab.size - 2
-        assert reduced_euler_characteristic(pp) == 1
+        assert ab.size == 4 and len(ab.atoms) == 2
+        assert reduced_euler_characteristic(ab) == 1
 
     def test_s3(self):
-        assert reduced_euler_characteristic(proper_part(get_abstract("S3"))) == -1
+        assert reduced_euler_characteristic(get_abstract("S3")) == -1
 
     def test_agreement_with_mobius(self):
         for name in ("Z2", "Z3", "Z4", "S3", "D4", "Q8", "A4", "D5", "Z6"):
             ab = get_abstract(name)
-            chi = reduced_euler_characteristic(proper_part(ab))
+            chi = reduced_euler_characteristic(ab)
             assert chi == mobius_bottom_top(ab), name
 
     def test_cap(self):
         ab = get_abstract("S4")  # 210 proper elements, over the default cap
         with pytest.raises(TooLarge):
-            reduced_euler_characteristic(proper_part(ab))
+            reduced_euler_characteristic(ab)
         assert reduced_euler_characteristic(
-            proper_part(ab), limits=DEFAULT_LIMITS.with_(chain_count_cap=250)
+            ab, limits=DEFAULT_LIMITS.with_(chain_count_cap=250)
         ) == mobius_bottom_top(ab)
 
 
