@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import islice
 from operator import and_, or_
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
-from .errors import BadIndex, FormatError, IsomorphismTimeout, TooLarge
+from .errors import FormatError, IsomorphismTimeout, TooLarge
 from .racks import (
     ConjugationRack,
     bits,
@@ -211,28 +211,6 @@ class AbstractLattice:
                 y = ranked[(u & -u).bit_length() - 1]
             yield p, y
 
-    def cover_pairs(self) -> list[tuple[int, int]]:
-        """Hasse cover pairs (x, y), x covered by y, from joins with one atom.
-
-        For each x, count how many atoms p outside supp x give each join
-        y = x ∨ p. Every such p lies in supp y − supp x, and x ⋖ y exactly
-        when the count is |supp y| − |supp x|. If x ⋖ y, each atom q of y
-        outside x has x < x ∨ q ≤ y, so x ∨ q = y. If instead x < z < y,
-        pick q in supp z − supp x: then x ∨ q ≤ z < y, so q is an atom of y
-        outside x that gives another join and the count falls short. Every
-        upper cover y is x ∨ q for some such q, so none is missed.
-        """
-        sup = self.supports
-        full = (1 << self.n_atoms) - 1
-        pairs = []
-        for x, sx in enumerate(sup):
-            counts: dict[int, int] = {}
-            for _, y in self.atom_joins(x, full ^ sx):
-                counts[y] = counts.get(y, 0) + 1
-            k = sx.bit_count()
-            pairs.extend((x, y) for y, c in counts.items() if c == sup[y].bit_count() - k)
-        return pairs
-
     def atoms_below(self, x: int) -> list[int]:
         return [a for a in self.atoms if self.leq(a, x)]
 
@@ -376,66 +354,6 @@ def to_abstract(lat: AbstractLattice, seed: int | None = None) -> AbstractLattic
     return AbstractLattice(supports)
 
 
-def abstract_from_cover_pairs(
-    n: int, pairs: Iterable[tuple[int, int]]
-) -> AbstractLattice:
-    """Build an abstract lattice from Hasse cover pairs (child, parent).
-
-    The order must be bounded and atomistic: containment of atom supports
-    has to reproduce it exactly, or FormatError names a pair of elements
-    where it does not.
-    """
-    down = [1 << x for x in range(n)]
-    kids: dict[int, list[int]] = {}
-    indeg = [0] * n
-    for c, p in pairs:
-        if not (0 <= c < n and 0 <= p < n):
-            raise BadIndex("cover pair out of range")
-        kids.setdefault(c, []).append(p)
-        indeg[p] += 1
-    # propagate down-sets in topological order
-    order: list[int] = [x for x in range(n) if indeg[x] == 0]
-    head = 0
-    while head < len(order):
-        x = order[head]
-        head += 1
-        for p in kids.get(x, ()):  # parents
-            down[p] |= down[x]
-            indeg[p] -= 1
-            if indeg[p] == 0:
-                order.append(p)
-    if len(order) != n:
-        raise FormatError("cover relation contains a cycle")
-    bottoms = [x for x in range(n) if down[x].bit_count() == 1]
-    # a finite poset has one maximal element iff some element is above all
-    tops = [x for x in range(n) if down[x].bit_count() == n]
-    if len(bottoms) != 1 or len(tops) != 1:
-        raise FormatError("cover relation is not a bounded lattice")
-    bottom = bottoms[0]
-    atoms = [x for x in range(n) if x != bottom and down[x] == 1 << bottom | 1 << x]
-    supports = [0] * n
-    for i, a in enumerate(atoms):
-        supports[a] = 1 << i
-    for x in order:                      # children before parents
-        for p in kids.get(x, ()):
-            supports[p] |= supports[x]
-    # the elements with supports inside supp y are those above no atom
-    # outside it, and atomistic means they are exactly the elements below y
-    above = _columns(supports, len(atoms))
-    full = (1 << len(atoms)) - 1
-    everything = (1 << n) - 1
-    for y, sy in enumerate(supports):
-        outside = reduce(or_, (above[i] for i in bits(full ^ sy)), 0)
-        wrong = everything & ~outside & ~down[y]
-        if wrong:
-            x = (wrong & -wrong).bit_length() - 1
-            raise FormatError(
-                f"elements {x} and {y}: the atoms below {x} are all below "
-                f"{y}, but {x} is not below {y}, so the order is not atomistic"
-            )
-    return AbstractLattice(supports)
-
-
 # ---------------------------------------------------------------------------
 # isomorphism
 
@@ -554,28 +472,18 @@ def check_isomorphism(
 # .lat format
 
 
-def format_lattice(lat: SubrackLattice) -> str:
-    """Concrete export: the header and one line of members per element."""
-    lines = [f"{lat.size} {lat.ground_size}"]
-    for i, mask in enumerate(lat.elements):
+def format_lattice(lat: AbstractLattice) -> str:
+    """The header and one line of members per element, in popcount-then-lex
+    order: a SubrackLattice lists its member sets over its ground set, any
+    other lattice its supports over its atoms as points."""
+    if isinstance(lat, SubrackLattice):
+        masks, ground = lat.elements, lat.ground_size
+    else:
+        masks, ground = sorted(lat.supports, key=order_key(lat.n_atoms)), lat.n_atoms
+    lines = [f"{len(masks)} {ground}"]
+    for i, mask in enumerate(masks):
         mem = " ".join(str(x) for x in bits(mask))
         lines.append(f"{i} {mask.bit_count()}" + (f" {mem}" if mem else ""))
-    return "\n".join(lines) + "\n"
-
-
-def format_abstract(lat: AbstractLattice) -> str:
-    """Abstract export: '-' in the member column, covers from cover_pairs."""
-    n = lat.size
-    sup = lat.supports
-    key = order_key(lat.n_atoms)
-    order = sorted(range(n), key=lambda x: key(sup[x]))
-    pos = {old: newi for newi, old in enumerate(order)}
-    lines = [f"{n} {lat.n_atoms}"]
-    for old in order:
-        lines.append(f"{pos[old]} {sup[old].bit_count()} -")
-    lines.append("HASSE")
-    for c, p in sorted((pos[x], pos[y]) for x, y in lat.cover_pairs()):
-        lines.append(f"{c} {p}")
     return "\n".join(lines) + "\n"
 
 
@@ -586,11 +494,12 @@ def _in_order(a: int, b: int) -> bool:
     return ka < kb or (ka == kb and a & d & -d != 0)
 
 
-def parse_lattice(text: str, name: str = "") -> AbstractLattice:
-    """Read a .lat file; concrete when member lists are present. Lines are
-    read lazily, so the HASSE section of an older concrete file is skipped.
-    A member list that repeats a member, or a top that is not the whole
-    ground set, is rejected."""
+def parse_lattice(text: str, name: str = "") -> SubrackLattice:
+    """Read a .lat file: a header, then one member list per element. Lines
+    are read lazily, so the HASSE section of an older concrete file is
+    skipped. A member list that repeats a member, a top that is not the
+    whole ground set, or a "-" member list (the HASSE form, which is no
+    longer read) is rejected."""
     lines = content_lines(text)
     header = next(lines, None)
     if header is None:
@@ -604,20 +513,6 @@ def parse_lattice(text: str, name: str = "") -> AbstractLattice:
     body = list(islice(lines, n))
     if len(body) < n:
         raise FormatError(f"expected {n} element lines")
-    # a last token "-" ends the line, so only such lines are split here
-    if any(ln.endswith("-") and ln.split()[-1] == "-" for ln in body):
-        if next(lines, None) != "HASSE":
-            raise FormatError("abstract lattice needs a HASSE section")
-        pairs = []
-        for ln in lines:
-            toks = ln.split()
-            if len(toks) != 2:
-                raise FormatError(f"bad cover line {ln!r}")
-            c, p = ints(toks, "cover line", ln)
-            if not (0 <= c < n and 0 <= p < n):
-                raise FormatError(f"cover line {ln!r} names an element outside [0,{n})")
-            pairs.append((c, p))
-        return abstract_from_cover_pairs(n, pairs)
     # the top's line lists every point, so the text bounds the ground size;
     # checked before any member bit is built, with room to spare
     if not 0 <= ground <= 8 * len(text):
@@ -633,6 +528,11 @@ def parse_lattice(text: str, name: str = "") -> AbstractLattice:
         try:
             mask, members = reduce(or_, map(bit.__getitem__, rest), 0), []
         except KeyError:                 # a new token, or "zz": through int()
+            if rest == ["-"]:
+                raise FormatError(
+                    f"line {ln!r} has '-' for members: the HASSE form of .lat is "
+                    "no longer read; list each element's atoms instead"
+                ) from None
             mask, members = 0, ints(rest, "element line", ln)
         idx, pop = ints(toks[:2], "element line", ln)
         if not (0 <= idx < n) or seen_ids[idx]:
@@ -657,16 +557,11 @@ def parse_lattice(text: str, name: str = "") -> AbstractLattice:
     return SubrackLattice(elements=masks, ground_size=ground, name=name)
 
 
-def load_lattice(path: str) -> AbstractLattice:
+def load_lattice(path: str) -> SubrackLattice:
     text, name = read_file(path)
     return parse_lattice(text, name=name)
 
 
 def save_lattice(path: str, lat: AbstractLattice) -> None:
-    text = (
-        format_lattice(lat)
-        if isinstance(lat, SubrackLattice)
-        else format_abstract(lat)
-    )
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write(format_lattice(lat))

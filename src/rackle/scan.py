@@ -266,6 +266,7 @@ def pairs_scan(
             f"INFO group {g.name} order={g.order} lattice={lat.size}"
         )
     iso_pairs = 0
+    invariants = {}                      # group index -> its invariants, on first use
     for i in range(len(groups)):
         for j in range(i + 1, len(groups)):
             a, b = lats[i], lats[j]
@@ -283,8 +284,10 @@ def pairs_scan(
                 )
                 continue
             iso_pairs += 1
-            inv_a = group_invariants(groups[i])
-            inv_b = group_invariants(groups[j])
+            for k in (i, j):
+                if k not in invariants:
+                    invariants[k] = group_invariants(groups[k])
+            inv_a, inv_b = invariants[i], invariants[j]
             agree = (
                 inv_a.is_abelian == inv_b.is_abelian
                 and (inv_a.nilpotency_class is None) == (inv_b.nilpotency_class is None)

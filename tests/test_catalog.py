@@ -146,6 +146,7 @@ class TestFixtures:
         lat = stall_lattice()
         assert isinstance(lat, AbstractLattice)
         assert lat.size == 14 and lat.n_atoms == 7
+        assert lat.supports == [0, 1, 2, 4, 8, 16, 32, 64, 14, 112, 15, 113, 126, 127]
 
     def test_fixture_text_has_comments_stripped_on_parse(self):
         text = fixture_text("stall.lat")

@@ -30,9 +30,7 @@ from rackle.lattice import (
     _atom_joins,
     _enumerate_subtree,
     _in_order,
-    abstract_from_cover_pairs,
     enumerate_closed_masks,
-    format_abstract,
     format_lattice,
     order_key,
     parse_lattice,
@@ -194,8 +192,9 @@ class TestAtomistic:
             parse_lattice(text)
 
     def test_abstract_chain_is_rejected(self):
-        text = "4 1\n0 0 -\n1 1 -\n2 1 -\n3 1 -\nHASSE\n0 1\n1 2\n2 3\n"
-        with pytest.raises(FormatError, match=r"elements 2 and 1\b"):
+        # written as supports, a 4-chain over its one atom repeats a support
+        text = "4 1\n0 0\n1 1 0\n2 1 0\n3 1 0\n"
+        with pytest.raises(FormatError, match="duplicate element bitsets"):
             parse_lattice(text)
 
 
@@ -254,21 +253,6 @@ class TestLatticeQueries:
             expected.add(full & ~m)
         assert {lat.elements[c] for c in lat.proper_maximal} == expected
 
-    def test_hasse_covers_have_no_intermediate(self):
-        lat = get_lattice("D4")
-        elems = lat.elements
-        for c, p in sorted(lat.cover_pairs()):
-            ec, ep = elems[c], elems[p]
-            assert ec != ep and ec & ep == ec
-            for z in elems:
-                if z not in (ec, ep) and ec & z == ec and z & ep == z:
-                    pytest.fail(f"{z:b} sits between cover {ec:b} < {ep:b}")
-
-    def test_hasse_matches_triple_loop(self):
-        for g in catalog_entries(12):
-            lat = get_lattice(g.name)
-            assert sorted(lat.cover_pairs()) == naive_cover_pairs(lat.elements), g.name
-
     def test_atoms_of_permutation_rack_are_orbits(self):
         # a ▷ b = σ(b) is no quandle: the subrack {a} generates is a's σ-orbit
         for perm in ((1, 2, 0, 4, 3, 5), (1, 0, 3, 4, 2)):
@@ -316,40 +300,6 @@ class TestAbstraction:
         triv = to_abstract(enumerate_subrack_lattice(group_rack(get_group("triv"))))
         assert triv.size == 2
         assert triv.proper_maximal == [triv.bottom]
-
-
-class TestCoverPairs:
-    def test_square(self):
-        ab = abstract_from_cover_pairs(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-        assert ab.size == 4 and ab.n_atoms == 2 and ab.is_boolean()
-
-    def test_chain(self):
-        # a 4-chain is not atomistic, so no rack has it as subrack lattice
-        with pytest.raises(FormatError, match=r"elements 2 and 1\b"):
-            abstract_from_cover_pairs(4, [(0, 1), (1, 2), (2, 3)])
-
-    def test_cycle_detected(self):
-        with pytest.raises(FormatError):
-            abstract_from_cover_pairs(3, [(0, 1), (1, 2), (2, 0)])
-
-    def test_two_maximal_elements(self):
-        with pytest.raises(FormatError):
-            abstract_from_cover_pairs(3, [(0, 1), (0, 2)])
-
-    def test_out_of_range(self):
-        from rackle.errors import BadIndex
-        with pytest.raises(BadIndex):
-            abstract_from_cover_pairs(2, [(0, 5)])
-
-    def test_non_lattice_with_injective_supports_is_rejected(self):
-        # atoms a,b,c,d; u above a,b; v above a,b,c; u not under v;
-        # top above u, v, d. All atom supports are distinct, yet
-        # support containment would wrongly put u under v, so the order
-        # probe must reject the atomistic encoding
-        pairs = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (2, 5),
-                 (1, 6), (2, 6), (3, 6), (5, 7), (6, 7), (4, 7)]
-        with pytest.raises(FormatError, match=r"elements 5 and 6\b"):
-            abstract_from_cover_pairs(8, pairs)
 
 
 # ∅, the full set, and every singleton and pair of six atoms
@@ -528,38 +478,6 @@ def test_search_matches_brute_force(pair, data):
     assert check_isomorphism(a, b, swapped) == pairwise_isomorphism(a, b, swapped)
 
 
-def naive_cover_pairs(sets):
-    """Covers of a family of sets under containment, by the triple loop over
-    x < z < y. A power set's covers add one point; that is quicker than n³
-    at 4,096 elements."""
-    n = len(sets)
-    k = max(sets).bit_length()
-    if n == 1 << k:
-        index = {s: i for i, s in enumerate(sets)}
-        return sorted(
-            (x, index[s | 1 << p]) for x, s in enumerate(sets) for p in range(k) if not s >> p & 1
-        )
-
-    def below(x, y):
-        return x != y and sets[x] & sets[y] == sets[x]
-
-    return sorted(
-        (x, y) for x in range(n) for y in range(n)
-        if below(x, y) and not any(below(x, z) and below(z, y) for z in range(n))
-    )
-
-
-def test_format_abstract_covers_match_triple_loop():
-    for g in catalog_entries(12):
-        ab = get_abstract(g.name, seed=g.order)
-        text = format_abstract(ab).split("HASSE\n")[1]
-        pairs = sorted(tuple(map(int, ln.split())) for ln in text.splitlines())
-        order = sorted(range(ab.size), key=lambda x: (ab.supports[x].bit_count(), bits(ab.supports[x])))
-        pos = {old: new for new, old in enumerate(order)}
-        expected = sorted((pos[x], pos[y]) for x, y in naive_cover_pairs(ab.supports))
-        assert pairs == expected, g.name
-
-
 @given(closed_families().flatmap(st.permutations))
 @settings(max_examples=200, deadline=None)
 def test_joins_and_covers_match_brute_force(sets):
@@ -573,7 +491,6 @@ def test_joins_and_covers_match_brute_force(sets):
         assert list(lat.atom_joins(x, outside)) == [
             (p, lat.join_mask(s | 1 << p)) for p in bits(outside)
         ]
-    assert sorted(lat.cover_pairs()) == naive_cover_pairs(sets)
 
 
 @given(closed_families().flatmap(st.permutations))
@@ -719,19 +636,15 @@ class TestLatFormat:
             again = load_lattice(str(p))
             assert again.atoms == lat.atoms
             assert again.proper_maximal == lat.proper_maximal
-            assert sorted(again.cover_pairs()) == sorted(lat.cover_pairs())
 
     def test_abstract_roundtrip(self, tmp_path):
         ab = get_abstract("S3", seed=5)
         p = tmp_path / "s3a.lat"
         save_lattice(str(p), ab)
         again = load_lattice(str(p))
+        assert again.supports == sorted(ab.supports, key=order_key(ab.n_atoms))
         mapping = are_isomorphic(ab, again)
         assert mapping is not None and check_isomorphism(ab, again, mapping)
-
-    def test_abstract_export_deterministic(self):
-        ab = get_abstract("D4", seed=1)
-        assert format_abstract(ab) == format_abstract(ab)
 
     def test_header_errors(self):
         with pytest.raises(FormatError):
@@ -758,7 +671,7 @@ class TestLatFormat:
             parse_lattice("3 2\n0 1 1\n1 0\n2 2 0 1\nHASSE\n")
         with pytest.raises(FormatError, match="not in popcount-then-lex order"):
             parse_lattice("4 2\n0 0\n1 1 1\n2 1 0\n3 2 0 1\nHASSE\n")
-        # non-integer member, non-integer and out-of-range abstract covers
+        # non-integer member
         with pytest.raises(FormatError, match="bad element line '1 1 zz'"):
             parse_lattice("2 1\n0 0\n1 1 zz\nHASSE\n0 1\n")
         # a repeated member, though its count matches the popcount field;
@@ -774,14 +687,18 @@ class TestLatFormat:
             parse_lattice("1 -1\n0 0\n")
         with pytest.raises(FormatError, match="not the whole ground set of 3 points"):
             parse_lattice("2 3\n0 0\n1 2 0 1\n")
-        with pytest.raises(FormatError, match="bad cover line '0 a'"):
-            parse_lattice("2 1\n0 0 -\n1 1 -\nHASSE\n0 a\n")
-        with pytest.raises(FormatError, match="cover line '0 5'"):
-            parse_lattice("2 1\n0 0 -\n1 1 -\nHASSE\n0 5\n")
+        # the dropped HASSE form: "-" for members, then cover pairs
+        for text in ("2 1\n0 0 -\n1 1 -\nHASSE\n0 1\n", "2 1\n0 0 -\n1 1 -\n"):
+            with pytest.raises(FormatError, match="line '0 0 -'.*HASSE form"):
+                parse_lattice(text)
 
-    def test_abstract_needs_hasse(self):
+    @pytest.mark.xfail(strict=True, reason="the reader does not yet check the least-upper-bound "
+                       "property (ROADMAP item 4)")
+    def test_non_lattice_is_rejected(self):
+        # atomistic and bounded, but {0, 1} has two minimal upper bounds
+        text = concrete_text([0, 1, 2, 4, 8, 0b0111, 0b1011, 0b1111], 4)
         with pytest.raises(FormatError):
-            parse_lattice("2 1\n0 0 -\n1 1 -\n")
+            parse_lattice(text)
 
     def test_format_matches_fixture_style(self):
         text = format_lattice(get_lattice("Z2"))
@@ -792,7 +709,6 @@ class TestLatFormat:
 
     def test_concrete_hasse_section_is_skipped(self):
         # older concrete files end in a HASSE section; it is never read
-        text = format_lattice(get_lattice("S3"))
-        covers = "".join(f"{c} {p}\n" for c, p in sorted(get_lattice("S3").cover_pairs()))
-        old = parse_lattice(text + "HASSE\n" + covers)
-        assert old.elements == parse_lattice(text).elements == get_lattice("S3").elements
+        text = format_lattice(get_lattice("Z2"))
+        old = parse_lattice(text + "HASSE\n0 1\n0 2\n1 3\n2 3\n")
+        assert old.elements == parse_lattice(text).elements == get_lattice("Z2").elements

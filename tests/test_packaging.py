@@ -88,6 +88,17 @@ def test_benchmark_ops_run(tmp_path, monkeypatch):
     assert workloads._invariants_op(rackle, str(stall), 0, stall_expected) is None
 
 
+def test_lat_fixtures_are_canonical():
+    # every shipped .lat is in the one form the writer produces
+    from rackle.lattice import format_lattice, parse_lattice
+
+    fixtures = sorted((ROOT / "src" / "rackle" / "fixtures").glob("*.lat"))
+    assert fixtures
+    for path in fixtures:
+        text = path.read_text(encoding="utf-8")
+        assert format_lattice(parse_lattice(text)) == text, path.name
+
+
 def test_reconstruction_context_is_the_lattice():
     import rackle
 

@@ -27,7 +27,7 @@ def with_comments(text):
     pytest.param(format_lattice(get_lattice("D4")), parse_lattice, lambda lat: lat.supports,
                  id="lat-concrete"),
     pytest.param(fixture_text("stall.lat"), parse_lattice, lambda lat: lat.supports,
-                 id="lat-abstract"),
+                 id="lat-stall"),
 ])
 def test_comments_and_blank_lines_are_skipped(text, parse, key):
     assert key(parse(with_comments(text))) == key(parse(text))

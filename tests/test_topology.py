@@ -18,7 +18,7 @@ from rackle import (
 from rackle.catalog import catalog_entries
 from rackle.config import DEFAULT_LIMITS
 from rackle.errors import TooLarge
-from rackle.lattice import AbstractLattice, abstract_from_cover_pairs
+from rackle.lattice import AbstractLattice
 
 from conftest import GL23_PATH, closed_families, get_abstract, get_group, get_lattice
 
@@ -80,7 +80,7 @@ class TestMobius:
 
     def test_m3(self):
         # three atoms, each pair joining to top: mu = -(1 - 3) = 2
-        m3 = abstract_from_cover_pairs(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
+        m3 = AbstractLattice([0, 1, 2, 4, 7])
         assert not m3.is_boolean()
         assert mobius_bottom_top(m3) == 2
 
