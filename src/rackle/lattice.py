@@ -2,7 +2,11 @@
 
 The enumerator walks closed sets in lectic order with the canonical-generation
 test (Close-by-One): a closure aborts at its first new point below the one
-being added, so cost scales with the output, never with 2^m. There is one
+being added, so cost scales with the output, never with 2^m. It walks only
+the moving points. A fixed point (moves[a] == 0; in a conjugation rack, a
+central element) can join or leave any closed set and keep it closed, so
+the lattice is the moving points' lattice times the Boolean lattice of the
+fixed points, and that factor is built without a closure. There is one
 lattice type, AbstractLattice, which keeps the order relation as atom
 supports; a SubrackLattice is one that also keeps its member sets. Code that
 claims to be "lattice only" reads the supports and nothing else.
@@ -60,30 +64,46 @@ def order_key(width: int) -> Callable[[int], int]:
 
 
 def _enumerate_subtree(rows: Sequence[Sequence[int]], m: int, cap: int) -> list[int]:
-    """All closed sets of the rack, from the empty set, in canonical preorder.
+    """All closed sets of the rack: the closed sets of its moving points, in
+    canonical preorder, then their unions with each nonempty set of fixed
+    points.
+
+    A point a with moves[a] == 0 is fixed: σ_a is the identity and every
+    σ_b fixes a. So a ▷ b and b ▷ a are b and a whenever a is fixed, and
+    when a and b both move, a ▷ b moves too, since σ_a is a bijection that
+    fixes every fixed point. A set is therefore closed iff its moving part
+    is, and the closed sets are the closed sets of the moving points times
+    every subset of the fixed points F. The walk tries only moving points,
+    and the cap bounds walk · 2^|F| before any union is built.
 
     The walk is a loop: the stack holds each set whose children are still
-    being tried, with the next point to add.
+    being tried, with the position in moving of the next point to add.
     """
     moves = moves_of(rows)
-    out = [0]
+    moving = [j for j in range(m) if moves[j]]
+    fixed = [j for j in range(m) if not moves[j]]
+    walk_cap = cap >> len(fixed)         # walk · 2^|F| > cap iff walk > walk_cap
+    walk = [0]
     stack = [(0, 0)]
     while stack:
-        a, j = stack.pop()
-        while j < m:
+        a, i = stack.pop()
+        while i < len(moving):
+            j = moving[i]
+            i += 1
             if not a >> j & 1:
                 # canonical test: adding j must not sneak in smaller new
                 # points, so the closure aborts at the first one
                 b = closure_extend(rows, moves, a, j, (1 << j) - 1)
                 if b is not None:
-                    out.append(b)
-                    stack.append((a, j + 1))
+                    walk.append(b)
+                    stack.append((a, i))
                     a = b
-            j += 1
-        # out grew by at most one chain of m sets since the last check
-        if len(out) > cap:
+        # walk grew by at most one chain of m sets since the last check
+        if len(walk) > walk_cap:
             raise TooLarge(f"lattice exceeds cap of {cap} elements")
-    return out
+    for p in fixed:
+        walk += [s | 1 << p for s in walk]
+    return walk
 
 
 def enumerate_closed_masks(
@@ -128,8 +148,9 @@ class AbstractLattice:
     and each subrack is the join of the atoms it contains. An element is
     therefore stored as its support, the bitmask of atoms below it; support
     bit p is atom p. Order is support containment, bottom has support 0 and
-    top is the union of all supports. A support bit that is no atom, or a
-    missing bottom or top, raises FormatError.
+    top is the union of all supports. A repeated support, a support bit that
+    is no atom, or a missing bottom or top raises FormatError; with distinct
+    supports, size == 2^n_atoms is exactly the Boolean lattice.
     """
 
     supports: list[int]
@@ -144,6 +165,12 @@ class AbstractLattice:
             full |= s
         self.size = len(self.supports)
         self.n_atoms = full.bit_length()
+        distinct = len(set(self.supports))
+        if distinct != self.size:
+            raise FormatError(
+                f"{self.size} elements but {distinct} distinct supports: "
+                "two elements over the same atoms are one element"
+            )
         try:
             self.bottom = self.supports.index(0)
             self.top = self.supports.index(full)
@@ -333,10 +360,10 @@ def to_abstract(lat: AbstractLattice, seed: int | None = None) -> AbstractLattic
     """
     if seed is None:
         return AbstractLattice(lat.supports)
-    order = list(range(lat.size))
+    supports = lat.supports[:]
     atom_perm = list(range(lat.n_atoms))
     rng = random.Random(seed)
-    rng.shuffle(order)
+    rng.shuffle(supports)
     rng.shuffle(atom_perm)
     tables = []
     for k in range(0, lat.n_atoms, 8):
@@ -344,13 +371,12 @@ def to_abstract(lat: AbstractLattice, seed: int | None = None) -> AbstractLattic
         for q in atom_perm[k:k + 8]:
             table += [t | 1 << q for t in table]
         tables.append(table)
-    supports = []
-    for old in order:
-        s, t = lat.supports[old], 0
+    for i, s in enumerate(supports):
+        t = 0
         for table in tables:
             t |= table[s & 255]
             s >>= 8
-        supports.append(t)
+        supports[i] = t
     return AbstractLattice(supports)
 
 
@@ -548,8 +574,6 @@ def parse_lattice(text: str, name: str = "") -> SubrackLattice:
         if mask.bit_count() != pop:
             raise FormatError(f"repeated member on line {ln!r}")
         masks[idx] = mask
-    if len(set(masks)) != n:
-        raise FormatError("duplicate element bitsets")
     if not all(map(_in_order, masks, masks[1:])):
         raise FormatError("elements are not in popcount-then-lex order")
     if masks[-1] != (1 << ground) - 1:

@@ -10,7 +10,10 @@ memo_closure built on it) cross a new point a only with the members of
 moves[a], the points b for which a ▷ b ≠ b or b ▷ a ≠ a (see moves_of).
 Every other product is b or a, both already present. In a conjugation rack
 moves[a] is the complement of a's centralizer, so an abelian group's rack
-closes every set without a single product.
+closes every set without a single product. A point with moves[a] == 0 is
+fixed (in a conjugation rack, a central element): every subset of the fixed
+points can be added to a closed set and leaves it closed, so the enumerator
+walks the other points only and adds the fixed ones as a Boolean factor.
 """
 
 from __future__ import annotations

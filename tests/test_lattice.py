@@ -21,7 +21,7 @@ from rackle import (
     save_lattice,
     to_abstract,
 )
-from rackle.catalog import catalog_entries
+from rackle.catalog import catalog_entries, dihedral
 from rackle.config import DEFAULT_LIMITS
 from rackle.errors import FormatError
 from rackle.lattice import (
@@ -108,6 +108,32 @@ class TestEnumeration:
         with pytest.raises(TooLarge):
             enumerate_closed_masks(group_rack(get_group("Z8")), limits=lim)
 
+    def test_lattice_cap_counts_fixed_point_unions(self):
+        # every point of Z2^4 is fixed: the walk is {∅}, times 2^16 unions
+        rack = group_rack(get_group("Z2xZ2xZ2xZ2"))
+        with pytest.raises(TooLarge):
+            enumerate_closed_masks(rack, limits=DEFAULT_LIMITS.with_(lattice_cap=65_535))
+        lim = DEFAULT_LIMITS.with_(lattice_cap=65_536)
+        assert len(enumerate_closed_masks(rack, limits=lim)) == 65_536
+
+    @pytest.mark.parametrize("make, closures", [
+        (lambda: get_group("Z2xZ2xZ2xZ2"), 0),
+        (lambda: dihedral(24), 13_917),  # D12: 4,664 subracks, centre of 2
+        (lambda: get_group("A5"), 5_728),
+    ], ids=["Z2xZ2xZ2xZ2", "D12", "A5"])
+    def test_closure_count(self, monkeypatch, make, closures):
+        # a work count, not a clock: the walk tries only the moving points
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return closure_extend(*args)
+
+        rack = group_rack(make())
+        monkeypatch.setattr("rackle.lattice.closure_extend", counted)
+        enumerate_closed_masks(rack)
+        assert len(calls) == closures
+
 
 def full_closure_lectic(rows, m):
     """Reference enumeration without the abort: finish every closure, then
@@ -128,14 +154,44 @@ def full_closure_lectic(rows, m):
     return out
 
 
+def assert_walk_matches_reference(rows, m):
+    """The walk over the moving points visits the reference's sets that miss
+    every fixed point, in the reference's order; with the fixed-point unions
+    the output is the whole reference, each set once."""
+    raw = _enumerate_subtree(rows, m, DEFAULT_LIMITS.lattice_cap)
+    ref = full_closure_lectic(rows, m)
+    fixed = mask_of(a for a, mv in enumerate(moves_of(rows)) if not mv)
+    assert [s for s in raw if not s & fixed] == [s for s in ref if not s & fixed]
+    assert len(raw) == len(ref) and set(raw) == set(ref)
+
+
 @given(small_racks)
 @settings(max_examples=80, deadline=None)
 def test_abort_matches_brute_force(rack):
     assert verify_rack_axioms(rack.op).is_rack
     assert enumerate_closed_masks(rack) == brute_force_closed_masks(rack)
-    cap = DEFAULT_LIMITS.lattice_cap
-    raw = _enumerate_subtree(rack.op, rack.size, cap)
-    assert raw == full_closure_lectic(rack.op, rack.size)
+    assert_walk_matches_reference(rack.op, rack.size)
+
+
+@st.composite
+def racks_with_fixed_points(draw):
+    """A small rack plus 1–4 trivial points (each acts as the identity and
+    every translation fixes it), relabelled at random so that the fixed
+    points sit among the moving ones."""
+    rack = draw(small_racks)
+    k = rack.size
+    m = k + draw(st.integers(1, 4))
+    op = [list(row) + list(range(k, m)) for row in rack.op]
+    op += [list(range(m))] * (m - k)
+    return relabelled_rack(op, draw(st.permutations(range(m))))
+
+
+@given(racks_with_fixed_points())
+@settings(max_examples=40, deadline=None)
+def test_fixed_points_anywhere(rack):
+    assert verify_rack_axioms(rack.op).is_rack
+    assert enumerate_closed_masks(rack) == brute_force_closed_masks(rack)
+    assert_walk_matches_reference(rack.op, rack.size)
 
 
 @pytest.mark.parametrize("perm", list(permutations(range(3))))
@@ -192,10 +248,16 @@ class TestAtomistic:
             parse_lattice(text)
 
     def test_abstract_chain_is_rejected(self):
-        # written as supports, a 4-chain over its one atom repeats a support
+        # written as supports, a 4-chain over its one atom repeats a support,
+        # so its lines cannot be strictly in popcount-then-lex order
         text = "4 1\n0 0\n1 1 0\n2 1 0\n3 1 0\n"
-        with pytest.raises(FormatError, match="duplicate element bitsets"):
+        with pytest.raises(FormatError, match="not in popcount-then-lex order"):
             parse_lattice(text)
+
+    def test_repeated_support_is_rejected(self):
+        # two tops would make a 5-element "lattice" no reader accepts
+        with pytest.raises(FormatError, match="5 elements but 4 distinct supports"):
+            AbstractLattice([0, 1, 2, 3, 3])
 
 
 @given(small_racks, st.integers(0, 2**31 - 1))
@@ -207,9 +269,7 @@ def test_abstraction_keeps_order(rack, seed):
 class TestClosureAbort:
     def test_catalog_visiting_order_unchanged(self):
         for g in catalog_entries(12) + [get_group("S4")]:
-            rows = group_rack(g).op
-            raw = _enumerate_subtree(rows, g.order, DEFAULT_LIMITS.lattice_cap)
-            assert raw == full_closure_lectic(rows, g.order), g.name
+            assert_walk_matches_reference(group_rack(g).op, g.order)
 
     def test_abort_returns_none_on_forbidden_point(self):
         # a ▷ b = σ(b) with σ = (0 1 2): adding 2 drags in 0, which is below 2
