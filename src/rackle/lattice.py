@@ -238,6 +238,17 @@ class AbstractLattice:
                 y = ranked[(u & -u).bit_length() - 1]
             yield p, y
 
+    @cached_property
+    def pair_joins(self) -> list[list[int]]:
+        """Row p holds the support of p ∨ q for each atom q: m(m+1)/2 joins
+        for m atoms, once per lattice, read by both atom-matching searches."""
+        m = self.n_atoms
+        rows = [[0] * m for _ in range(m)]
+        for p in range(m):
+            for q in range(p, m):
+                rows[p][q] = rows[q][p] = self.supports[self.join_mask(1 << p | 1 << q)]
+        return rows
+
     def atoms_below(self, x: int) -> list[int]:
         return [a for a in self.atoms if self.leq(a, x)]
 
@@ -389,15 +400,6 @@ def _transport(mask: int, pi: Sequence[int]) -> int:
     return mask_of(pi[p] for p in bits(mask))
 
 
-def _atom_joins(lat: AbstractLattice) -> list[list[int]]:
-    """Row p holds the support of the join of atom p with each atom q."""
-    m = lat.n_atoms
-    return [
-        [lat.supports[lat.join_mask(1 << p | 1 << q)] for q in range(m)]
-        for p in range(m)
-    ]
-
-
 def are_isomorphic(
     a: AbstractLattice,
     b: AbstractLattice,
@@ -407,17 +409,18 @@ def are_isomorphic(
 
     Both lattices are atomistic, so an isomorphism is an atom bijection pi
     that carries the supports of a onto the supports of b. Atoms are matched
-    depth-first, rarest invariant (popcounts of the joins with every atom)
-    first. A placement p→q must agree with every placed r: the joins
-    J(p, r) and J'(q, pi(r)) have equal popcounts, and pi carries the placed
-    atoms of the one onto the placed atoms of the other. A full bijection
-    is accepted when every transported support of a is a support of b. Each
-    candidate placement is one node against ``limits.iso_node_budget``.
+    depth-first, rarest invariant (popcounts of the joins with every atom,
+    read from each lattice's pair_joins) first. A placement p→q must agree
+    with every placed r: the joins J(p, r) and J'(q, pi(r)) have equal
+    popcounts, and pi carries the placed atoms of the one onto the placed
+    atoms of the other. A full bijection is accepted when every transported
+    support of a is a support of b. Each candidate placement is one node
+    against ``limits.iso_node_budget``.
     """
     if a.size != b.size or a.n_atoms != b.n_atoms:
         return None
     m = a.n_atoms
-    ja, jb = _atom_joins(a), _atom_joins(b)
+    ja, jb = a.pair_joins, b.pair_joins
     inv_a = [tuple(sorted(map(int.bit_count, row))) for row in ja]
     inv_b = [tuple(sorted(map(int.bit_count, row))) for row in jb]
     if sorted(inv_a) != sorted(inv_b):

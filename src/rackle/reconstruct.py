@@ -15,6 +15,8 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
@@ -242,27 +244,58 @@ def _tuple_space(parts: Sequence[int]) -> int:
     return math.prod(p.bit_count() + 1 for p in parts) - 1
 
 
-def rep_tuples(
-    parts: Sequence[int], rng: random.Random | None = None, count: int = 0
-):
-    """(index set, representative tuple) pairs over the parts, as tuples.
+def c3_tuples(
+    parts: Sequence[int], rng: random.Random, exhaustive: bool, limits: Limits
+) -> tuple[int, bool, Iterator[tuple[tuple[int, ...], tuple[int, ...]]]]:
+    """(tuple space, sampled, stream) of the (index set, reps) pairs for C3.
 
-    With no rng, every pair: index sets by size, then lexicographically,
-    and for each every choice of one atom per part. With an rng, `count`
-    seeded samples: a size, an index set of that size, one atom per part.
-    """
+    Within limits.tuple_budget, or with exhaustive, the stream is every pair:
+    index sets by size, then lexicographically, each with every choice of one
+    atom per part. Beyond it, limits.sample_count samples drawn from rng: a
+    size, an index set of that size, one atom per part."""
+    space = _tuple_space(parts)
+    sampled = not exhaustive and space > limits.tuple_budget
     m = len(parts)
     members = [bits(p) for p in parts]
-    if rng is None:
-        for r in range(1, m + 1):
-            for idxs in itertools.combinations(range(m), r):
-                for reps in itertools.product(*(members[i] for i in idxs)):
-                    yield idxs, reps
-        return
-    for _ in range(count):
-        r = rng.randint(1, m)
-        idxs = tuple(sorted(rng.sample(range(m), r)))
-        yield idxs, tuple(rng.choice(members[i]) for i in idxs)
+
+    def stream() -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+        if not sampled:
+            for r in range(1, m + 1):
+                for idxs in itertools.combinations(range(m), r):
+                    for reps in itertools.product(*(members[i] for i in idxs)):
+                        yield idxs, reps
+            return
+        for _ in range(limits.sample_count):
+            idxs = tuple(sorted(rng.sample(range(m), rng.randint(1, m))))
+            yield idxs, tuple(rng.choice(members[i]) for i in idxs)
+
+    return space, sampled, stream()
+
+
+def c3_witness(
+    parts: Sequence[int],
+    close: Callable[[int], int],
+    tuples: Iterable[tuple[tuple[int, ...], tuple[int, ...]]],
+) -> tuple[tuple[int, ...], tuple[int, ...], int, int] | None:
+    """The first (index set, reps, join, predicted) that breaks C3, or None.
+
+    C3: the closure of the union of the indexed parts (join) is the union of
+    the parts that meet the closure of the reps (predicted). close is the
+    lattice join on the lattice side and the rack closure on the group side.
+    """
+    for idxs, reps in tuples:
+        union = 0
+        for i in idxs:
+            union |= parts[i]
+        join = close(union)
+        closure = close(mask_of(reps))
+        predicted = 0
+        for p in parts:
+            if p & closure:
+                predicted |= p
+        if join != predicted:
+            return idxs, reps, join, predicted
+    return None
 
 
 def is_hypothetical_coset_partition(
@@ -278,25 +311,25 @@ def is_hypothetical_coset_partition(
     Condition three quantifies over index sets and representative tuples; the
     check is exhaustive up to the tuple budget and seeded sampling beyond it
     (`exhaustive` forces the full sweep). The distinguished part C1 is the
-    first part.
+    first part. A partition with no parts, or with a bit that is no atom,
+    fails C1 and is checked no further.
     """
     if classes is None:
         classes = recover_classes(lat)
     lines: list[str] = []
     ok = True
     parts = list(partition.parts)
-    m = len(parts)
     full = (1 << lat.n_atoms) - 1
 
-    covered = 0
-    disjoint = True
-    for p in parts:
-        if covered & p:
-            disjoint = False
-        covered |= p
+    covered = reduce(or_, parts, 0)
+    disjoint = sum(p.bit_count() for p in parts) == covered.bit_count()
+    stray = covered & ~full
+    if not parts or stray:
+        cause = f"bits {bits(stray)} lie beyond the {lat.n_atoms} atoms" if stray else "no parts"
+        return PartitionReport(ok=False, lines=(f"FAIL C1 {cause}",))
     sizes = {p.bit_count() for p in parts}
     if disjoint and covered == full and len(sizes) == 1 and 0 not in sizes:
-        lines.append(f"PASS C1 {m} parts of size {sizes.pop()}")
+        lines.append(f"PASS C1 {len(parts)} parts of size {sizes.pop()}")
     else:
         ok = False
         lines.append(
@@ -318,27 +351,11 @@ def is_hypothetical_coset_partition(
         else:
             lines.append("FAIL C2 distinguished part has no central atom")
 
-    space = _tuple_space(parts)
-    sampled = not exhaustive and space > limits.tuple_budget
-    witness = None
-    rng = random.Random(seed) if sampled else None
-    sup = lat.supports
-    for idxs, reps in rep_tuples(parts, rng, limits.sample_count):
-        union = 0
-        for i in idxs:
-            union |= parts[i]
-        lhs = sup[lat.join_mask(union)]
-        closure = sup[lat.join_mask(mask_of(reps))]
-        rhs = 0
-        for p in parts:
-            if p & closure:
-                rhs |= p
-        if lhs != rhs:
-            witness = f"I={idxs} reps={reps}"
-            break
+    space, sampled, tuples = c3_tuples(parts, random.Random(seed), exhaustive, limits)
+    witness = c3_witness(parts, lambda mask: lat.supports[lat.join_mask(mask)], tuples)
     if witness is not None:
         ok = False
-        lines.append(f"FAIL C3 {witness}")
+        lines.append(f"FAIL C3 I={witness[0]} reps={witness[1]}")
     elif not sampled:
         lines.append(f"PASS C3 exhaustive over {space} tuples")
     else:
@@ -349,9 +366,10 @@ def is_hypothetical_coset_partition(
     return PartitionReport(ok=ok, lines=tuple(lines))
 
 
-def _pair_rule(join: Callable[[int], int], a: int, b: int) -> tuple[int, list[int]]:
+def _pair_rule(lat: AbstractLattice, a: int, b: int) -> tuple[int, list[int]]:
     """join(a ∪ b), and the joins join(x, y) that each part inside it meets."""
-    return join(a | b), [join(1 << x | 1 << y) for x in bits(a) for y in bits(b)]
+    pj = lat.pair_joins
+    return lat.supports[lat.join_mask(a | b)], [pj[x][y] for x in bits(a) for y in bits(b)]
 
 
 def _obeys(part: int, rule: tuple[int, list[int]]) -> bool:
@@ -362,7 +380,7 @@ def _obeys(part: int, rule: tuple[int, list[int]]) -> bool:
 def _covers(
     pool: Sequence[int],
     full: int,
-    join: Callable[[int], int],
+    lat: AbstractLattice,
     covered: int,
     chosen: list[int],
     rules: list[tuple[int, list[int]]],
@@ -380,10 +398,10 @@ def _covers(
             continue
         if not all(_obeys(cand, rule) for rule in rules):
             continue
-        new = [_pair_rule(join, cand, prev) for prev in chosen]
+        new = [_pair_rule(lat, cand, prev) for prev in chosen]
         placed = chosen + [cand]
         if all(_obeys(p, rule) for rule in new for p in placed):
-            yield from _covers(pool, full, join, covered | cand, placed, rules + new)
+            yield from _covers(pool, full, lat, covered | cand, placed, rules + new)
 
 
 def find_coset_partition(
@@ -407,6 +425,7 @@ def find_coset_partition(
     join(a ∪ b) meets one of those parts, and parts are disjoint, so P is
     one of them and meets join(x, y). A partial cover that breaks the
     condition therefore fails C3, and so does every cover extending it.
+    The joins join(x, y) are read from the lattice's cached pair_joins.
     """
     if classes is None:
         classes = recover_classes(lat)
@@ -416,11 +435,7 @@ def find_coset_partition(
     if size == 0 or lat.n_atoms % size != 0:
         raise NoPartition(f"atom count {lat.n_atoms} not divisible by part size {size}")
     pool = sorted({s for s in lat.supports if s.bit_count() == size}, key=bits)
-
-    def join(mask: int) -> int:
-        return lat.supports[lat.join_mask(mask)]
-
-    for parts in _covers(pool, full, join, sn, [sn], []):
+    for parts in _covers(pool, full, lat, sn, [sn], []):
         partition = HypotheticalCosetPartition(parts=parts)
         if is_hypothetical_coset_partition(
             lat, partition, classes=classes, limits=limits

@@ -31,7 +31,8 @@ from .lattice import (
 from .racks import bits, group_rack, mask_of, memo_closure
 from .reconstruct import (
     HypotheticalCosetPartition,
-    _tuple_space,
+    c3_tuples,
+    c3_witness,
     coset_partition_of,
     find_coset_partition,
     is_hypothetical_coset_partition,
@@ -40,7 +41,6 @@ from .reconstruct import (
     max_normal_abelian,
     maximal_boolean_elements,
     recover_classes,
-    rep_tuples,
 )
 from .topology import mobius_bottom_top, reduced_euler_characteristic
 
@@ -206,36 +206,25 @@ def _coset_join_check(
 ) -> str:
     """Coset-join sweep: joins of coset subsets over all normal subgroups.
 
-    For each (index set, representative tuple) the closure of the cosets'
-    union must equal the union of the cosets meeting the closure of the
-    representatives. Both closures come from one memo over the group rack,
-    shared by every normal subgroup, so seeds with common high bits share
-    their work.
+    Condition C3 on the cosets, with closures computed on the group rack,
+    not read off the lattice: one memo shared by every normal subgroup, so
+    seeds with common high bits share their work. One rng serves them all.
     """
-    rows = group_rack(g).op
-    close = memo_closure(rows)
+    close = memo_closure(group_rack(g).op)
     rng = random.Random(seed)
     checked = 0
     normals = normal_subgroups(g)
     for members in normals:
         cosets = _cosets_as_masks(g, members)
-        sampled = not exhaustive and _tuple_space(cosets) > limits.tuple_budget
-        for idxs, reps in rep_tuples(cosets, rng if sampled else None, limits.sample_count):
-            union = 0
-            for i in idxs:
-                union |= cosets[i]
-            direct = close(union)
-            closure = close(mask_of(reps))
-            predicted = 0
-            for c in cosets:
-                if c & closure:
-                    predicted |= c
-            if direct != predicted:
-                return (
-                    f"FAIL coset-joins {name} N={sorted(members)} reps={reps}: "
-                    f"join {direct:b} vs predicted {predicted:b}"
-                )
-            checked += 1
+        space, sampled, tuples = c3_tuples(cosets, rng, exhaustive, limits)
+        witness = c3_witness(cosets, close, tuples)
+        if witness is not None:
+            _, reps, join, predicted = witness
+            return (
+                f"FAIL coset-joins {name} N={sorted(members)} reps={reps}: "
+                f"join {join:b} vs predicted {predicted:b}"
+            )
+        checked += limits.sample_count if sampled else space
     return f"PASS coset-joins {name} {checked} tuples across {len(normals)} normal subgroups"
 
 

@@ -27,7 +27,6 @@ from rackle.errors import FormatError
 from rackle.lattice import (
     AbstractLattice,
     SubrackLattice,
-    _atom_joins,
     _enumerate_subtree,
     _in_order,
     enumerate_closed_masks,
@@ -313,6 +312,15 @@ class TestLatticeQueries:
             expected.add(full & ~m)
         assert {lat.elements[c] for c in lat.proper_maximal} == expected
 
+    @pytest.mark.parametrize("name", [g.name for g in catalog_entries(24)])
+    def test_pair_joins_are_the_atom_pair_joins(self, name):
+        ab = get_abstract(name, seed=5)
+        pj = ab.pair_joins
+        for p in range(ab.n_atoms):
+            for q in range(ab.n_atoms):
+                assert pj[p][q] == pj[q][p]
+                assert pj[p][q] == ab.supports[ab.join_mask(1 << p | 1 << q)]
+
     def test_atoms_of_permutation_rack_are_orbits(self):
         # a ▷ b = σ(b) is no quandle: the subrack {a} generates is a's σ-orbit
         for perm in ((1, 2, 0, 4, 3, 5), (1, 0, 3, 4, 2)):
@@ -455,7 +463,7 @@ class TestIsomorphism:
         a, b = AbstractLattice(sa), AbstractLattice(sb)
 
         def invariants(lat):
-            return sorted(sorted(map(int.bit_count, row)) for row in _atom_joins(lat))
+            return sorted(sorted(map(int.bit_count, row)) for row in lat.pair_joins)
 
         assert invariants(a) == invariants(b)
         assert brute_force_isomorphic(sa, sb) is None

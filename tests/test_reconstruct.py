@@ -30,10 +30,11 @@ from rackle import (
     partition_bijection,
     recover_classes,
 )
-from rackle.catalog import catalog_entries, dihedral, stall_lattice
+from rackle.catalog import catalog_entries, cyclic, dihedral, sl23, stall_lattice
 from rackle.errors import FormatError, NoPartition
 from rackle.groups import (
     derived_length_oracle,
+    direct_product,
     load_group,
     maximal_normal_abelian_oracle,
     normal_subgroups,
@@ -46,10 +47,19 @@ from rackle.lattice import (
     enumerate_subrack_lattice,
     to_abstract,
 )
-from rackle.racks import bits, group_rack, mask_of
-from rackle.reconstruct import HypotheticalCosetPartition, _tuple_space
+from rackle.racks import bits, group_rack, mask_of, memo_closure
+from rackle.reconstruct import (
+    HypotheticalCosetPartition,
+    _tuple_space,
+    c3_tuples,
+    c3_witness,
+)
 
 from conftest import GL23_PATH, get_abstract, get_group, get_lattice
+
+
+def every_tuple(parts):
+    return c3_tuples(parts, None, True, DEFAULT_LIMITS)[2]
 
 
 def support_sizes(ab, idxs):
@@ -367,21 +377,61 @@ class TestHypotheticalPartition:
         assert a.ok and b.ok
         assert "exhaustive" in a.lines[-1] and "sampled" in b.lines[-1]
 
-    def test_wrong_partition_fails(self):
+    @staticmethod
+    def _s3_wrong_parts():
         g = get_group("S3")
-        ab = to_abstract(get_lattice("S3"))
         e = g.identity
         ts = [x for x in range(6) if g.element_order(x) == 2]
         rs = [x for x in range(6) if g.element_order(x) == 3]
-        parts = (
+        return (
             1 << e | 1 << ts[0],
             1 << rs[0] | 1 << ts[1],
             1 << rs[1] | 1 << ts[2],
         )
+
+    def test_wrong_partition_fails(self):
+        ab = to_abstract(get_lattice("S3"))
+        rep = is_hypothetical_coset_partition(
+            ab, HypotheticalCosetPartition(parts=self._s3_wrong_parts()))
+        assert not rep.ok
+        assert any(ln.startswith("FAIL") for ln in rep.lines)
+
+    @staticmethod
+    def _closures(name):
+        """C3's two closures: the join of the unseeded lattice, whose support
+        bit p is element p, and the memo over the group rack."""
+        ab = to_abstract(get_lattice(name))
+        return (
+            lambda mask: ab.supports[ab.join_mask(mask)],
+            memo_closure(group_rack(get_group(name)).op),
+        )
+
+    @pytest.mark.parametrize("name", ["S3", "D4", "Q8", "A4", "D6", "S4"])
+    def test_c3_holds_on_true_cosets_through_both_closures(self, name):
+        g = get_group(name)
+        for close in self._closures(name):
+            for members in normal_subgroups(g):
+                cosets = [mask_of(c) for c in coset_partition_of(g, members)]
+                if _tuple_space(cosets) <= DEFAULT_LIMITS.tuple_budget:
+                    assert c3_witness(cosets, close, every_tuple(cosets)) is None
+
+    def test_c3_witness_same_through_both_closures(self):
+        parts = self._s3_wrong_parts()
+        lat_side, group_side = (
+            c3_witness(parts, close, every_tuple(parts)) for close in self._closures("S3")
+        )
+        assert lat_side is not None and lat_side == group_side
+
+    @pytest.mark.parametrize("parts, cause", [
+        ((), "no parts"),
+        ((0b1, 0b1000000), "bits [6] lie beyond the 6 atoms"),
+    ], ids=["empty", "stray-bit"])
+    def test_malformed_partition_fails_c1_only(self, parts, cause):
+        ab = to_abstract(get_lattice("S3"))
         rep = is_hypothetical_coset_partition(
             ab, HypotheticalCosetPartition(parts=parts))
         assert not rep.ok
-        assert any(ln.startswith("FAIL") for ln in rep.lines)
+        assert rep.lines == (f"FAIL C1 {cause}",)
 
     def test_c1_violations(self):
         ab = to_abstract(get_lattice("S3"))
@@ -521,6 +571,14 @@ class TestDerivedLength:
         g = load_group(GL23_PATH)
         ab = to_abstract(enumerate_subrack_lattice(group_rack(g)), seed=seed)
         assert lattice_derived_length(ab) == derived_length_oracle(g)[1] == 4
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_z2_sl23_length_three(self, seed):
+        # order 48 like GL(2,3), with derived length 3; unseeded, its
+        # partition search takes about 70 s, so that input is left out
+        g = direct_product(cyclic(2), sl23())
+        ab = to_abstract(enumerate_subrack_lattice(group_rack(g)), seed=seed)
+        assert lattice_derived_length(ab) == derived_length_oracle(g)[1] == 3
 
     def test_seed_invariance(self):
         vals = {lattice_derived_length(get_abstract("D5", seed=s))
