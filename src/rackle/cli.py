@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import Callable
 
 from .catalog import named_group
 from .config import DEFAULT_LIMITS, Limits
@@ -38,27 +39,39 @@ from .scan import full_verification
 from .topology import mobius_bottom_top, reduced_euler_characteristic
 
 
-# cap flag -> (Limits field, help); each subcommand registers the flags it reads
+# cap flag -> (Limits field, help, least value); each subcommand registers
+# the flags it reads. A C3 check drawing no samples would pass having checked
+# nothing, so --samples starts at 1; --budget 0 forces sampling.
 _CAP_FLAGS = {
-    "--lattice-cap": ("lattice_cap", "max number of lattice elements"),
-    "--subgroup-cap": ("subgroup_cap", "max group order for subgroup enumeration"),
-    "--iso-budget": ("iso_node_budget", "atom placements in the isomorphism search"),
-    "--budget": ("tuple_budget", "exhaustive tuple checking up to this many tuples"),
-    "--samples": ("sample_count", "sample count above the tuple budget"),
+    "--lattice-cap": ("lattice_cap", "max number of lattice elements", 0),
+    "--subgroup-cap": ("subgroup_cap", "max group order for subgroup enumeration", 0),
+    "--iso-budget": ("iso_node_budget", "atom placements in the isomorphism search", 0),
+    "--budget": ("tuple_budget", "exhaustive tuple checking up to this many tuples", 0),
+    "--samples": ("sample_count", "sample count above the tuple budget", 1),
 }
 
 
 def _limits_from(args: argparse.Namespace) -> Limits:
     return DEFAULT_LIMITS.with_(**{
-        field: val for field, _ in _CAP_FLAGS.values()
+        field: val for field, _, _ in _CAP_FLAGS.values()
         if (val := getattr(args, field, None)) is not None
     })
 
 
+def _at_least(least: int) -> Callable[[str], int]:
+    def count(text: str) -> int:
+        val = int(text)
+        if val < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {val}")
+        return val
+
+    return count
+
+
 def _add_cap_flags(p: argparse.ArgumentParser, *flags: str) -> None:
     for flag in flags:
-        field, help_ = _CAP_FLAGS[flag]
-        p.add_argument(flag, type=int, dest=field, help=help_)
+        field, help_, least = _CAP_FLAGS[flag]
+        p.add_argument(flag, type=_at_least(least), dest=field, help=help_)
 
 
 def _resolve_group(ref: str, limits: Limits) -> FiniteGroup:

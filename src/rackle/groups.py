@@ -315,7 +315,13 @@ def generated_subgroup(g: FiniteGroup, seeds: Iterable[int]) -> frozenset[int]:
 
 
 def subgroups(g: FiniteGroup, limits: Limits = DEFAULT_LIMITS) -> list[frozenset[int]]:
-    """All subgroups, by iterated cyclic extension starting from the trivial one."""
+    """All subgroups, by iterated cyclic extension starting from the trivial one.
+
+    H is extended by one x per left coset xH other than H: for k in H,
+    x·k and x generate the same subgroup with H, since each is the other
+    times an element of H. So the other members of a tried coset are
+    skipped.
+    """
     if g.order > limits.subgroup_cap:
         raise TooLarge(
             f"subgroup enumeration capped at order {limits.subgroup_cap}, got {g.order}"
@@ -326,9 +332,11 @@ def subgroups(g: FiniteGroup, limits: Limits = DEFAULT_LIMITS) -> list[frozenset
     while frontier:
         nxt = []
         for h in frontier:
+            tried = set(h)
             for x in range(g.order):
-                if x in h:
+                if x in tried:
                     continue
+                tried.update(g.mul[x][k] for k in h)
                 ext = generated_subgroup(g, set(h) | {x})
                 if ext not in found:
                     found.add(ext)

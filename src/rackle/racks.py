@@ -256,14 +256,21 @@ def closure_extend(
 
 
 def memo_closure(rows: Sequence[Sequence[int]]) -> Callable[[int], int]:
-    """Closure of any seed mask over one table, memoized by seed.
+    """Closure of any seed mask over one table, memoized by mask.
 
     cl(S ∪ {j}) = cl(cl(S) ∪ {j}), so the closure of a seed is the closure
     of the seed without its lowest bit j, extended by j, or left as it is
     when it already holds j. Seeds that share their high bits share that
     work. The walk down to a memoized prefix is a loop, not recursion, so
-    it has no depth limit. The memo keeps every seed asked for and its
-    prefixes for as long as the returned function lives.
+    it has no depth limit.
+
+    Each step extends a closed set c by a point j, and its result depends
+    only on the mask c ∪ {j}. Seeds with different prefixes often reach the
+    same c and then add the same j, so the step is memoized under that
+    mask: each (closed set, point) pair is extended once. Both kinds of key
+    map a mask to its closure, so one dict holds them. It keeps every seed
+    asked for, its prefixes and every step's mask for as long as the
+    returned function lives.
     """
     memo = {0: 0}
     moves = moves_of(rows)
@@ -278,7 +285,10 @@ def memo_closure(rows: Sequence[Sequence[int]]) -> Callable[[int], int]:
         for s in reversed(pending):
             low = s & -s
             if not c & low:
-                c = closure_extend(rows, moves, c, low.bit_length() - 1)
+                step = c | low
+                if step not in memo:
+                    memo[step] = closure_extend(rows, moves, c, low.bit_length() - 1)
+                c = memo[step]
             memo[s] = c
         return c
 

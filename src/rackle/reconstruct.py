@@ -282,17 +282,30 @@ def c3_witness(
     C3: the closure of the union of the indexed parts (join) is the union of
     the parts that meet the closure of the reps (predicted). close is the
     lattice join on the lattice side and the rack closure on the group side.
+
+    The join depends only on the index set, and the exhaustive stream yields
+    each index set's tuples in one run, so it is computed once per run.
+    predicted depends only on the closure, so it is memoized by closure:
+    each distinct closure is saturated against the parts once.
     """
+    last_idxs = None
+    join = 0
+    predicted_of: dict[int, int] = {}
     for idxs, reps in tuples:
-        union = 0
-        for i in idxs:
-            union |= parts[i]
-        join = close(union)
+        if idxs != last_idxs:
+            last_idxs = idxs
+            union = 0
+            for i in idxs:
+                union |= parts[i]
+            join = close(union)
         closure = close(mask_of(reps))
-        predicted = 0
-        for p in parts:
-            if p & closure:
-                predicted |= p
+        predicted = predicted_of.get(closure)
+        if predicted is None:
+            predicted = 0
+            for p in parts:
+                if p & closure:
+                    predicted |= p
+            predicted_of[closure] = predicted
         if join != predicted:
             return idxs, reps, join, predicted
     return None

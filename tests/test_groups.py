@@ -171,6 +171,27 @@ class TestSubgroups:
         assert len(subgroups(get_group("S3"))) == 6
         assert len(subgroups(get_group("D4"))) == 10
 
+    @staticmethod
+    def _brute_subgroups(g):
+        """Every subset holding the identity and closed under mul."""
+        others = [x for x in range(g.order) if x != g.identity]
+        found = set()
+        for pick in range(1 << len(others)):
+            members = {g.identity} | {x for i, x in enumerate(others) if pick >> i & 1}
+            if all(g.mul[a][b] in members for a in members for b in members):
+                found.add(frozenset(members))
+        return found
+
+    @pytest.mark.parametrize("g", catalog_entries(12), ids=lambda g: g.name)
+    def test_matches_brute_force(self, g):
+        subs = subgroups(g)
+        assert len(subs) == len(set(subs))
+        assert set(subs) == self._brute_subgroups(g)
+
+    @pytest.mark.parametrize("name, count", [("S4", 30), ("sl23", 15)])
+    def test_counts_past_brute_force(self, name, count):
+        assert len(subgroups(get_group(name))) == count
+
     def test_all_are_subgroups(self):
         g = get_group("A4")
         for h in subgroups(g):

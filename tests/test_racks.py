@@ -1,5 +1,7 @@
 """Rack axioms, conjugation rack constructions, and bitmask closure."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,8 @@ from rackle import (
     rack_closure,
     verify_rack_axioms,
 )
+from rackle import racks
+from rackle.config import DEFAULT_LIMITS
 from rackle.errors import FormatError
 from rackle.racks import (
     closure_extend,
@@ -25,6 +29,7 @@ from rackle.racks import (
     moves_of,
     parse_rack,
 )
+from rackle.scan import _coset_join_check
 
 from conftest import get_group, small_racks
 
@@ -221,10 +226,34 @@ def test_memo_closure_matches_closure_mask(rack, data):
     full = (1 << rack.size) - 1
     drawn = data.draw(st.lists(st.integers(0, full), max_size=20))
     again = data.draw(st.lists(st.sampled_from(drawn), max_size=5)) if drawn else []
-    seeds = data.draw(st.permutations([0, full] + drawn + again))
+    # d and cl(d), both above point j, reach one closed set by different
+    # prefixes and then add j: the memo's step from that set is shared
+    j = data.draw(st.integers(0, rack.size - 1))
+    above = full & ~((2 << j) - 1)
+    shared = []
+    for d in drawn:
+        shared += [(d & above) | 1 << j, closure_mask(rack.op, d & above) | 1 << j]
+    seeds = data.draw(st.permutations([0, full] + drawn + again + shared))
     close = memo_closure(rack.op)
     for m in seeds:
         assert close(m) == closure_mask(rack.op, m), (rack.op, m)
+
+
+@pytest.mark.parametrize("name", ["S4", "sl23"])
+def test_memo_closure_extends_each_step_once(name, monkeypatch):
+    # the coset-join sweep asks one memo for many seeds that reach the same
+    # closed set by different prefixes; each (closed set, point) step is
+    # computed once
+    steps = Counter()
+
+    def counted(rows, moves, closed_mask, j, *rest):
+        steps[closed_mask, j] += 1
+        return closure_extend(rows, moves, closed_mask, j, *rest)
+
+    monkeypatch.setattr(racks, "closure_extend", counted)
+    g = get_group(name)
+    assert _coset_join_check(g, name, DEFAULT_LIMITS, 0, False).startswith("PASS")
+    assert steps and max(steps.values()) == 1
 
 
 def test_memo_closure_walks_long_seeds_without_recursion():

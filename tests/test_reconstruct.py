@@ -349,6 +349,17 @@ def test_partition_bijection_always_valid(pair):
         [frozenset(p) for p in ps], [frozenset(q) for q in qs]) is not None
 
 
+@functools.cache
+def c3_closures(name):
+    """C3's two closures: the join of the unseeded lattice, whose support
+    bit p is element p, and the memo over the group rack."""
+    ab = to_abstract(get_lattice(name))
+    return (
+        lambda mask: ab.supports[ab.join_mask(mask)],
+        memo_closure(group_rack(get_group(name)).op),
+    )
+
+
 class TestHypotheticalPartition:
     def _s3_setup(self):
         g = get_group("S3")
@@ -396,20 +407,10 @@ class TestHypotheticalPartition:
         assert not rep.ok
         assert any(ln.startswith("FAIL") for ln in rep.lines)
 
-    @staticmethod
-    def _closures(name):
-        """C3's two closures: the join of the unseeded lattice, whose support
-        bit p is element p, and the memo over the group rack."""
-        ab = to_abstract(get_lattice(name))
-        return (
-            lambda mask: ab.supports[ab.join_mask(mask)],
-            memo_closure(group_rack(get_group(name)).op),
-        )
-
     @pytest.mark.parametrize("name", ["S3", "D4", "Q8", "A4", "D6", "S4"])
     def test_c3_holds_on_true_cosets_through_both_closures(self, name):
         g = get_group(name)
-        for close in self._closures(name):
+        for close in c3_closures(name):
             for members in normal_subgroups(g):
                 cosets = [mask_of(c) for c in coset_partition_of(g, members)]
                 if _tuple_space(cosets) <= DEFAULT_LIMITS.tuple_budget:
@@ -418,7 +419,7 @@ class TestHypotheticalPartition:
     def test_c3_witness_same_through_both_closures(self):
         parts = self._s3_wrong_parts()
         lat_side, group_side = (
-            c3_witness(parts, close, every_tuple(parts)) for close in self._closures("S3")
+            c3_witness(parts, close, every_tuple(parts)) for close in c3_closures("S3")
         )
         assert lat_side is not None and lat_side == group_side
 
@@ -454,6 +455,72 @@ class TestHypotheticalPartition:
     def test_tuple_space_exact_past_a_billion(self):
         # 40 parts of 3 atoms: every index set and tuple, far past 10^9
         assert _tuple_space([0b111 << 3 * i for i in range(40)]) == 4**40 - 1
+
+
+def c3_witness_reference(parts, close, tuples):
+    """c3_witness as one join and one saturation per tuple."""
+    for idxs, reps in tuples:
+        union = 0
+        for i in idxs:
+            union |= parts[i]
+        join = close(union)
+        closure = close(mask_of(reps))
+        predicted = 0
+        for p in parts:
+            if p & closure:
+                predicted |= p
+        if join != predicted:
+            return idxs, reps, join, predicted
+    return None
+
+
+C3_GROUPS = ("Z2xZ2", "S3", "Z6", "D4", "Q8", "A4")
+
+
+@st.composite
+def near_coset_parts(draw):
+    """(group name, parts): the cosets of a normal subgroup, then a few
+    edits that merge parts, give an atom to a second part, or drop it."""
+    name = draw(st.sampled_from(C3_GROUPS))
+    g = get_group(name)
+    members = draw(st.sampled_from(normal_subgroups(g)))
+    parts = [mask_of(c) for c in coset_partition_of(g, members)]
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(("merge", "overlap", "miss")))
+        i = draw(st.integers(0, len(parts) - 1))
+        bit = 1 << draw(st.integers(0, g.order - 1))
+        if edit == "merge" and len(parts) > 1:
+            merged = parts.pop(i)
+            parts[i - 1] |= merged
+        elif edit == "overlap":
+            parts[i] |= bit
+        elif edit == "miss" and any(p & ~bit for p in parts):
+            parts = [p & ~bit for p in parts if p & ~bit]
+    return name, draw(st.permutations(parts))
+
+
+@st.composite
+def random_parts(draw):
+    """(group name, parts): up to four arbitrary nonempty masks, which may
+    overlap and may miss atoms."""
+    name = draw(st.sampled_from(C3_GROUPS))
+    full = (1 << get_group(name).order) - 1
+    return name, draw(st.lists(st.integers(1, full), min_size=1, max_size=4))
+
+
+@given(st.one_of(near_coset_parts(), random_parts()), st.integers(0, 1 << 16))
+@settings(max_examples=80, deadline=None)
+def test_c3_witness_matches_per_tuple_reference(case, seed):
+    # the same first witness, or None from both, through both closures and
+    # on exhaustive and sampled streams
+    name, parts = case
+    limits = DEFAULT_LIMITS.with_(tuple_budget=300, sample_count=200)
+    for close in c3_closures(name):
+        got, want = (
+            witness(parts, close, c3_tuples(parts, random.Random(seed), False, limits)[2])
+            for witness in (c3_witness, c3_witness_reference)
+        )
+        assert got == want
 
 
 class TestFindCosetPartition:

@@ -241,6 +241,27 @@ class TestCli:
                 assert exc.value.code == 2
                 assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["--samples", "-3", "--budget", "-1"], "--samples"),
+        (["--samples", "0"], "--samples"),
+        (["--budget", "-1"], "--budget"),
+        (["--lattice-cap", "-1"], "--lattice-cap"),
+        (["--subgroup-cap", "-1"], "--subgroup-cap"),
+        (["--iso-budget", "-1"], "--iso-budget"),
+    ], ids=["negative-samples-and-budget", "zero-samples", "negative-budget",
+            "negative-lattice-cap", "negative-subgroup-cap", "negative-iso-budget"])
+    def test_cap_flag_below_its_least_is_a_usage_error(self, argv, flag, capsys):
+        # a C3 sweep with no samples would report a pass having checked nothing
+        with pytest.raises(SystemExit) as exc:
+            run_cli("verify", "--order-max", "6", *argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be at least" in capsys.readouterr().err
+
+    def test_zero_budget_is_legal(self):
+        # --budget 0 forces sampling
+        limits = cli._limits_from(cli.build_parser().parse_args(["verify", "--budget", "0"]))
+        assert limits.tuple_budget == 0
+
     def test_unknown_derive_group(self, capsys):
         assert run_cli("derive", "--group", "NoSuchGroup") == 2
         assert "no catalog group named 'NoSuchGroup'" in capsys.readouterr().err
