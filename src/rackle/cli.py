@@ -236,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_top.set_defaults(func=_cmd_topology)
 
     p_ver = sub.add_parser("verify", help="full catalog verification report")
-    p_ver.add_argument("--order-max", type=int, default=12, dest="order_max")
+    p_ver.add_argument("--order-max", type=_at_least(1), default=12, dest="order_max")
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--exhaustive", action="store_true",
                        help="never sample; sweep every representative tuple")

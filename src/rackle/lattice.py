@@ -528,7 +528,13 @@ def parse_lattice(text: str, name: str = "") -> SubrackLattice:
     are read lazily, so the HASSE section of an older concrete file is
     skipped. A member list that repeats a member, a top that is not the
     whole ground set, or a "-" member list (the HASSE form, which is no
-    longer read) is rejected."""
+    longer read) is rejected.
+
+    While every line's id is its position, a line whose tokens have all been
+    read before costs one split: its mask is the sum of the tokens' cached bits.
+    A sum of k distinct bits has popcount k, and a repeated bit carries and
+    lowers it, so the popcount test still finds a repeated member. Any other
+    line takes the general path, which raises each error with its message."""
     lines = content_lines(text)
     header = next(lines, None)
     if header is None:
@@ -546,16 +552,28 @@ def parse_lattice(text: str, name: str = "") -> SubrackLattice:
     # checked before any member bit is built, with room to spare
     if not 0 <= ground <= 8 * len(text):
         raise FormatError(f"header ground size {ground} is not one the file could list")
-    bit: dict[str, int] = {}             # tokens read so far, not all of range(ground)
+    bit: dict[str, int] = {}             # member tokens read so far, not all of range(ground)
+    count: dict[str, int] = {}           # popcount tokens read so far
+    get = bit.__getitem__
     masks = [0] * n
-    seen_ids = bytearray(n)
-    for ln in body:
+    seen_ids = bytearray(n)              # kept by the general path only
+    fast = True                          # so far every line's id is its position
+    for i, own, ln in zip(range(n), map(str, range(n)), body):
         toks = ln.split()
+        try:
+            idt, pop_tok, *rest = toks
+            mask = sum(map(get, rest))
+            hit = fast and idt == own and count[pop_tok] == len(rest) == mask.bit_count()
+        except (ValueError, KeyError):   # under two tokens, or a token not yet read
+            hit = False
+        if hit:
+            masks[i] = mask
+            continue
         if len(toks) < 2:
             raise FormatError(f"bad element line {ln!r}")
         rest = toks[2:]
         try:
-            mask, members = reduce(or_, map(bit.__getitem__, rest), 0), []
+            mask, members = reduce(or_, map(get, rest), 0), []
         except KeyError:                 # a new token, or "zz": through int()
             if rest == ["-"]:
                 raise FormatError(
@@ -564,6 +582,11 @@ def parse_lattice(text: str, name: str = "") -> SubrackLattice:
                 ) from None
             mask, members = 0, ints(rest, "element line", ln)
         idx, pop = ints(toks[:2], "element line", ln)
+        count[toks[1]] = pop
+        if fast and idx != i:
+            # lines 0..i-1 took ids 0..i-1; from here on every id is marked
+            seen_ids[:i] = b"\1" * i
+            fast = False
         if not (0 <= idx < n) or seen_ids[idx]:
             raise FormatError(f"bad element id {idx}")
         seen_ids[idx] = 1
@@ -577,7 +600,7 @@ def parse_lattice(text: str, name: str = "") -> SubrackLattice:
         if mask.bit_count() != pop:
             raise FormatError(f"repeated member on line {ln!r}")
         masks[idx] = mask
-    if not all(map(_in_order, masks, masks[1:])):
+    if not all(map(_in_order, masks, islice(masks, 1, None))):
         raise FormatError("elements are not in popcount-then-lex order")
     if masks[-1] != (1 << ground) - 1:
         raise FormatError(f"the last element is not the whole ground set of {ground} points")

@@ -14,8 +14,12 @@ from .errors import FormatError
 
 
 def content_lines(text: str) -> Iterator[str]:
-    """The non-empty lines of text with comments cut, produced lazily."""
-    return filter(None, (ln.split("#", 1)[0].strip() for ln in text.splitlines()))
+    """The non-empty lines of text with comments cut, produced lazily. A text
+    with no "#" skips the cut."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = (ln.split("#", 1)[0] for ln in lines)
+    return filter(None, map(str.strip, lines))
 
 
 def ints(tokens: Sequence[str], what: str, line: str) -> list[int]:

@@ -1,7 +1,9 @@
 """Enumeration, lattice queries, abstraction, isomorphism, and the .lat format."""
 
 import random
-from itertools import permutations, product
+from functools import cache, reduce
+from itertools import islice, permutations, product
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -45,6 +47,7 @@ from rackle.racks import (
     rack_closure,
     verify_rack_axioms,
 )
+from rackle.textio import content_lines, ints
 
 from conftest import (
     ONE_SIDED,
@@ -685,6 +688,145 @@ def test_adjacent_order_check_matches_sort(masks):
             parse_lattice(text)
 
 
+def parse_lattice_reference(text: str, name: str = "") -> SubrackLattice:
+    """parse_lattice as it read every line before the one-split path: the
+    reference the reader must match, lattice for lattice and message for
+    message."""
+    lines = content_lines(text)
+    header = next(lines, None)
+    if header is None:
+        raise FormatError("empty lattice file")
+    head = header.split()
+    if len(head) != 2:
+        raise FormatError(f"bad header {header!r}")
+    n, ground = ints(head, "header", header)
+    if n < 1:
+        raise FormatError(f"bad header {header!r}: a lattice has at least one element")
+    body = list(islice(lines, n))
+    if len(body) < n:
+        raise FormatError(f"expected {n} element lines")
+    # the top's line lists every point, so the text bounds the ground size;
+    # checked before any member bit is built, with room to spare
+    if not 0 <= ground <= 8 * len(text):
+        raise FormatError(f"header ground size {ground} is not one the file could list")
+    bit: dict[str, int] = {}             # tokens read so far, not all of range(ground)
+    masks = [0] * n
+    seen_ids = bytearray(n)
+    for ln in body:
+        toks = ln.split()
+        if len(toks) < 2:
+            raise FormatError(f"bad element line {ln!r}")
+        rest = toks[2:]
+        try:
+            mask, members = reduce(or_, map(bit.__getitem__, rest), 0), []
+        except KeyError:                 # a new token, or "zz": through int()
+            if rest == ["-"]:
+                raise FormatError(
+                    f"line {ln!r} has '-' for members: the HASSE form of .lat is "
+                    "no longer read; list each element's atoms instead"
+                ) from None
+            mask, members = 0, ints(rest, "element line", ln)
+        idx, pop = ints(toks[:2], "element line", ln)
+        if not (0 <= idx < n) or seen_ids[idx]:
+            raise FormatError(f"bad element id {idx}")
+        seen_ids[idx] = 1
+        if len(rest) != pop:
+            raise FormatError(f"popcount mismatch on line {ln!r}")
+        for t, v in zip(rest, members):
+            if not (0 <= v < ground):
+                raise FormatError(f"member {v} outside ground set")
+            bit[t] = 1 << v
+            mask |= bit[t]
+        if mask.bit_count() != pop:
+            raise FormatError(f"repeated member on line {ln!r}")
+        masks[idx] = mask
+    if not all(map(_in_order, masks, masks[1:])):
+        raise FormatError("elements are not in popcount-then-lex order")
+    if masks[-1] != (1 << ground) - 1:
+        raise FormatError(f"the last element is not the whole ground set of {ground} points")
+    return SubrackLattice(elements=masks, ground_size=ground, name=name)
+
+
+CATALOG_12 = [g.name for g in catalog_entries(12)]
+LINE_EDITS = ("swap lines", "swap members", "copy id", "drop member", "repeat member",
+              "recount", "pad", "one token", "beyond", "hasse", "drop line")
+LINE_STYLES = ("tabs", "comment", "comment line", "blank line")
+
+
+@cache
+def lat_rows(name):
+    """The tokens of each line of a catalog lattice's .lat text."""
+    return tuple(tuple(ln.split()) for ln in format_lattice(get_lattice(name)).splitlines())
+
+
+@st.composite
+def edited_lat_texts(draw):
+    """The .lat text of a catalog_entries(12) lattice after up to four line
+    edits, some of them legal (a 0-padded token, tabs, comments) and some
+    not, written with a few lines restyled."""
+    rows = [list(r) for r in lat_rows(draw(st.sampled_from(CATALOG_12)))]
+    head, body = rows[0], rows[1:]
+    ground = int(head[1])
+    for _ in range(draw(st.integers(0, 4))):
+        edit = draw(st.sampled_from(LINE_EDITS))
+        i = draw(st.integers(0, len(body) - 1))
+        row = body[i]
+        j = draw(st.integers(0, len(body) - 1))
+        if edit == "swap lines":
+            body[i], body[j] = body[j], body[i]
+        elif edit == "swap members":
+            row[1:], body[j][1:] = body[j][1:], row[1:]
+        elif edit == "copy id":
+            row[0] = body[j][0]
+        elif edit == "drop member" and len(row) > 2:
+            del row[draw(st.integers(2, len(row) - 1))]
+        elif edit == "repeat member" and len(row) > 2:
+            row.append(draw(st.sampled_from(row[2:])))
+            row[1] = str(len(row) - 2)
+        elif edit == "recount" and len(row) > 1:
+            row[1] = str(len(row) - 2)
+        elif edit == "pad":
+            k = draw(st.integers(0, len(row) - 1))
+            row[k] = "0" + row[k]
+        elif edit == "one token":
+            del row[1:]
+        elif edit == "beyond" and len(row) > 1:
+            row.append(str(ground + draw(st.integers(0, 2))))
+            row[1] = str(len(row) - 2)
+        elif edit == "hasse":
+            row[2:] = ["-"]
+        elif edit == "drop line" and len(body) > 1:
+            del body[i]
+    styles = draw(st.dictionaries(st.integers(0, len(body)), st.sampled_from(LINE_STYLES),
+                                  max_size=3))
+    out = []
+    for k, row in enumerate([head, *body]):
+        style = styles.get(k)
+        if style == "comment line":
+            out.append("# a comment line")
+        elif style == "blank line":
+            out.append(" \t ")
+        sep = "\t  " if style == "tabs" else " "
+        ln = sep.join(row)
+        out.append(f"\t{ln} " if style == "tabs" else f"{ln} # note" if style == "comment" else ln)
+    return "\n".join(out) + "\n"
+
+
+def read_or_error(parse, text):
+    try:
+        lat = parse(text)
+    except FormatError as exc:
+        return str(exc)
+    return lat.elements, lat.ground_size
+
+
+@given(edited_lat_texts())
+@settings(max_examples=300, deadline=None)
+def test_reader_matches_reference(text):
+    # the same lattice, or the same error message, from both readers
+    assert read_or_error(parse_lattice, text) == read_or_error(parse_lattice_reference, text)
+
+
 class TestLatFormat:
     def test_concrete_roundtrip(self, tmp_path):
         lat = get_lattice("S3")
@@ -759,6 +901,34 @@ class TestLatFormat:
         for text in ("2 1\n0 0 -\n1 1 -\nHASSE\n0 1\n", "2 1\n0 0 -\n1 1 -\n"):
             with pytest.raises(FormatError, match="line '0 0 -'.*HASSE form"):
                 parse_lattice(text)
+
+    @pytest.mark.parametrize("name", ["S3", "D4", "A4", "Z2xZ2xZ2"])
+    def test_ids_in_any_order_load_the_same(self, name):
+        # lines in shuffled order with ids, popcounts and members written
+        # with leading zeros: no id matches its line, or only some do, so the
+        # reader's general path alone must give the canonical lattice
+        rows = lat_rows(name)
+        head, body = " ".join(rows[0]), list(rows[1:])
+        for seed, pad in ((1, True), (2, False), (3, False)):
+            random.Random(seed).shuffle(body)
+            lines = [" ".join("0" + t if pad else t for t in row) for row in body]
+            assert parse_lattice("\n".join([head, *lines])).elements == get_lattice(name).elements
+
+    def test_id_clashes_between_read_paths(self):
+        # lines 5 and 6 of this Boolean lattice are read on the fast path
+        lines = ["8 3", "0 0", "1 1 0", "2 1 1", "3 1 2", "4 2 0 1", "5 2 0 2", "6 2 1 2",
+                 "7 3 0 1 2"]
+        assert parse_lattice("\n".join(lines)).elements == [0, 1, 2, 4, 3, 5, 6, 7]
+        for edits, message in (
+            ({7: "05 2 1 2"}, "bad element id 5"),       # an id taken on the fast path
+            ({2: "05 1 0"}, "bad element id 5"),         # an id a later line claims
+            # "0" and "00" both cached: their bits add to one carried bit
+            ({2: "1 1 00", 6: "5 2 0 00"}, "repeated member on line '5 2 0 00'"),
+        ):
+            text = "\n".join(edits.get(k, ln) for k, ln in enumerate(lines))
+            with pytest.raises(FormatError, match=message):
+                parse_lattice(text)
+            assert read_or_error(parse_lattice_reference, text) == message
 
     @pytest.mark.xfail(strict=True, reason="the reader does not yet check the least-upper-bound "
                        "property (ROADMAP item 4)")

@@ -248,10 +248,14 @@ class TestCli:
         (["--lattice-cap", "-1"], "--lattice-cap"),
         (["--subgroup-cap", "-1"], "--subgroup-cap"),
         (["--iso-budget", "-1"], "--iso-budget"),
+        (["--order-max", "0"], "--order-max"),
+        (["--order-max", "-5"], "--order-max"),
     ], ids=["negative-samples-and-budget", "zero-samples", "negative-budget",
-            "negative-lattice-cap", "negative-subgroup-cap", "negative-iso-budget"])
+            "negative-lattice-cap", "negative-subgroup-cap", "negative-iso-budget",
+            "zero-order-max", "negative-order-max"])
     def test_cap_flag_below_its_least_is_a_usage_error(self, argv, flag, capsys):
-        # a C3 sweep with no samples would report a pass having checked nothing
+        # a C3 sweep with no samples, or a sweep over no groups, would report
+        # a pass having checked nothing
         with pytest.raises(SystemExit) as exc:
             run_cli("verify", "--order-max", "6", *argv)
         assert exc.value.code == 2

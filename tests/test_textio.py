@@ -1,11 +1,14 @@
 """The line rules every text format shares: comments and blank lines."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rackle.catalog import fixture_text
 from rackle.groups import format_cayley, parse_cayley, parse_pgen
 from rackle.lattice import format_lattice, parse_lattice
 from rackle.racks import format_rack, group_rack, parse_rack
+from rackle.textio import content_lines
 
 from conftest import get_group, get_lattice
 
@@ -31,3 +34,13 @@ def with_comments(text):
 ])
 def test_comments_and_blank_lines_are_skipped(text, parse, key):
     assert key(parse(with_comments(text))) == key(parse(text))
+
+
+@given(st.text(alphabet="0a #\t\n\r\x0b\x1c\u2028", max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_content_lines_cut_then_strip(text):
+    # a text with no "#" skips the cut; every text gives the lines of one
+    # comment cut and strip per line
+    assert list(content_lines(text)) == [
+        cut for ln in text.splitlines() if (cut := ln.split("#", 1)[0].strip())
+    ]
