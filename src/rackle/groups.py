@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from .closedsets import bits, close_by_one, mask_of
 from .config import DEFAULT_LIMITS, Limits
 from .errors import BadIndex, FormatError, NotAGroup, NotNormal, TooLarge
 from .textio import content_lines, format_table, ints, parse_table, read_file
@@ -363,34 +364,32 @@ def is_abelian_subset(g: FiniteGroup, members: Iterable[int]) -> bool:
 
 
 def normal_subgroups(g: FiniteGroup) -> list[frozenset[int]]:
-    """Normal subgroups via the class-union scan.
+    """Normal subgroups, by close_by_one over the non-identity classes.
 
-    A normal subgroup is a union of conjugacy classes containing the identity,
-    so candidates are subsets of classes rather than subsets of elements. This
-    stays feasible well past the full subgroup-enumeration cap.
+    A union of classes generates a normal subgroup, itself a union of
+    classes, so S ↦ {classes inside ⟨∪S⟩} is a closure whose closed sets are
+    the normal subgroups without the identity: one subgroup is generated per
+    (closed set, later class), not one subgroup test per set of classes.
     """
     cc = conjugacy_classes(g)
-    ident_cls = cc.class_of[g.identity]
-    others = [i for i in range(cc.count) if i != ident_cls]
-    out = []
-    for bits in range(1 << len(others)):
-        members = set(cc.classes[ident_cls])
-        for j, ci in enumerate(others):
-            if bits >> j & 1:
-                members.update(cc.classes[ci])
-        if g.order % len(members) != 0:
-            continue
-        fs = frozenset(members)
-        if is_subgroup(g, fs):
-            out.append(fs)
-    return sorted(out, key=lambda s: (len(s), sorted(s)))
+    e = cc.class_of[g.identity]
+
+    def members(chosen: int) -> frozenset[int]:
+        return frozenset(x for c in bits(chosen | 1 << e) for x in cc.classes[c])
+
+    def close(chosen: int) -> int:
+        h = generated_subgroup(g, members(chosen))
+        return mask_of(cc.class_of[x] for x in h) & ~(1 << e)
+
+    others = [c for c in range(cc.count) if c != e]
+    closed = [0, *close_by_one(others, lambda a, j: close(a | 1 << j))]
+    return sorted(map(members, closed), key=lambda s: (len(s), sorted(s)))
 
 
 def maximal_normal_abelian_oracle(g: FiniteGroup) -> list[frozenset[int]]:
     """Inclusion-maximal subgroups that are simultaneously normal and abelian."""
     cand = [h for h in normal_subgroups(g) if is_abelian_subset(g, h)]
-    out = [h for h in cand if not any(h < k for k in cand)]
-    return sorted(out, key=lambda s: (len(s), sorted(s)))
+    return [h for h in cand if not any(h < k for k in cand)]
 
 
 def maximal_abelian_subgroups(
@@ -398,8 +397,7 @@ def maximal_abelian_subgroups(
 ) -> list[frozenset[int]]:
     """Inclusion-maximal abelian subgroups; needs the full subgroup list."""
     cand = [h for h in subgroups(g, limits) if is_abelian_subset(g, h)]
-    out = [h for h in cand if not any(h < k for k in cand)]
-    return sorted(out, key=lambda s: (len(s), sorted(s)))
+    return [h for h in cand if not any(h < k for k in cand)]
 
 
 # ---------------------------------------------------------------------------
@@ -601,6 +599,8 @@ def parse_pgen(text: str, name: str = "", limits: Limits = DEFAULT_LIMITS) -> Fi
     if not lines:
         raise FormatError("empty generator file")
     (degree,) = ints(lines[:1], "degree line", lines[0])
+    if degree < 0:
+        raise FormatError(f"negative degree {degree}")
     gens = [parse_cycles(ln, degree) for ln in lines[1:]]
     return group_from_permutation_generators(degree, gens, name=name, limits=limits)
 

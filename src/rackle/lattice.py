@@ -1,15 +1,16 @@
 """Subrack lattices: enumeration, queries, label stripping, isomorphism.
 
-The enumerator walks closed sets in lectic order with the canonical-generation
-test (Close-by-One): a closure aborts at its first new point below the one
-being added, so cost scales with the output, never with 2^m. It walks only
-the moving points. A fixed point (moves[a] == 0; in a conjugation rack, a
-central element) can join or leave any closed set and keep it closed, so
-the lattice is the moving points' lattice times the Boolean lattice of the
-fixed points, and that factor is built without a closure. There is one
-lattice type, AbstractLattice, which keeps the order relation as atom
-supports; a SubrackLattice is one that also keeps its member sets. Code that
-claims to be "lattice only" reads the supports and nothing else.
+The enumerator walks closed sets with closedsets.close_by_one, the one
+Close-by-One walker that the join poset and the normal subgroups use too:
+a closure aborts at its first new point below the one being added, so cost
+scales with the output, never with 2^m. It walks only the moving points. A
+fixed point (moves[a] == 0; in a conjugation rack, a central element) can
+join or leave any closed set and keep it closed, so the lattice is the
+moving points' lattice times the Boolean lattice of the fixed points, and
+that factor is built without a closure. There is one lattice type,
+AbstractLattice, which keeps the order relation as atom supports; a
+SubrackLattice is one that also keeps its member sets. Code that claims to
+be "lattice only" reads the supports and nothing else.
 """
 
 from __future__ import annotations
@@ -21,16 +22,10 @@ from itertools import islice
 from operator import and_, or_
 from typing import Callable, Iterator, Sequence
 
+from .closedsets import bits, close_by_one, mask_of
 from .config import DEFAULT_LIMITS, Limits
 from .errors import FormatError, IsomorphismTimeout, TooLarge
-from .racks import (
-    ConjugationRack,
-    bits,
-    closure_extend,
-    is_closed_mask,
-    mask_of,
-    moves_of,
-)
+from .racks import ConjugationRack, closure_extend, is_closed_mask, moves_of
 from .textio import content_lines, ints, read_file
 
 
@@ -63,56 +58,36 @@ def order_key(width: int) -> Callable[[int], int]:
 # enumeration
 
 
-def _enumerate_subtree(rows: Sequence[Sequence[int]], m: int, cap: int) -> list[int]:
-    """All closed sets of the rack: the closed sets of its moving points, in
-    canonical preorder, then their unions with each nonempty set of fixed
-    points.
+def enumerate_closed_masks(
+    rack: ConjugationRack, limits: Limits = DEFAULT_LIMITS
+) -> list[int]:
+    """Closed subsets of the rack as bitmasks, sorted by popcount then members.
 
     A point a with moves[a] == 0 is fixed: σ_a is the identity and every
     σ_b fixes a. So a ▷ b and b ▷ a are b and a whenever a is fixed, and
     when a and b both move, a ▷ b moves too, since σ_a is a bijection that
     fixes every fixed point. A set is therefore closed iff its moving part
     is, and the closed sets are the closed sets of the moving points times
-    every subset of the fixed points F. The walk tries only moving points,
-    and the cap bounds walk · 2^|F| before any union is built.
-
-    The walk is a loop: the stack holds each set whose children are still
-    being tried, with the position in moving of the next point to add.
+    every subset of the fixed points F. Close-by-One walks the moving points
+    only, and the cap bounds walk · 2^|F| before any union is built.
     """
+    rows = rack.op
     moves = moves_of(rows)
-    moving = [j for j in range(m) if moves[j]]
-    fixed = [j for j in range(m) if not moves[j]]
-    walk_cap = cap >> len(fixed)         # walk · 2^|F| > cap iff walk > walk_cap
-    walk = [0]
-    stack = [(0, 0)]
-    while stack:
-        a, i = stack.pop()
-        while i < len(moving):
-            j = moving[i]
-            i += 1
-            if not a >> j & 1:
-                # canonical test: adding j must not sneak in smaller new
-                # points, so the closure aborts at the first one
-                b = closure_extend(rows, moves, a, j, (1 << j) - 1)
-                if b is not None:
-                    walk.append(b)
-                    stack.append((a, i))
-                    a = b
-        # walk grew by at most one chain of m sets since the last check
-        if len(walk) > walk_cap:
-            raise TooLarge(f"lattice exceeds cap of {cap} elements")
+    moving = [j for j in range(rack.size) if moves[j]]
+    fixed = [j for j in range(rack.size) if not moves[j]]
+
+    def extend(a: int, j: int) -> int | None:
+        return closure_extend(rows, moves, a, j, (1 << j) - 1)
+
+    # walk · 2^|F| > cap iff walk > walk_cap, so drawing walk_cap sets after ∅ tells
+    walk_cap = limits.lattice_cap >> len(fixed)
+    walk = [0, *islice(close_by_one(moving, extend), walk_cap)]
+    if len(walk) > walk_cap:
+        raise TooLarge(f"lattice exceeds cap of {limits.lattice_cap} elements")
     for p in fixed:
         walk += [s | 1 << p for s in walk]
+    walk.sort(key=order_key(rack.size))
     return walk
-
-
-def enumerate_closed_masks(
-    rack: ConjugationRack, limits: Limits = DEFAULT_LIMITS
-) -> list[int]:
-    """Closed subsets of the rack as bitmasks, sorted by popcount then members."""
-    masks = _enumerate_subtree(rack.op, rack.size, limits.lattice_cap)
-    masks.sort(key=order_key(rack.size))
-    return masks
 
 
 def brute_force_closed_masks(rack: ConjugationRack) -> list[int]:
@@ -128,15 +103,6 @@ def brute_force_closed_masks(rack: ConjugationRack) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # abstract lattice
-
-
-def _columns(masks: Sequence[int], m: int) -> list[int]:
-    """Transpose: entry p has bit r set when masks[r] has bit p, for p < m."""
-    # column p of the bit strings, read from the last mask up, is entry p in binary
-    columns = zip(*(format(s, f"0{m}b") for s in reversed(masks)))
-    rows = [int("".join(c), 2) for c in columns]
-    rows.reverse()
-    return rows
 
 
 @dataclass
@@ -199,11 +165,19 @@ class AbstractLattice:
         return self.size == 1 << self.n_atoms
 
     @cached_property
-    def _above(self) -> tuple[list[int], list[int]]:
-        """Elements ranked by support size, and for each atom p a bitmask
-        over ranks whose bit r is set when the r-th element lies above p."""
-        ranked = sorted(range(self.size), key=lambda x: self.supports[x].bit_count())
-        return ranked, _columns([self.supports[x] for x in ranked], self.n_atoms)
+    def ranked(self) -> list[int]:
+        """Element indices by support size, a linear extension of the order:
+        bottom first, top last, and every element after all those below it."""
+        return sorted(range(self.size), key=list(map(int.bit_count, self.supports)).__getitem__)
+
+    @cached_property
+    def _above(self) -> list[int]:
+        """For each atom p a bitmask over ranks whose bit r is set when the
+        element ranked[r] lies above p: the transpose of the ranked supports."""
+        # column p of the bit strings, read from the last rank up, is entry p in binary
+        width = f"0{self.n_atoms}b"
+        columns = zip(*(format(self.supports[x], width) for x in reversed(self.ranked)))
+        return [int("".join(c), 2) for c in columns][::-1]
 
     def join_mask(self, mask: int) -> int:
         """The least element whose support contains mask: the join of those atoms.
@@ -215,9 +189,9 @@ class AbstractLattice:
         hit = self.support_index.get(mask)
         if hit is not None:
             return hit
-        ranked, rows = self._above
+        rows = self._above
         upper = reduce(and_, (rows[p] for p in bits(mask)), -1)
-        return ranked[(upper & -upper).bit_length() - 1]
+        return self.ranked[(upper & -upper).bit_length() - 1]
 
     def atom_joins(self, x: int, atoms: int) -> Iterator[tuple[int, int]]:
         """(p, x ∨ p) for each atom p in the mask atoms, all outside supp x.
@@ -231,11 +205,11 @@ class AbstractLattice:
         for p in bits(atoms):
             y = get(sx | 1 << p)
             if y is None:
-                ranked, rows = self._above
+                rows = self._above
                 if upper is None:
                     upper = reduce(and_, (rows[q] for q in bits(sx)), -1)
                 u = upper & rows[p]
-                y = ranked[(u & -u).bit_length() - 1]
+                y = self.ranked[(u & -u).bit_length() - 1]
             yield p, y
 
     @cached_property
@@ -259,12 +233,15 @@ class AbstractLattice:
         Walking by falling support size, an element below top is a coatom
         when no coatom found so far contains it: any other element lies
         below a coatom, which has more atoms and so came first. That is
-        O(n·c) for c coatoms. Bottom stays in the walk so the 2-element
-        lattice reports its one coatom; anywhere else a coatom contains it.
+        O(n·c) for c coatoms. A Boolean lattice, the 2-element one included,
+        needs no walk: its coatoms are top less one atom each.
         """
+        if self.is_boolean():
+            full = self.supports[self.top]
+            return sorted(self.support_index[full ^ 1 << p] for p in range(self.n_atoms))
         found: list[int] = []            # supports of the coatoms so far
-        # top has the one largest support, so it comes first and is dropped
-        for s in sorted(self.supports, key=int.bit_count, reverse=True)[1:]:
+        # top has the one largest support, so it is ranked last and skipped
+        for s in map(self.supports.__getitem__, self.ranked[-2::-1]):
             for c in found:
                 if s | c == c:
                     break
@@ -286,7 +263,7 @@ class AbstractLattice:
         if self.is_boolean():
             return [self.top]
         boolean: set[int] = set()
-        for s in sorted(self.supports, key=int.bit_count):
+        for s in map(self.supports.__getitem__, self.ranked):
             t = s                        # the bits p of s still to try
             while t and s ^ (t & -t) in boolean:
                 t &= t - 1

@@ -13,7 +13,8 @@ moves[a] is the complement of a's centralizer, so an abelian group's rack
 closes every set without a single product. A point with moves[a] == 0 is
 fixed (in a conjugation rack, a central element): every subset of the fixed
 points can be added to a closed set and leaves it closed, so the enumerator
-walks the other points only and adds the fixed ones as a Boolean factor.
+runs closedsets.close_by_one over the other points only, with closure_extend
+as its step, and adds the fixed ones as a Boolean factor.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
+from .closedsets import bits, mask_of  # mask_of stays importable from here
 from .errors import BadIndex, FormatError, NotPrime
 from .groups import FiniteGroup, conjugacy_classes
 from .textio import format_table, parse_table, read_file
@@ -157,25 +159,7 @@ def p_power_rack(g: FiniteGroup, p: int) -> ConjugationRack:
 
 
 # ---------------------------------------------------------------------------
-# bitmasks and closure
-
-
-def bits(mask: int) -> list[int]:
-    """Positions of the set bits, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def mask_of(members: Iterable[int]) -> int:
-    """Bitmask with the given positions set."""
-    out = 0
-    for v in members:
-        out |= 1 << v
-    return out
+# closure
 
 
 def closure_mask(rows: Sequence[Sequence[int]], seed_mask: int) -> int:

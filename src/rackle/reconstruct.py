@@ -19,6 +19,7 @@ from functools import reduce
 from operator import or_
 from typing import Callable, Iterable, Iterator, Sequence
 
+from .closedsets import bits, close_by_one, mask_of
 from .config import DEFAULT_LIMITS, Limits
 from .errors import (
     BadPartition,
@@ -29,7 +30,7 @@ from .errors import (
 )
 from .groups import NOT_SOLVABLE, FiniteGroup, _NotSolvable, is_normal, is_subgroup
 from .lattice import AbstractLattice, order_key
-from .racks import bits, group_rack, is_closed_mask, mask_of
+from .racks import group_rack, is_closed_mask
 
 
 @dataclass(frozen=True)
@@ -467,52 +468,34 @@ def join_poset(
     """Joins of unions of parts, as a lattice whose atoms are the parts.
 
     On a genuine group-rack lattice this is the subrack lattice of the
-    quotient. It is enumerated by Close-by-One over part indices with the
-    closure S ↦ {parts below join(∪S)}: the lectic walk of the subrack
-    enumeration with another closure. A set of parts has the same join as
-    its closure, so every join is reached, each from its closed set alone;
-    the cost is about |quotient lattice| × m joins for m parts, not 2^m.
+    quotient. It is enumerated by close_by_one over part indices with the
+    closure S ↦ {parts below join(∪S)}, the subrack enumeration's walk with
+    another closure. A set of parts has the same join as its closure, so
+    every join is reached, each from its closed set alone; the cost is
+    about |quotient lattice| × m joins for m parts, not 2^m.
     Each join must be the union of the parts below it, and each part must be
     closed on its own (the parts are the atoms); anything else means the
     input is no group-rack lattice.
     """
     parts = partition.parts
-    m = len(parts)
 
-    def close(chosen: int) -> tuple[int, int]:
-        """(parts below the join of the chosen parts, that join's support)."""
-        union = 0
-        for i in bits(chosen):
-            union |= parts[i]
-        s = lat.supports[lat.join_mask(union)]
-        below = 0
-        covered = 0
-        for i, p in enumerate(parts):
-            if p & s == p:
-                below |= 1 << i
-                covered |= p
-        if covered != s:
+    def union(chosen: int) -> int:
+        return reduce(or_, (parts[i] for i in bits(chosen)), 0)
+
+    def close(chosen: int) -> int:
+        """The parts below the join of the chosen parts."""
+        s = lat.supports[lat.join_mask(union(chosen))]
+        below = mask_of(i for i, p in enumerate(parts) if p & s == p)
+        if union(below) != s:
             raise NotGroupLattice("a join of parts is not a union of parts")
-        return below, s
+        return below
 
-    for i in range(m):
-        if close(1 << i)[0] != 1 << i:
+    for i in range(len(parts)):
+        if close(1 << i) != 1 << i:
             raise NotGroupLattice("parts are not the atoms of their join poset")
-    part_sets = {0: 0}   # join support -> closed set of part indices
-    stack = [(0, 0)]     # closed sets whose children are still being tried
-    while stack:
-        a, j = stack.pop()
-        while j < m:
-            if not a >> j & 1:
-                b, s = close(a | 1 << j)
-                # canonical test: the closure adds no part before j
-                if b & ((1 << j) - 1) == a & ((1 << j) - 1):
-                    part_sets[s] = b
-                    stack.append((a, j + 1))
-                    a = b
-            j += 1
     key = order_key(lat.n_atoms)
-    return AbstractLattice([part_sets[s] for s in sorted(part_sets, key=key)])
+    closed = [0, *close_by_one(range(len(parts)), lambda a, j: close(a | 1 << j))]
+    return AbstractLattice(sorted(closed, key=lambda b: key(union(b))))
 
 
 def lattice_derived_length(

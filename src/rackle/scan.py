@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from .closedsets import bits, mask_of
 from .config import DEFAULT_LIMITS, Limits
 from .errors import RackleError, TooLarge
 from .groups import (
@@ -28,7 +29,7 @@ from .lattice import (
     enumerate_subrack_lattice,
     to_abstract,
 )
-from .racks import bits, group_rack, mask_of, memo_closure
+from .racks import group_rack, memo_closure
 from .reconstruct import (
     HypotheticalCosetPartition,
     c3_tuples,

@@ -27,7 +27,7 @@ def mobius_bottom_top(lat: AbstractLattice) -> int:
     sup = lat.supports
     acc = [0] * lat.size
     acc[lat.bottom] = -1                 # mu(bottom, bottom) = 1
-    for y in lat._above[0]:
+    for y in lat.ranked:
         mu = -acc[y]
         if mu:
             sy = sup[y]
@@ -43,11 +43,11 @@ def reduced_euler_characteristic(
     """Alternating chain count over the proper part (bottom and top removed).
 
     A chain of k elements contributes (-1)^(k-1); the empty chain contributes
-    -1. Supports sorted by popcount are a linear extension with bottom first
-    and top last, so one pass over the rest finishes every element after all
-    elements below it; Python integers absorb the growth. Only containment is
-    used, never Weisner's theorem, so this stays an independent check on
-    mobius_bottom_top.
+    -1. lat.ranked, the elements by support size, is a linear extension with
+    bottom first and top last, so one pass over the rest finishes every
+    element after all elements below it; Python integers absorb the growth.
+    Only containment is used, never Weisner's theorem, so this stays an
+    independent check on mobius_bottom_top.
     """
     n = lat.size - 2
     if n > limits.chain_count_cap:
@@ -57,6 +57,6 @@ def reduced_euler_characteristic(
     # (support, signed count of the chains whose maximum it is); supports are
     # distinct, so an earlier one inside s lies strictly below it
     counted: list[tuple[int, int]] = []
-    for s in sorted(lat.supports, key=int.bit_count)[1:-1]:
+    for s in map(lat.supports.__getitem__, lat.ranked[1:-1]):
         counted.append((s, 1 - sum(c for t, c in counted if t & s == t)))
     return -1 + sum(c for _, c in counted)

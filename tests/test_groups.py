@@ -19,13 +19,14 @@ from rackle import (
     group_from_cayley_table,
     group_from_permutation_generators,
     group_invariants,
+    load_group,
     maximal_abelian_subgroups,
     maximal_normal_abelian_oracle,
     normal_subgroups,
     quotient,
     subgroups,
 )
-from rackle.catalog import catalog_entries, symmetric
+from rackle.catalog import catalog_entries, sl23, symmetric
 from rackle.config import DEFAULT_LIMITS
 from rackle.groups import (
     _check_associative,
@@ -43,7 +44,7 @@ from rackle.groups import (
     relabelled,
 )
 
-from conftest import get_group
+from conftest import GL23_PATH, get_group
 
 # smallest loop that is not a group: Latin, unital, with inverses,
 # but 51 associativity failures
@@ -210,6 +211,11 @@ class TestSubgroups:
     def test_normal_subgroups_s3(self):
         sizes = sorted(len(h) for h in normal_subgroups(get_group("S3")))
         assert sizes == [1, 3, 6]
+
+    def test_normal_subgroups_match_subgroup_oracle(self):
+        extra = [load_group(GL23_PATH), direct_product(get_group("Z2"), sl23())]
+        for g in catalog_entries(24) + extra:
+            assert normal_subgroups(g) == [h for h in subgroups(g) if is_normal(g, h)], g
 
     def test_normal_subgroups_a5_simple(self):
         sizes = sorted(len(h) for h in normal_subgroups(get_group("A5")))

@@ -24,12 +24,12 @@ from rackle import (
     to_abstract,
 )
 from rackle.catalog import catalog_entries, dihedral
+from rackle.closedsets import close_by_one
 from rackle.config import DEFAULT_LIMITS
 from rackle.errors import FormatError
 from rackle.lattice import (
     AbstractLattice,
     SubrackLattice,
-    _enumerate_subtree,
     _in_order,
     enumerate_closed_masks,
     format_lattice,
@@ -157,14 +157,17 @@ def full_closure_lectic(rows, m):
 
 
 def assert_walk_matches_reference(rows, m):
-    """The walk over the moving points visits the reference's sets that miss
-    every fixed point, in the reference's order; with the fixed-point unions
-    the output is the whole reference, each set once."""
-    raw = _enumerate_subtree(rows, m, DEFAULT_LIMITS.lattice_cap)
+    """The raw walk over the moving points, with the enumerator's aborting
+    step, visits the reference's sets that miss every fixed point, in the
+    reference's order; with the fixed-point unions the sorted output is the
+    whole reference, each set once."""
+    moves = moves_of(rows)
+    moving = [j for j in range(m) if moves[j]]
+    raw = [0, *close_by_one(moving, lambda a, j: closure_extend(rows, moves, a, j, (1 << j) - 1))]
     ref = full_closure_lectic(rows, m)
-    fixed = mask_of(a for a, mv in enumerate(moves_of(rows)) if not mv)
-    assert [s for s in raw if not s & fixed] == [s for s in ref if not s & fixed]
-    assert len(raw) == len(ref) and set(raw) == set(ref)
+    fixed = mask_of(a for a in range(m) if not moves[a])
+    assert raw == [s for s in ref if not s & fixed]
+    assert enumerate_closed_masks(rack_from(rows)) == sorted(ref, key=order_key(m))
 
 
 @given(small_racks)

@@ -125,3 +125,14 @@ def test_traced_layers_resolve():
     }
     # deleted from rackle, still listed by the benchmark (ROADMAP item 4)
     assert missing == {"lattice.is_boolean_interval"}
+
+
+def test_closedsets_imports_nothing_from_rackle():
+    # every module imports the walker and the bitmask helpers, so importing
+    # any rackle module from there would close a cycle
+    tree = ast.parse((ROOT / "src" / "rackle" / "closedsets.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0 and node.module.split(".")[0] != "rackle", node.module
+        elif isinstance(node, ast.Import):
+            assert all(a.name.split(".")[0] != "rackle" for a in node.names)

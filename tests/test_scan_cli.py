@@ -201,10 +201,11 @@ class TestCli:
     def test_missing_file(self):
         assert run_cli("group", "info", "/no/such/file.cay") == 2
 
-    @pytest.mark.parametrize("text", ["2\n0 1\n1 1\n", "2\n0 1\n1\n"],
-                             ids=["not-latin", "ragged"])
-    def test_malformed_group_file_is_bad_input(self, tmp_path, capsys, text):
-        bad = tmp_path / "bad.cay"
+    @pytest.mark.parametrize("name, text", [
+        ("bad.cay", "2\n0 1\n1 1\n"), ("bad.cay", "2\n0 1\n1\n"), ("bad.pgen", "-3\n"),
+    ], ids=["not-latin", "ragged", "negative-degree"])
+    def test_malformed_group_file_is_bad_input(self, tmp_path, capsys, name, text):
+        bad = tmp_path / name
         bad.write_text(text)
         assert run_cli("group", "info", str(bad)) == 2
         assert capsys.readouterr().err.startswith("error: ")
