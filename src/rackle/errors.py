@@ -18,7 +18,7 @@ class NotNormal(RackleError):
 
 
 class TooLarge(RackleError):
-    """An enumeration exceeded its configured cap."""
+    """An enumeration or search exceeded its configured cap."""
 
 
 class BadIndex(RackleError):
@@ -45,7 +45,7 @@ class NoPartition(NotGroupLattice):
     """The coset-partition search was exhausted without a hit."""
 
 
-class IsomorphismTimeout(RackleError):
+class IsomorphismTimeout(TooLarge):
     """Isomorphism search exceeded its backtracking node budget."""
 
 

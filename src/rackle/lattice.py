@@ -10,7 +10,9 @@ moving points' lattice times the Boolean lattice of the fixed points, and
 that factor is built without a closure. There is one lattice type,
 AbstractLattice, which keeps the order relation as atom supports; a
 SubrackLattice is one that also keeps its member sets. Code that claims to
-be "lattice only" reads the supports and nothing else.
+be "lattice only" reads the supports and nothing else. One function, relabel,
+moves a support list through an atom permutation: to_abstract shuffles with
+it, and the isomorphism search and its check test an atom bijection with it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import islice
 from operator import and_, or_
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .closedsets import bits, close_by_one, mask_of
 from .config import DEFAULT_LIMITS, Limits
@@ -338,13 +340,33 @@ def enumerate_subrack_lattice(
     return SubrackLattice(elements=masks, ground_size=rack.size, name=rack.name)
 
 
+def relabel(masks: Iterable[int], pi: Sequence[int]) -> list[int]:
+    """Each mask, none with a bit at or past len(pi), carried through the bit
+    permutation pi: bit p -> bit pi[p]. A mask goes a byte at a time through
+    a table of the 256 images of each byte: one lookup per 8 bits."""
+    tables = []
+    for k in range(0, len(pi), 8):
+        table = [0]                      # entry b: the image of byte b at bit k
+        for q in pi[k:k + 8]:
+            table += [t | 1 << q for t in table]
+        tables.append(table)
+    out = []
+    for s in masks:
+        t = 0
+        for table in tables:
+            t |= table[s & 255]
+            s >>= 8
+        out.append(t)
+    return out
+
+
 def to_abstract(lat: AbstractLattice, seed: int | None = None) -> AbstractLattice:
     """Strip labels, keeping only the order relation.
 
     With no seed the supports are kept as they are. With a seed, elements
     and atom positions are shuffled so downstream code cannot lean on the
-    concrete construction order; support bit p moves to bit atom_perm[p],
-    a byte at a time through a table of the 256 images of each byte.
+    concrete construction order: the supports are shuffled, then the atom
+    permutation is drawn, and relabel moves support bit p to bit atom_perm[p].
     """
     if seed is None:
         return AbstractLattice(lat.supports)
@@ -353,28 +375,11 @@ def to_abstract(lat: AbstractLattice, seed: int | None = None) -> AbstractLattic
     rng = random.Random(seed)
     rng.shuffle(supports)
     rng.shuffle(atom_perm)
-    tables = []
-    for k in range(0, lat.n_atoms, 8):
-        table = [0]                      # entry b: the image of byte b at bit k
-        for q in atom_perm[k:k + 8]:
-            table += [t | 1 << q for t in table]
-        tables.append(table)
-    for i, s in enumerate(supports):
-        t = 0
-        for table in tables:
-            t |= table[s & 255]
-            s >>= 8
-        supports[i] = t
-    return AbstractLattice(supports)
+    return AbstractLattice(relabel(supports, atom_perm))
 
 
 # ---------------------------------------------------------------------------
 # isomorphism
-
-
-def _transport(mask: int, pi: Sequence[int]) -> int:
-    """Image of a support under the atom bijection pi (bit p -> bit pi[p])."""
-    return mask_of(pi[p] for p in bits(mask))
 
 
 def are_isomorphic(
@@ -390,8 +395,8 @@ def are_isomorphic(
     read from each lattice's pair_joins) first. A placement p→q must agree
     with every placed r: the joins J(p, r) and J'(q, pi(r)) have equal
     popcounts, and pi carries the placed atoms of the one onto the placed
-    atoms of the other. A full bijection is accepted when every transported
-    support of a is a support of b. Each candidate placement is one node
+    atoms of the other. A full bijection is accepted when relabel carries
+    every support of a to a support of b. Each candidate placement is one node
     against ``limits.iso_node_budget``.
     """
     if a.size != b.size or a.n_atoms != b.n_atoms:
@@ -415,7 +420,7 @@ def are_isomorphic(
     while True:
         q = -1
         if i == m:
-            mapping = [index_b.get(_transport(s, pi)) for s in a.supports]
+            mapping = [index_b.get(t) for t in relabel(a.supports, pi)]
             if None not in mapping:
                 return mapping
         else:
@@ -431,7 +436,7 @@ def are_isomorphic(
                     raise IsomorphismTimeout(f"isomorphism search exceeded {budget} nodes")
                 if all(
                     ja[p][r].bit_count() == jb[c][pi[r]].bit_count()
-                    and _transport(ja[p][r] & placed, pi) == jb[c][pi[r]] & images
+                    and mask_of(pi[s] for s in bits(ja[p][r] & placed)) == jb[c][pi[r]] & images
                     for r in bits(placed)
                 ):
                     q = c
@@ -457,8 +462,9 @@ def check_isomorphism(
 
     The map must be a bijection sending atoms to atoms; those atoms define a
     bijection pi of support bits, and every element's image must have the
-    pi-image of its support. That is exact: both orders are support
-    containment, and a bit permutation preserves containment both ways.
+    pi-image of its support, which relabel gives for the whole list. That is
+    exact: both orders are support containment, and a bit permutation
+    preserves containment both ways.
     """
     n = a.size
     if b.size != n or sorted(mapping) != list(range(n)):
@@ -469,9 +475,7 @@ def check_isomorphism(
         if t.bit_count() != 1:
             return False
         pi[a.supports[x].bit_length() - 1] = t.bit_length() - 1
-    return all(
-        b.supports[mapping[x]] == _transport(s, pi) for x, s in enumerate(a.supports)
-    )
+    return [b.supports[y] for y in mapping] == relabel(a.supports, pi)
 
 
 # ---------------------------------------------------------------------------

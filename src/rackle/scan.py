@@ -314,16 +314,10 @@ def full_verification(
     seed: int = 0,
     exhaustive: bool = False,
 ) -> ScanReport:
-    """verify_group over the catalog, then the pair scan, in one report."""
+    """The pair scan's report, with verify_group's lines for the catalog in front."""
     from .catalog import catalog_entries
 
-    config = (
-        f"order_max={max_order} exhaustive={exhaustive} "
-        f"tuple_budget={limits.tuple_budget}"
-    )
-    report = ScanReport(seed=seed, config=config)
-    for g in catalog_entries(max_order):
-        report.lines.extend(verify_group(g, limits=limits, seed=seed, exhaustive=exhaustive))
-    pair_report = pairs_scan(max_order, limits=limits, seed=seed, exhaustive=exhaustive)
-    report.lines.extend(pair_report.lines)
+    report = pairs_scan(max_order, limits=limits, seed=seed, exhaustive=exhaustive)
+    groups = catalog_entries(max_order)
+    report.lines[:0] = [ln for g in groups for ln in verify_group(g, limits, seed, exhaustive)]
     return report

@@ -6,7 +6,7 @@ from itertools import islice, permutations, product
 from operator import or_
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rackle import (
@@ -35,6 +35,7 @@ from rackle.lattice import (
     format_lattice,
     order_key,
     parse_lattice,
+    relabel,
 )
 from rackle.racks import (
     bits,
@@ -449,7 +450,7 @@ class TestIsomorphism:
         rng = random.Random(16)
         pi = list(range(16))
         rng.shuffle(pi)
-        supports = [relabel(s, pi) for s in range(1 << 16)]
+        supports = [relabel_reference(s, pi) for s in range(1 << 16)]
         rng.shuffle(supports)
         b = AbstractLattice(supports)
         mapping = are_isomorphic(a, b)
@@ -476,8 +477,44 @@ class TestIsomorphism:
         assert are_isomorphic(a, b) is None
 
 
-def relabel(mask, pi):
+def relabel_reference(mask, pi):
+    """One mask through pi a bit at a time: what relabel's byte tables compute."""
     return mask_of(pi[p] for p in bits(mask))
+
+
+@st.composite
+def masks_and_permutations(draw):
+    """A bit permutation of width 0 to 40, and masks of that width."""
+    width = draw(st.integers(min_value=0, max_value=40))
+    pi = draw(st.permutations(range(width)))
+    masks = draw(st.lists(st.integers(min_value=0, max_value=(1 << width) - 1), max_size=20))
+    return masks, pi
+
+
+@given(masks_and_permutations())
+@example(([0], []))
+@example(([0, 511, 1, 256], [8, 0, 7, 1, 6, 2, 5, 3, 4]))
+@example(([(1 << 40) - 1, 1 << 39], list(range(39, -1, -1))))
+@settings(max_examples=300, deadline=None)
+def test_relabel_matches_bit_at_a_time(case):
+    # widths 0, 9 and 40 always run: no byte, a part byte, five bytes
+    masks, pi = case
+    assert relabel(masks, pi) == [relabel_reference(s, pi) for s in masks]
+
+
+@pytest.mark.parametrize("name", [g.name for g in catalog_entries(12)])
+def test_to_abstract_draws_are_pinned(name):
+    # seeded shuffles feed derive seeds and verify's output: the supports
+    # are copied and shuffled, then the atom permutation is drawn
+    lat = get_lattice(name)
+    for seed in range(5):
+        rng = random.Random(seed)
+        supports = lat.supports[:]
+        pi = list(range(lat.n_atoms))
+        rng.shuffle(supports)
+        rng.shuffle(pi)
+        expected = [relabel_reference(s, pi) for s in supports]
+        assert to_abstract(lat, seed).supports == expected
 
 
 def pairwise_isomorphism(a, b, mapping):
@@ -513,7 +550,7 @@ def brute_force_isomorphic(sa, sb):
         return None
     target = set(sb)
     for pi in permutations(range(k)):
-        if all(relabel(s, pi) in target for s in sa):
+        if all(relabel_reference(s, pi) in target for s in sa):
             return pi
     return None
 
@@ -533,7 +570,7 @@ def family_pairs(draw):
     if kind == "any":
         return sa, draw(closed_families())
     pi = draw(st.permutations(range(k)))
-    return sa, draw(st.permutations([relabel(s, pi) for s in sa]))
+    return sa, draw(st.permutations([relabel_reference(s, pi) for s in sa]))
 
 
 @given(family_pairs(), st.data())

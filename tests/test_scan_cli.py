@@ -1,6 +1,7 @@
 """The verification scan and the command-line interface."""
 
 from functools import cached_property
+from pathlib import Path
 
 import pytest
 
@@ -169,6 +170,22 @@ class TestCli:
     def test_too_large_exit_code(self):
         assert run_cli("lattice", "build", "--in", "A5", "--out", "/dev/null",
                        "--lattice-cap", "100") == 2
+
+    def test_iso_budget_exhausted_exit_code(self, tmp_path, capsys):
+        # an exhausted search is a resource cap like any other
+        a, b = tmp_path / "d4.lat", tmp_path / "q8.lat"
+        assert run_cli("lattice", "build", "--in", "D4", "--out", str(a)) == 0
+        assert run_cli("lattice", "build", "--in", "Q8", "--out", str(b)) == 0
+        assert run_cli("compare", str(a), str(b), "--iso-budget", "0") == 2
+        assert run_cli("verify", "--order-max", "6", "--iso-budget", "0") == 2
+        err = capsys.readouterr().err
+        assert err.count("error: isomorphism search exceeded 0 nodes") == 2
+
+    def test_verify_output_is_unchanged(self, capsys):
+        # the whole report, byte for byte: seeds, shuffles and line order
+        assert run_cli("verify", "--order-max", "12") == 0
+        expected = (Path(__file__).parent / "verify_order12.txt").read_bytes()
+        assert capsys.readouterr().out.encode() == expected
 
     def test_non_atomistic_lattice_is_bad_input(self, tmp_path, capsys):
         concrete = tmp_path / "chain.lat"
