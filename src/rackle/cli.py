@@ -252,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, UnknownGroup, FileNotFoundError, TooLarge) as exc:
+    except (FormatError, UnknownGroup, OSError, TooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RackleError as exc:

@@ -315,6 +315,30 @@ def generated_subgroup(g: FiniteGroup, seeds: Iterable[int]) -> frozenset[int]:
     return frozenset(members)
 
 
+def extend_subgroup(g: FiniteGroup, h: Iterable[int], seeds: Iterable[int]) -> frozenset[int]:
+    """⟨H ∪ seeds⟩ for a subgroup H, grown by whole right cosets (Dimino).
+
+    The union of the cosets H·r found so far is the subgroup once r·s lies
+    in it for every representative r and every s in H or the seeds, since
+    H·r·s = H·(r·s); a product outside adds its coset. That is |K| products
+    for the cosets and |K:H|·|H ∪ seeds| for the tests, against the |K|²
+    of generated_subgroup on all of K.
+    """
+    mul = g.mul
+    base = list(h)
+    members = set(base)
+    gens = base + [s for s in seeds if s not in members]
+    reps = [g.identity]
+    for r in reps:                       # grows as cosets are found
+        row = mul[r]
+        for s in gens:
+            t = row[s]
+            if t not in members:
+                members.update(mul[x][t] for x in base)
+                reps.append(t)
+    return frozenset(members)
+
+
 def subgroups(g: FiniteGroup, limits: Limits = DEFAULT_LIMITS) -> list[frozenset[int]]:
     """All subgroups, by iterated cyclic extension starting from the trivial one.
 
@@ -338,7 +362,7 @@ def subgroups(g: FiniteGroup, limits: Limits = DEFAULT_LIMITS) -> list[frozenset
                 if x in tried:
                     continue
                 tried.update(g.mul[x][k] for k in h)
-                ext = generated_subgroup(g, set(h) | {x})
+                ext = extend_subgroup(g, h, [x])
                 if ext not in found:
                     found.add(ext)
                     nxt.append(ext)
@@ -370,6 +394,8 @@ def normal_subgroups(g: FiniteGroup) -> list[frozenset[int]]:
     classes, so S ↦ {classes inside ⟨∪S⟩} is a closure whose closed sets are
     the normal subgroups without the identity: one subgroup is generated per
     (closed set, later class), not one subgroup test per set of classes.
+    A closed set's classes already form a subgroup, so each step extends it
+    by the new class rather than generating it afresh.
     """
     cc = conjugacy_classes(g)
     e = cc.class_of[g.identity]
@@ -377,12 +403,12 @@ def normal_subgroups(g: FiniteGroup) -> list[frozenset[int]]:
     def members(chosen: int) -> frozenset[int]:
         return frozenset(x for c in bits(chosen | 1 << e) for x in cc.classes[c])
 
-    def close(chosen: int) -> int:
-        h = generated_subgroup(g, members(chosen))
+    def extend(chosen: int, j: int) -> int:
+        h = extend_subgroup(g, members(chosen), cc.classes[j])
         return mask_of(cc.class_of[x] for x in h) & ~(1 << e)
 
     others = [c for c in range(cc.count) if c != e]
-    closed = [0, *close_by_one(others, lambda a, j: close(a | 1 << j))]
+    closed = [0, *close_by_one(others, extend)]
     return sorted(map(members, closed), key=lambda s: (len(s), sorted(s)))
 
 

@@ -7,7 +7,9 @@ scales with the output, never with 2^m. It walks only the moving points. A
 fixed point (moves[a] == 0; in a conjugation rack, a central element) can
 join or leave any closed set and keep it closed, so the lattice is the
 moving points' lattice times the Boolean lattice of the fixed points, and
-that factor is built without a closure. There is one lattice type,
+that factor is built without a closure. The output comes in popcount-then-lex
+order by construction: the walk alone is sorted, and each fixed point merges
+the list with a shifted copy of itself. There is one lattice type,
 AbstractLattice, which keeps the order relation as atom supports; a
 SubrackLattice is one that also keeps its member sets. Code that claims to
 be "lattice only" reads the supports and nothing else. One function, relabel,
@@ -45,6 +47,11 @@ def order_key(width: int) -> Callable[[int], int]:
     rounded up to whole bytes, and each byte is reversed through a table.
     The width must be fixed: reversed at its own length, 0x1 would read
     the same as 0x100.
+
+    The key is additive over disjoint masks: key(a | b) = key(a) + key(b),
+    since popcounts add and so do the reversals of disjoint masks. So does
+    key(m) << width | m, one integer that also holds the mask itself, and
+    enumerate_closed_masks builds its order from that rule.
     """
     n = (width + 7) // 8
     shift = 8 * n
@@ -72,11 +79,18 @@ def enumerate_closed_masks(
     is, and the closed sets are the closed sets of the moving points times
     every subset of the fixed points F. Close-by-One walks the moving points
     only, and the cap bounds walk · 2^|F| before any union is built.
+
+    The order comes without a sort over the output. Each walk set s becomes
+    v(s) = key(s) << m | s for the order_key of the m points, and only the
+    walk is sorted by v. v adds over disjoint sets, so for a fixed point p
+    the unions with p, in the same order, are the list shifted by v({p}):
+    two ascending runs, which list.sort merges in linear time. The masks
+    are the low m bits of the merged values.
     """
-    rows = rack.op
+    rows, m = rack.op, rack.size
     moves = moves_of(rows)
-    moving = [j for j in range(rack.size) if moves[j]]
-    fixed = [j for j in range(rack.size) if not moves[j]]
+    moving = [j for j in range(m) if moves[j]]
+    fixed = [j for j in range(m) if not moves[j]]
 
     def extend(a: int, j: int) -> int | None:
         return closure_extend(rows, moves, a, j, (1 << j) - 1)
@@ -86,10 +100,18 @@ def enumerate_closed_masks(
     walk = [0, *islice(close_by_one(moving, extend), walk_cap)]
     if len(walk) > walk_cap:
         raise TooLarge(f"lattice exceeds cap of {limits.lattice_cap} elements")
+    key = order_key(m)
+    out = sorted(key(s) << m | s for s in walk)
     for p in fixed:
-        walk += [s | 1 << p for s in walk]
-    walk.sort(key=order_key(rack.size))
-    return walk
+        vp = key(1 << p) << m | 1 << p
+        out += [v + vp for v in out]
+        out.sort()                       # two ascending runs: one merge
+    full = (1 << m) - 1
+    # in place: each value is freed as its mask replaces it, so the list
+    # never holds both, and peak memory stays that of the output
+    for i, v in enumerate(out):
+        out[i] = v & full
+    return out
 
 
 def brute_force_closed_masks(rack: ConjugationRack) -> list[int]:

@@ -58,6 +58,11 @@ def stem(path: str) -> str:
 
 
 def read_file(path: str) -> tuple[str, str]:
-    """The text of a file and its stem, which loaders use as the name."""
+    """The text of a file and its stem, which loaders use as the name. Bytes
+    that are not UTF-8 raise FormatError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read(), stem(path)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path} is not UTF-8 text: {exc.reason}") from None
+    return text, stem(path)

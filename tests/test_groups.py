@@ -27,10 +27,12 @@ from rackle import (
     subgroups,
 )
 from rackle.catalog import catalog_entries, sl23, symmetric
+from rackle.closedsets import bits
 from rackle.config import DEFAULT_LIMITS
 from rackle.groups import (
     _check_associative,
     commutator_subgroup,
+    extend_subgroup,
     format_cayley,
     generated_subgroup,
     is_normal,
@@ -216,6 +218,26 @@ class TestSubgroups:
         extra = [load_group(GL23_PATH), direct_product(get_group("Z2"), sl23())]
         for g in catalog_entries(24) + extra:
             assert normal_subgroups(g) == [h for h in subgroups(g) if is_normal(g, h)], g
+
+    def test_subgroups_match_subset_oracle(self):
+        # every subset holding the identity, tested for closure directly
+        for g in catalog_entries(12):
+            others = [x for x in range(g.order) if x != g.identity]
+            subsets = (
+                frozenset([g.identity, *(others[i] for i in bits(k))])
+                for k in range(1 << len(others))
+            )
+            oracle = [h for h in subsets if is_subgroup(g, h)]
+            assert subgroups(g) == sorted(oracle, key=lambda s: (len(s), sorted(s))), g
+
+    def test_extend_subgroup_matches_generated_subgroup(self):
+        for name in ("S3", "D4", "A4", "Dic3"):
+            g = get_group(name)
+            for h in subgroups(g):
+                for seeds in ([x] for x in range(g.order)):
+                    assert extend_subgroup(g, h, seeds) == generated_subgroup(g, h | set(seeds))
+                for c in conjugacy_classes(g).classes:
+                    assert extend_subgroup(g, h, c) == generated_subgroup(g, h | set(c))
 
     def test_normal_subgroups_a5_simple(self):
         sizes = sorted(len(h) for h in normal_subgroups(get_group("A5")))

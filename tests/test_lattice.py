@@ -1,5 +1,6 @@
 """Enumeration, lattice queries, abstraction, isomorphism, and the .lat format."""
 
+import hashlib
 import random
 from functools import cache, reduce
 from itertools import islice, permutations, product
@@ -18,12 +19,13 @@ from rackle import (
     conjugacy_classes,
     enumerate_subrack_lattice,
     group_rack,
+    load_group,
     load_lattice,
     maximal_boolean_elements,
     save_lattice,
     to_abstract,
 )
-from rackle.catalog import catalog_entries, dihedral
+from rackle.catalog import catalog_entries, dihedral, direct_product, sl23
 from rackle.closedsets import close_by_one
 from rackle.config import DEFAULT_LIMITS
 from rackle.errors import FormatError
@@ -51,6 +53,7 @@ from rackle.racks import (
 from rackle.textio import content_lines, ints
 
 from conftest import (
+    GL23_PATH,
     ONE_SIDED,
     closed_families,
     get_abstract,
@@ -136,6 +139,75 @@ class TestEnumeration:
         monkeypatch.setattr("rackle.lattice.closure_extend", counted)
         enumerate_closed_masks(rack)
         assert len(calls) == closures
+
+
+# SHA-256 of repr(enumerate_closed_masks(group_rack(g))) and the list's
+# length, as the enumerator gave them when it key-sorted every mask; groups
+# with one subrack lattice share a digest. A5's 60 points give keys wider
+# than 64 bits.
+ENUMERATED = {
+    "triv": ("923682bea6d517dc178d480c88e129e485ed902f4fa024866666658cd4ea6836", 2),
+    "Z2": ("02b6deebe10f247a39a1f40c6e045af149df9c96491adce129613e8b30480780", 4),
+    "Z3": ("56936abf6634e02ea069fc3c4345f49254c76bde78569ab6f276f0bc6e723b2f", 8),
+    "Z2xZ2": ("909417d181e0b6e53e73bb2c2e5414bd8b13f680735f427eb5802775010606f3", 16),
+    "Z4": ("909417d181e0b6e53e73bb2c2e5414bd8b13f680735f427eb5802775010606f3", 16),
+    "Z5": ("4817916b353f2d032fdc76098bf4653e037c7a80f047ab75b1b1881bf2d69128", 32),
+    "S3": ("8fcbc1d373ce4fa7e8c1893e6ba38ef19b870dde6417d055b0fefc16218c33d8", 18),
+    "Z6": ("b7958a99e84281093dd15595ff7c3f8670113410137db8cc9252c0ee7d9792f5", 64),
+    "Z7": ("e7e44f39f9ad1407cd1ba566a9f3316baa7174bff66367f29cf97bfe35360663", 128),
+    "D4": ("7d1685bba03eaafb93c1d6d6ddaeaa47ff3aa98dbd1537c480d25de5c614baea", 56),
+    "Q8": ("7d1685bba03eaafb93c1d6d6ddaeaa47ff3aa98dbd1537c480d25de5c614baea", 56),
+    "Z2xZ2xZ2": ("81b1fba097a0928366e871fdfb6b6d8f9575526722a7b34730381c8f412655a2", 256),
+    "Z4xZ2": ("81b1fba097a0928366e871fdfb6b6d8f9575526722a7b34730381c8f412655a2", 256),
+    "Z8": ("81b1fba097a0928366e871fdfb6b6d8f9575526722a7b34730381c8f412655a2", 256),
+    "Z3xZ3": ("14ae5d4214baed0f7ebd1531eb98c35909a70a3f6e3e71ac2399ec67b2366f02", 512),
+    "Z9": ("14ae5d4214baed0f7ebd1531eb98c35909a70a3f6e3e71ac2399ec67b2366f02", 512),
+    "D5": ("41d81285a6df402a74e6161f935a6366054dcc444f098b0a276f6640693afaa5", 50),
+    "Z10": ("96a4e1f1a59134b989ae66b80165069b084565b6dc03b346562b547f16bf6af4", 1024),
+    "Z11": ("8dbf38b7403010f08ca01c6f93f13808d49390c30db14257b4f332899b832ee4", 2048),
+    "A4": ("2148f66bf632eb3d188c862d7019204b15d832a7d5a882f72f23ffedd90bcb0f", 52),
+    "D6": ("f221b3b61267d9ed1a87e782b5883ee69491cb10129d044be88ae53885051371", 148),
+    "Dic3": ("f221b3b61267d9ed1a87e782b5883ee69491cb10129d044be88ae53885051371", 148),
+    "Z12": ("2ebfe2d5e15cc1a9fdf62f7948f27021797e05d80050a6ec94957a24195aa510", 4096),
+    "Z6xZ2": ("2ebfe2d5e15cc1a9fdf62f7948f27021797e05d80050a6ec94957a24195aa510", 4096),
+    "Z13": ("09f154026c4e6fbf08b1a9c96c2146e7a9e930e0320fd9734135ccb3f1255db4", 8192),
+    "D7": ("5c1f29a6808dd46083c28d49acf085ba52eed0b418ff195cc354ac5c5be2a86a", 158),
+    "Z14": ("01343f42dad369ed863c8b5cba62a02c6f8627d26d05d1360e1c50d7ae69c72d", 16384),
+    "Z15": ("3b0dfb533dde985c34181cf609ec3ac6e6b384f0082a4794406c3a4ee9f09ba7", 32768),
+    "D8": ("8a1edffd61b9ade1cb5e56988139388736a0253eb361bbdc86384f0a1e6175f8", 416),
+    "Q16": ("8a1edffd61b9ade1cb5e56988139388736a0253eb361bbdc86384f0a1e6175f8", 416),
+    "Z16": ("9a059fcec54891bb82dcad6f4ba569df6c865cd8cfeaf9ff3edfc70d87156c25", 65536),
+    "Z2xD4": ("2f35232d57d34de6b98a100709f8e072c04f0b153a3088608719ff9066c5d8bb", 1600),
+    "Z2xQ8": ("2f35232d57d34de6b98a100709f8e072c04f0b153a3088608719ff9066c5d8bb", 1600),
+    "Z2xZ2xZ2xZ2": ("9a059fcec54891bb82dcad6f4ba569df6c865cd8cfeaf9ff3edfc70d87156c25", 65536),
+    "Z4xZ2xZ2": ("9a059fcec54891bb82dcad6f4ba569df6c865cd8cfeaf9ff3edfc70d87156c25", 65536),
+    "Z4xZ4": ("9a059fcec54891bb82dcad6f4ba569df6c865cd8cfeaf9ff3edfc70d87156c25", 65536),
+    "Z8xZ2": ("9a059fcec54891bb82dcad6f4ba569df6c865cd8cfeaf9ff3edfc70d87156c25", 65536),
+    "S4": ("59b6286ca373ca22d1b99ac37f11a4f5ac554b91153cddff4339ccd7b8d2b5c7", 212),
+    "sl23": ("827e1279dc216ee4872070a880170ac9c998aa3c8fc5848c0a52f958bce56a67", 416),
+    "A5": ("193bacfb76aff40d76ce0ef18ef23ead0185139a1afb57016006767e8bd67af8", 490),
+    "D16": ("69d218eb5c0287d7b81b838a60c948df7f34570ea0ac49279c69e0c5fb1315c0", 67328),
+    "GL23": ("4c69d329ff868d7677f76d78910fc0bf010686e754f84db66e6dca62133b653d", 1912),
+    "Z2xSL23": ("1782b4dd285c21d719e3d32db16c903ae7ebfebdfd878eddb69b15e4fdc3e1e0", 34240),
+}
+
+
+def pinned_group(name):
+    extra = {
+        "A5": lambda: get_group("A5"),
+        "D16": lambda: dihedral(32),
+        "GL23": lambda: load_group(GL23_PATH),
+        "Z2xSL23": lambda: direct_product(get_group("Z2"), sl23()),
+    }
+    if name in extra:
+        return extra[name]()
+    return next(g for g in catalog_entries(24) if g.name == name)
+
+
+@pytest.mark.parametrize("name", ENUMERATED)
+def test_enumerated_lists_are_pinned(name):
+    masks = enumerate_closed_masks(group_rack(pinned_group(name)))
+    assert (hashlib.sha256(repr(masks).encode()).hexdigest(), len(masks)) == ENUMERATED[name]
 
 
 def full_closure_lectic(rows, m):
@@ -686,6 +758,24 @@ def test_order_key_matches_lex_key(pair):
     key = order_key(width)
     assert (key(a) < key(b)) == (lex_key(a) < lex_key(b))
     assert (key(a) == key(b)) == (a == b)
+
+
+@st.composite
+def disjoint_masks(draw):
+    """A width of 1 to 130 bits and two disjoint masks within it."""
+    width = draw(st.integers(1, 130))
+    a = draw(st.integers(0, (1 << width) - 1))
+    b = draw(st.integers(0, (1 << width) - 1)) & ~a
+    return width, a, b
+
+
+@given(disjoint_masks())
+@settings(max_examples=300, deadline=None)
+def test_order_key_adds_over_disjoint_masks(pair):
+    # the rule enumerate_closed_masks merges by
+    width, a, b = pair
+    key = order_key(width)
+    assert key(a | b) == key(a) + key(b)
 
 
 def test_order_key_reverses_at_a_fixed_width():

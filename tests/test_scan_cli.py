@@ -218,6 +218,30 @@ class TestCli:
     def test_missing_file(self):
         assert run_cli("group", "info", "/no/such/file.cay") == 2
 
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_file_is_bad_input(self, tmp_path, capsys, kind):
+        good = tmp_path / "s3.lat"
+        assert run_cli("lattice", "build", "--in", "S3", "--out", str(good)) == 0
+        capsys.readouterr()
+        paths = {}
+        for ext in (".lat", ".cay", ".rk"):
+            path = paths[ext] = tmp_path / f"x{ext}"
+            if kind == "directory":
+                path.mkdir()
+            else:
+                path.write_bytes(b"\xff\xfe")
+        calls = [
+            ("invariants", "--lattice", str(paths[".lat"])),
+            ("compare", str(good), str(paths[".lat"])),
+            ("compare", str(paths[".lat"]), str(good)),
+            ("derive", "--group", str(paths[".cay"])),
+            ("lattice", "build", "--in", str(paths[".rk"]), "--out", str(tmp_path / "o.lat")),
+        ]
+        for argv in calls:
+            assert run_cli(*argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err, argv
+
     @pytest.mark.parametrize("name, text", [
         ("bad.cay", "2\n0 1\n1 1\n"), ("bad.cay", "2\n0 1\n1\n"), ("bad.pgen", "-3\n"),
     ], ids=["not-latin", "ragged", "negative-degree"])
