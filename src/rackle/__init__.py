@@ -62,7 +62,6 @@ from .lattice import (
 )
 from .reconstruct import (
     AtomClassPartition,
-    HypotheticalCosetPartition,
     ReconstructionContext,
     coset_partition_of,
     find_coset_partition,

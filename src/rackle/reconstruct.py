@@ -222,15 +222,6 @@ def partition_bijection(
 
 
 @dataclass(frozen=True)
-class HypotheticalCosetPartition:
-    parts: tuple[int, ...]         # masks over atom positions, C1 first
-
-    @property
-    def count(self) -> int:
-        return len(self.parts)
-
-
-@dataclass(frozen=True)
 class PartitionReport:
     ok: bool
     lines: tuple[str, ...]
@@ -314,13 +305,13 @@ def c3_witness(
 
 def is_hypothetical_coset_partition(
     lat: AbstractLattice,
-    partition: HypotheticalCosetPartition,
-    classes: AtomClassPartition | None = None,
+    parts: Sequence[int],
     exhaustive: bool = False,
     seed: int = 0,
     limits: Limits = DEFAULT_LIMITS,
 ) -> PartitionReport:
-    """Check the three coset-partition conditions, with witnesses.
+    """Check the three coset-partition conditions on parts (masks over the
+    atoms), with witnesses.
 
     Condition three quantifies over index sets and representative tuples; the
     check is exhaustive up to the tuple budget and seeded sampling beyond it
@@ -328,11 +319,9 @@ def is_hypothetical_coset_partition(
     first part. A partition with no parts, or with a bit that is no atom,
     fails C1 and is checked no further.
     """
-    if classes is None:
-        classes = recover_classes(lat)
+    classes = recover_classes(lat)
     lines: list[str] = []
     ok = True
-    parts = list(partition.parts)
     full = (1 << lat.n_atoms) - 1
 
     covered = reduce(or_, parts, 0)
@@ -380,57 +369,64 @@ def is_hypothetical_coset_partition(
     return PartitionReport(ok=ok, lines=tuple(lines))
 
 
-def _pair_rule(lat: AbstractLattice, a: int, b: int) -> tuple[int, list[int]]:
-    """join(a ∪ b), and the joins join(x, y) that each part inside it meets."""
-    pj = lat.pair_joins
-    return lat.supports[lat.join_mask(a | b)], [pj[x][y] for x in bits(a) for y in bits(b)]
-
-
-def _obeys(part: int, rule: tuple[int, list[int]]) -> bool:
-    j, rep_joins = rule
-    return part & j != part or all(part & r for r in rep_joins)
+def _breaks(part: int, rules: Iterable[tuple[int, list[int]]]) -> bool:
+    """Whether part lies inside join(a ∪ b) of some rule and misses one of
+    its joins join(x, y)."""
+    return any(part & j == part and not all(part & r for r in reps) for j, reps in rules)
 
 
 def _covers(
-    pool: Sequence[int],
-    full: int,
     lat: AbstractLattice,
+    table: Sequence[Sequence[tuple[int, list[int]]]],
+    full: int,
     covered: int,
-    chosen: list[int],
+    placed: list[tuple[int, list[int]]],
     rules: list[tuple[int, list[int]]],
+    made: dict[tuple[int, int], tuple[int, list[int]]],
 ) -> Iterator[tuple[int, ...]]:
-    """Exact covers of full by parts from pool that extend chosen, each step
-    placing a part through the lowest uncovered atom, and every placed part
-    obeying the rule of every pair of placed parts."""
+    """Exact covers of full that extend placed, a list of (part, its atoms).
+
+    Each step places a part through the lowest uncovered atom f. Every atom
+    below f is covered, so a part that holds f and misses the cover has f as
+    its lowest atom: the candidates are table[f] alone, the parts whose
+    lowest atom is f. Every placed part obeys the rule of every pair of
+    placed parts; a new part creates one rule with each part placed before
+    it. A pair's rule is made once per search and kept in made, since other
+    branches place the same pair again.
+    """
     if covered == full:
-        yield tuple(chosen)
+        yield tuple(p for p, _ in placed)
         return
     free = ~covered & full
-    first_free = (free & -free).bit_length() - 1
-    for cand in pool:
-        if not cand >> first_free & 1 or cand & covered:
+    pj = lat.pair_joins
+    for cand, atoms in table[(free & -free).bit_length() - 1]:
+        if cand & covered or _breaks(cand, rules):
             continue
-        if not all(_obeys(cand, rule) for rule in rules):
-            continue
-        new = [_pair_rule(lat, cand, prev) for prev in chosen]
-        placed = chosen + [cand]
-        if all(_obeys(p, rule) for rule in new for p in placed):
-            yield from _covers(pool, full, lat, covered | cand, placed, rules + new)
+        new = []
+        for p, q in placed:
+            if (cand, p) not in made:
+                made[cand, p] = (
+                    lat.supports[lat.join_mask(cand | p)], [pj[x][y] for x in atoms for y in q]
+                )
+            new.append(made[cand, p])
+        grown = placed + [(cand, atoms)]
+        if not any(_breaks(p, new) for p, _ in grown):
+            yield from _covers(lat, table, full, covered | cand, grown, rules + new, made)
 
 
 def find_coset_partition(
-    lat: AbstractLattice,
-    n_elem: int,
-    classes: AtomClassPartition | None = None,
-    limits: Limits = DEFAULT_LIMITS,
-) -> HypotheticalCosetPartition:
+    lat: AbstractLattice, n_elem: int, limits: Limits = DEFAULT_LIMITS
+) -> tuple[int, ...]:
     """Search for a coset-style partition whose distinguished part is N.
 
     Candidate parts are supports of lattice elements of the right size
     (cosets are subracks, so the true partition survives this restriction).
     One depth-first search over the atoms in order yields exact covers, each
     step placing a part through the lowest uncovered atom; the first cover
-    that passes is_hypothetical_coset_partition is returned.
+    that passes is_hypothetical_coset_partition is returned, as a tuple of
+    part masks with N first. The candidates are indexed by their lowest
+    atom, each index in the order of sorted(..., key=bits), which fixes
+    which passing cover comes first.
 
     The search is pruned by condition C3 on pairs: for placed parts a, b and
     representatives x ∈ a, y ∈ b, every placed part inside join(a ∪ b) must
@@ -441,20 +437,17 @@ def find_coset_partition(
     condition therefore fails C3, and so does every cover extending it.
     The joins join(x, y) are read from the lattice's cached pair_joins.
     """
-    if classes is None:
-        classes = recover_classes(lat)
     sn = lat.supports[n_elem]
     size = sn.bit_count()
     full = (1 << lat.n_atoms) - 1
     if size == 0 or lat.n_atoms % size != 0:
         raise NoPartition(f"atom count {lat.n_atoms} not divisible by part size {size}")
-    pool = sorted({s for s in lat.supports if s.bit_count() == size}, key=bits)
-    for parts in _covers(pool, full, lat, sn, [sn], []):
-        partition = HypotheticalCosetPartition(parts=parts)
-        if is_hypothetical_coset_partition(
-            lat, partition, classes=classes, limits=limits
-        ).ok:
-            return partition
+    table: list[list[tuple[int, list[int]]]] = [[] for _ in range(lat.n_atoms)]
+    for s in sorted({s for s in lat.supports if s.bit_count() == size}, key=bits):
+        table[(s & -s).bit_length() - 1].append((s, bits(s)))
+    for parts in _covers(lat, table, full, sn, [(sn, bits(sn))], [], {}):
+        if is_hypothetical_coset_partition(lat, parts, limits=limits).ok:
+            return parts
     raise NoPartition("no candidate partition satisfies the conditions")
 
 
@@ -462,10 +455,9 @@ def find_coset_partition(
 # join poset and the recursion
 
 
-def join_poset(
-    lat: AbstractLattice, partition: HypotheticalCosetPartition
-) -> AbstractLattice:
-    """Joins of unions of parts, as a lattice whose atoms are the parts.
+def join_poset(lat: AbstractLattice, parts: Sequence[int]) -> AbstractLattice:
+    """Joins of unions of parts (masks over the atoms), as a lattice whose
+    atoms are the parts.
 
     On a genuine group-rack lattice this is the subrack lattice of the
     quotient. It is enumerated by close_by_one over part indices with the
@@ -477,8 +469,6 @@ def join_poset(
     closed on its own (the parts are the atoms); anything else means the
     input is no group-rack lattice.
     """
-    parts = partition.parts
-
     def union(chosen: int) -> int:
         return reduce(or_, (parts[i] for i in bits(chosen)), 0)
 
@@ -513,13 +503,12 @@ def lattice_derived_length(
         return 0
     if lat.is_boolean():
         return 1
-    classes = recover_classes(lat)
-    cands = max_normal_abelian(lat, classes)
+    cands = max_normal_abelian(lat)
     # with no nontrivial candidate the recursion stalls: not solvable
     result: int | _NotSolvable = NOT_SOLVABLE
     for n_elem in (x for x in cands if lat.supports[x].bit_count() > 1):
-        partition = find_coset_partition(lat, n_elem, classes, limits=limits)
-        sub = lattice_derived_length(join_poset(lat, partition), limits=limits)
+        parts = find_coset_partition(lat, n_elem, limits=limits)
+        sub = lattice_derived_length(join_poset(lat, parts), limits=limits)
         if sub is not NOT_SOLVABLE and (result is NOT_SOLVABLE or 1 + sub < result):
             result = 1 + sub
     return result

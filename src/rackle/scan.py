@@ -31,7 +31,6 @@ from .lattice import (
 )
 from .racks import group_rack, memo_closure
 from .reconstruct import (
-    HypotheticalCosetPartition,
     c3_tuples,
     c3_witness,
     coset_partition_of,
@@ -138,10 +137,8 @@ def verify_group(
     quot_count = 0
     for nmask in sorted(oracle_mna):
         members = frozenset(bits(nmask))
-        parts_group = _cosets_as_masks(g, members)
-        partition = HypotheticalCosetPartition(parts=tuple(parts_group))
         rep = is_hypothetical_coset_partition(
-            lat, partition, classes=classes, exhaustive=exhaustive, seed=seed,
+            lat, _cosets_as_masks(g, members), exhaustive=exhaustive, seed=seed,
             limits=limits,
         )
         if not rep.ok:
@@ -149,7 +146,7 @@ def verify_group(
             break
         n_elem = lat.support_index[nmask]
         try:
-            found = find_coset_partition(lat, n_elem, classes, limits=limits)
+            found = find_coset_partition(lat, n_elem, limits=limits)
             jp = join_poset(lat, found)
         except RackleError as exc:
             quot_fail = f"N={sorted(members)}: {exc}"

@@ -257,8 +257,8 @@ def test_criterion_07_quotient_posets(capsys):
                 if elem is None:
                     failures.append(f"{g.name}: no element for N={sorted(nsub)}")
                     continue
-                hp = find_coset_partition(ab, elem)
-                jp = join_poset(ab, hp)
+                parts = find_coset_partition(ab, elem)
+                jp = join_poset(ab, parts)
                 q, _ = quotient(g, nsub)
                 target = to_abstract(enumerate_subrack_lattice(group_rack(q)))
                 mapping = are_isomorphic(jp, target)

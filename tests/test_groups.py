@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from rackle import (
     NOT_SOLVABLE,
-    FiniteGroup,
     NotAGroup,
     NotNormal,
     TooLarge,

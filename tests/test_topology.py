@@ -20,7 +20,7 @@ from rackle.config import DEFAULT_LIMITS
 from rackle.errors import TooLarge
 from rackle.lattice import AbstractLattice
 
-from conftest import GL23_PATH, closed_families, get_abstract, get_group, get_lattice
+from conftest import GL23_PATH, closed_families, get_abstract, get_lattice
 
 
 def mobius_by_recursion(lat):
