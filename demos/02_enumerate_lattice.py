@@ -11,8 +11,9 @@ import tempfile
 
 from rackle import enumerate_subrack_lattice, group_rack, load_lattice, save_lattice
 from rackle.catalog import named_group
+from rackle.closedsets import mask_of
 from rackle.lattice import brute_force_closed_masks
-from rackle.racks import mask_of, rack_closure
+from rackle.racks import rack_closure
 
 # Abelian groups first: conjugation is trivial, every subset is a subrack,
 # and the lattice is the full power set.

@@ -150,15 +150,13 @@ class AbstractLattice:
     top: int = field(init=False)
 
     def __post_init__(self) -> None:
-        full = 0
-        for s in self.supports:
-            full |= s
+        full = reduce(or_, self.supports, 0)
         self.size = len(self.supports)
         self.n_atoms = full.bit_length()
-        distinct = len(set(self.supports))
-        if distinct != self.size:
+        present = set(self.supports)
+        if len(present) != self.size:
             raise FormatError(
-                f"{self.size} elements but {distinct} distinct supports: "
+                f"{self.size} elements but {len(present)} distinct supports: "
                 "two elements over the same atoms are one element"
             )
         try:
@@ -166,7 +164,7 @@ class AbstractLattice:
             self.top = self.supports.index(full)
         except ValueError:
             raise FormatError("no bottom or no top element: the order is unbounded") from None
-        if len(self.atoms) != self.n_atoms:
+        if not all(1 << p in present for p in range(self.n_atoms)):
             raise FormatError(
                 f"{self.n_atoms} support bits but {len(self.atoms)} atoms: "
                 "every support bit must be an atom"
@@ -389,14 +387,22 @@ def to_abstract(lat: AbstractLattice, seed: int | None = None) -> AbstractLattic
     and atom positions are shuffled so downstream code cannot lean on the
     concrete construction order: the supports are shuffled, then the atom
     permutation is drawn, and relabel moves support bit p to bit atom_perm[p].
+    The draws are those of random.Random(seed).shuffle on the supports,
+    then on atom_perm: Fisher–Yates (Knuth, TAOCP 3.4.2, Algorithm P).
     """
     if seed is None:
         return AbstractLattice(lat.supports)
     supports = lat.supports[:]
     atom_perm = list(range(lat.n_atoms))
-    rng = random.Random(seed)
-    rng.shuffle(supports)
-    rng.shuffle(atom_perm)
+    getrandbits = random.Random(seed).getrandbits
+    for x in (supports, atom_perm):
+        for i in range(len(x) - 1, 0, -1):
+            # j uniform on [0, i], one getrandbits a draw as random draws it
+            k = (i + 1).bit_length()
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            x[i], x[j] = x[j], x[i]
     return AbstractLattice(relabel(supports, atom_perm))
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .closedsets import bits, mask_of  # mask_of stays importable from here
+from .closedsets import bits
 from .errors import BadIndex, FormatError, NotPrime
 from .groups import FiniteGroup, conjugacy_classes
 from .textio import format_table, parse_table, read_file

@@ -244,7 +244,9 @@ def c3_tuples(
     Within limits.tuple_budget, or with exhaustive, the stream is every pair:
     index sets by size, then lexicographically, each with every choice of one
     atom per part. Beyond it, limits.sample_count samples drawn from rng: a
-    size, an index set of that size, one atom per part."""
+    size, an index set of that size, one atom per part. The draws, and rng's
+    state after them, are those of rng.randint(1, m), rng.sample(range(m),
+    size) and rng.choice per part, at one getrandbits call a draw."""
     space = _tuple_space(parts)
     sampled = not exhaustive and space > limits.tuple_budget
     m = len(parts)
@@ -257,9 +259,30 @@ def c3_tuples(
                     for reps in itertools.product(*(members[i] for i in idxs)):
                         yield idxs, reps
             return
+        getrandbits = rng.getrandbits
+
+        def below(n: int) -> int:        # random's _randbelow; 0 for n == 0
+            k = n.bit_length()
+            j = getrandbits(k)
+            while j >= n > 0:
+                j = getrandbits(k)
+            return j
+
         for _ in range(limits.sample_count):
-            idxs = tuple(sorted(rng.sample(range(m), rng.randint(1, m))))
-            yield idxs, tuple(rng.choice(members[i]) for i in idxs)
+            size = 1 + below(m)
+            # random.sample's pool branch: a partial Fisher–Yates over range(m)
+            if m <= 21 + (4 ** math.ceil(math.log(3 * size, 4)) if size > 5 else 0):
+                picked = list(range(m))
+                for i in range(m - 1, m - size - 1, -1):
+                    j = below(i + 1)
+                    picked[i], picked[j] = picked[j], picked[i]
+                picked = picked[m - size:]
+            else:                        # its set branch: a repeat is redrawn
+                picked = set()
+                while len(picked) < size:
+                    picked.add(below(m))
+            idxs = tuple(sorted(picked))
+            yield idxs, tuple(members[i][below(len(members[i]))] for i in idxs)
 
     return space, sampled, stream()
 

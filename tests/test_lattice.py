@@ -26,7 +26,7 @@ from rackle import (
     to_abstract,
 )
 from rackle.catalog import catalog_entries, dihedral, direct_product, sl23
-from rackle.closedsets import close_by_one
+from rackle.closedsets import bits, close_by_one, mask_of
 from rackle.config import DEFAULT_LIMITS
 from rackle.errors import FormatError
 from rackle.lattice import (
@@ -40,12 +40,10 @@ from rackle.lattice import (
     relabel,
 )
 from rackle.racks import (
-    bits,
     closure_extend,
     closure_mask,
     conjugacy_class_rack,
     is_closed_mask,
-    mask_of,
     moves_of,
     rack_closure,
     verify_rack_axioms,
@@ -587,6 +585,35 @@ def test_to_abstract_draws_are_pinned(name):
         rng.shuffle(pi)
         expected = [relabel_reference(s, pi) for s in supports]
         assert to_abstract(lat, seed).supports == expected
+
+
+def star_lattice(size):
+    """Bottom, size − 2 atoms and top (one point, or a two-point chain, when
+    size < 3): an atomistic lattice of any size but 3."""
+    if size < 3:
+        return AbstractLattice([0, 1][:size])
+    k = size - 2
+    return AbstractLattice([0, *(1 << p for p in range(k)), (1 << k) - 1])
+
+
+# a star lattice of size s shuffles s supports, then s − 2 atoms (sizes 1
+# and 2: 0 and 1), so these sizes shuffle 0, 1, 2 and 2^j ± 1 entries
+SHUFFLE_SIZES = sorted(({1, 2, 4} | {(1 << j) + d for j in range(2, 11) for d in (-1, 1, 3)}) - {3})
+
+
+@pytest.mark.parametrize("size", SHUFFLE_SIZES)
+@given(st.integers(0, 1 << 32))
+@settings(max_examples=10, deadline=None)
+def test_to_abstract_shuffles_as_the_stdlib(size, seed):
+    # the draws of random.Random(seed).shuffle on the supports, then on the
+    # atom permutation, whichever Python runs the suite
+    lat = star_lattice(size)
+    rng = random.Random(seed)
+    supports = lat.supports[:]
+    pi = list(range(lat.n_atoms))
+    rng.shuffle(supports)
+    rng.shuffle(pi)
+    assert to_abstract(lat, seed).supports == [relabel_reference(s, pi) for s in supports]
 
 
 def pairwise_isomorphism(a, b, mapping):

@@ -154,16 +154,13 @@ def unused_imports(path: Path) -> dict[str, int]:
 
 
 def test_no_unused_imports():
-    # __init__.py files import to re-export; racks.py keeps mask_of
-    # importable from rackle.racks, where callers found it before closedsets
-    exempt = {("racks.py", "mask_of")}
+    # __init__.py files import to re-export
     found = {}
     for folder in ("src/rackle", "demos", "tests"):
         for path in sorted((ROOT / folder).glob("*.py")):
             if path.name == "__init__.py":
                 continue
-            unused = {name: line for name, line in unused_imports(path).items()
-                      if (path.name, name) not in exempt}
+            unused = unused_imports(path)
             if unused:
                 found[str(path.relative_to(ROOT))] = unused
     assert found == {}

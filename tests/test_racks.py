@@ -17,6 +17,7 @@ from rackle import (
     verify_rack_axioms,
 )
 from rackle import racks
+from rackle.closedsets import mask_of
 from rackle.config import DEFAULT_LIMITS
 from rackle.errors import FormatError
 from rackle.racks import (
@@ -24,7 +25,6 @@ from rackle.racks import (
     closure_mask,
     format_rack,
     is_closed_mask,
-    mask_of,
     memo_closure,
     moves_of,
     parse_rack,

@@ -6,10 +6,10 @@ import hashlib
 import math
 import random
 import sys
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rackle import (
@@ -39,6 +39,7 @@ from rackle.catalog import (
     stall_lattice,
     symmetric,
 )
+from rackle.closedsets import bits, mask_of
 from rackle.errors import FormatError, NoPartition
 from rackle.groups import (
     derived_length_oracle,
@@ -55,7 +56,7 @@ from rackle.lattice import (
     enumerate_subrack_lattice,
     to_abstract,
 )
-from rackle.racks import bits, group_rack, mask_of, memo_closure
+from rackle.racks import group_rack, memo_closure
 from rackle.reconstruct import (
     _tuple_space,
     c3_tuples,
@@ -525,6 +526,69 @@ def test_c3_witness_matches_per_tuple_reference(case, seed):
             for witness in (c3_witness, c3_witness_reference)
         )
         assert got == want
+
+
+def c3_sample_reference(parts, rng, count):
+    """The sampled C3 stream drawn through random's own sample and choice."""
+    members = [bits(p) for p in parts]
+    m = len(parts)
+    for _ in range(count):
+        idxs = tuple(sorted(rng.sample(range(m), rng.randint(1, m))))
+        yield idxs, tuple(rng.choice(members[i]) for i in idxs)
+
+
+def disjoint_parts(sizes):
+    """Consecutive runs of atoms, one part per size."""
+    ends = list(accumulate(sizes, initial=0))
+    return [(1 << b) - (1 << a) for a, b in zip(ends, ends[1:])]
+
+
+def sample_branch(m, k):
+    """The branch random.sample takes for k of range(m): a pool of m, or a
+    set of the picks when m exceeds its size estimate."""
+    setsize = 21 + (4 ** math.ceil(math.log(3 * k, 4)) if k > 5 else 0)
+    return "pool" if m <= setsize else "set"
+
+
+def assert_c3_sample_stream_is_the_stdlibs(parts, seed, count):
+    limits = DEFAULT_LIMITS.with_(tuple_budget=0, sample_count=count)
+    ours, ref = random.Random(seed), random.Random(seed)
+    _, sampled, tuples = c3_tuples(parts, ours, False, limits)
+    got = list(tuples)
+    assert sampled and got == list(c3_sample_reference(parts, ref, count))
+    assert ours.random() == ref.random()        # the shared rng moves on alike
+    return got
+
+
+def test_c3_sample_stream_is_the_stdlibs_for_every_m():
+    # m = 1..100 parts of 1 to 4 atoms; m = 21/22 and sizes 5/6 sit on the
+    # edges of random.sample's two branches, and every edge case is drawn
+    seen = set()
+    for m in range(1, 101):
+        parts = disjoint_parts([1 + i % 4 for i in range(m)])
+        for idxs, _ in assert_c3_sample_stream_is_the_stdlibs(parts, m, 60):
+            seen.add((m, sample_branch(m, len(idxs))))
+    assert {(21, "pool"), (22, "set"), (22, "pool"), (100, "set"), (100, "pool")} <= seen
+
+
+def test_c3_sample_from_an_empty_part_raises_as_choice_does():
+    # rng.choice([]) raises IndexError; the one-draw stream must not hang
+    limits = DEFAULT_LIMITS.with_(tuple_budget=0, sample_count=50)
+    for reference in (False, True):
+        rng = random.Random(0)
+        stream = (c3_sample_reference([1, 0], rng, 50) if reference
+                  else c3_tuples([1, 0], rng, False, limits)[2])
+        with pytest.raises(IndexError):
+            list(stream)
+
+
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=100), st.integers(0, 1 << 32))
+@example([1] * 21, 0)
+@example([4] * 22, 5)
+@example([2] * 100, 9)
+@settings(max_examples=60, deadline=None)
+def test_c3_sample_stream_is_the_stdlibs(sizes, seed):
+    assert_c3_sample_stream_is_the_stdlibs(disjoint_parts(sizes), seed, 20)
 
 
 class TestFindCosetPartition:
