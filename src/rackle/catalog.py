@@ -19,6 +19,7 @@ from .groups import (
     group_from_cayley_table,
     group_from_permutation_generators,
     parse_cayley,
+    parse_cycles,
 )
 from .lattice import AbstractLattice, parse_lattice
 from .textio import stem
@@ -73,20 +74,12 @@ def dicyclic(order: int) -> FiniteGroup:
     return group_from_cayley_table(table, name=name)
 
 
-def _cycle_perm(degree: int, *cycles: tuple[int, ...]) -> tuple[int, ...]:
-    p = list(range(degree))
-    for c in cycles:
-        for i, v in enumerate(c):
-            p[v - 1] = c[(i + 1) % len(c)] - 1
-    return tuple(p)
-
-
 def symmetric(n: int) -> FiniteGroup:
     if n > 5:
         raise TooLarge("symmetric groups are provided up to degree 5")
     if n <= 1:
         return cyclic(1)
-    gens = [_cycle_perm(n, (1, 2)), _cycle_perm(n, tuple(range(1, n + 1)))]
+    gens = [parse_cycles("(1 2)", n), parse_cycles(str(tuple(range(1, n + 1))), n)]
     return group_from_permutation_generators(n, gens, name=f"S{n}")
 
 
@@ -95,11 +88,7 @@ def alternating(n: int) -> FiniteGroup:
         raise TooLarge("alternating groups are provided up to degree 5")
     if n <= 2:
         return cyclic(1)
-    if n == 3:
-        return group_from_permutation_generators(
-            3, [_cycle_perm(3, (1, 2, 3))], name="A3"
-        )
-    gens = [_cycle_perm(n, (1, 2, 3)), _cycle_perm(n, (n - 2, n - 1, n))]
+    gens = [parse_cycles("(1 2 3)", n), parse_cycles(f"({n - 2} {n - 1} {n})", n)]
     return group_from_permutation_generators(n, gens, name=f"A{n}")
 
 

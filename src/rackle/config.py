@@ -6,8 +6,8 @@ may raise them. Which catalog groups a sweep runs is set by its max_order, not
 here. The quotient step has no cap of its own: its join poset costs about
 |quotient lattice| × parts joins, and its partition search is pruned by C3
 on pairs of parts, which is not always enough: lattice-only derived length
-of Z2×SL(2,3) takes 11–15 s unshuffled and 0.4–0.7 s at shuffle seeds 1 and
-7 (2-CPU VM)."""
+of Z2×SL(2,3) takes 8.5–12 s unshuffled (six runs) and 0.3–0.7 s at shuffle
+seeds 1 and 7 (2-CPU Xeon VM, Python 3.11)."""
 
 from __future__ import annotations
 

@@ -145,7 +145,7 @@ def _check_associative(table: Sequence[Sequence[int]]) -> None:
                     raise NotAGroup(f"associativity fails at ({x},{a},{y})")
 
 
-def relabelled(g: FiniteGroup, sigma: Sequence[int], name: str | None = None) -> FiniteGroup:
+def relabelled(g: FiniteGroup, sigma: Sequence[int]) -> FiniteGroup:
     """Transport the table through sigma: new index of old element a is sigma[a]."""
     n = g.order
     if sorted(sigma) != list(range(n)):
@@ -162,7 +162,7 @@ def relabelled(g: FiniteGroup, sigma: Sequence[int], name: str | None = None) ->
         mul=tuple(tuple(row) for row in mul),
         inv=tuple(inv),
         identity=sigma[g.identity],
-        name=g.name if name is None else name,
+        name=g.name,
     )
 
 
@@ -173,13 +173,11 @@ def group_from_cayley_table(table: Sequence[Sequence[int]], name: str = "") -> F
     _check_associative(table)
     n = len(table)
     mul: Table = tuple(tuple(int(x) for x in row) for row in table)
-    inv = [0] * n
-    for a in range(n):
-        hits = [b for b in range(n) if mul[a][b] == e and mul[b][a] == e]
-        if not hits:
-            raise NotAGroup(f"element {a} has no two-sided inverse")
-        inv[a] = hits[0]
-    g = FiniteGroup(order=n, mul=mul, inv=tuple(inv), identity=e, name=name)
+    # Row a is a permutation, so a·b = e for exactly one b, and b·a = e too:
+    # (b·a)·(b·a) = b·(a·b)·a = b·a, and in a Latin square the only x with
+    # x·x = x = x·e is e. So no table that got this far lacks an inverse.
+    inv = tuple(row.index(e) for row in mul)
+    g = FiniteGroup(order=n, mul=mul, inv=inv, identity=e, name=name)
     if e != 0:
         sigma = list(range(n))
         sigma[0], sigma[e] = e, 0
@@ -290,39 +288,15 @@ def conjugacy_classes(g: FiniteGroup) -> ConjClassPartition:
 # subgroup machinery
 
 
-def generated_subgroup(g: FiniteGroup, seeds: Iterable[int]) -> frozenset[int]:
-    """Smallest subgroup containing the seeds; worklist closure under products."""
-    members = {g.identity}
-    work = []
-    for s in seeds:
-        if s not in members:
-            members.add(s)
-            work.append(s)
-    while work:
-        x = work.pop()
-        added = []
-        for y in members:
-            for z in (g.mul[x][y], g.mul[y][x]):
-                if z not in members:
-                    added.append(z)
-        xin = g.inv[x]
-        if xin not in members:
-            added.append(xin)
-        for z in added:
-            if z not in members:
-                members.add(z)
-                work.append(z)
-    return frozenset(members)
-
-
 def extend_subgroup(g: FiniteGroup, h: Iterable[int], seeds: Iterable[int]) -> frozenset[int]:
     """⟨H ∪ seeds⟩ for a subgroup H, grown by whole right cosets (Dimino).
 
     The union of the cosets H·r found so far is the subgroup once r·s lies
     in it for every representative r and every s in H or the seeds, since
     H·r·s = H·(r·s); a product outside adds its coset. That is |K| products
-    for the cosets and |K:H|·|H ∪ seeds| for the tests, against the |K|²
-    of generated_subgroup on all of K.
+    for the cosets and |K:H|·|H ∪ seeds| for the tests. With H = {e} it is
+    the subgroup generated by the seeds alone: every subgroup the oracles
+    name is closed here.
     """
     mul = g.mul
     base = list(h)
@@ -430,11 +404,10 @@ def maximal_abelian_subgroups(
 # series and invariants
 
 
-def commutator_subgroup(g: FiniteGroup, members: frozenset[int]) -> frozenset[int]:
-    comms = {
-        g.commutator(a, b) for a in members for b in members
-    }
-    return generated_subgroup(g, comms)
+def commutator_subgroup(g: FiniteGroup, a: frozenset[int], b: frozenset[int]) -> frozenset[int]:
+    """[A, B] = ⟨x y x⁻¹ y⁻¹ : x ∈ A, y ∈ B⟩."""
+    comms = {g.commutator(x, y) for x in a for y in b}
+    return extend_subgroup(g, [g.identity], comms)
 
 
 def derived_length_oracle(
@@ -443,7 +416,7 @@ def derived_length_oracle(
     """Derived series by commutator iteration; length or NOT_SOLVABLE."""
     series = [frozenset(range(g.order))]
     while True:
-        nxt = commutator_subgroup(g, series[-1])
+        nxt = commutator_subgroup(g, series[-1], series[-1])
         if nxt == series[-1]:
             break
         series.append(nxt)
@@ -457,8 +430,7 @@ def lower_central_series(g: FiniteGroup) -> list[frozenset[int]]:
     series = [whole]
     while True:
         cur = series[-1]
-        comms = {g.commutator(a, x) for a in whole for x in cur}
-        nxt = generated_subgroup(g, comms)
+        nxt = commutator_subgroup(g, whole, cur)
         if nxt == cur:
             break
         series.append(nxt)
@@ -520,31 +492,38 @@ def group_invariants(g: FiniteGroup) -> GroupInvariants:
 # quotients and products
 
 
-def quotient(
-    g: FiniteGroup, members: frozenset[int], name: str = ""
-) -> tuple[FiniteGroup, tuple[int, ...]]:
-    """Quotient by a normal subgroup; returns (G/N, projection to coset index)."""
+def cosets(g: FiniteGroup, members: frozenset[int]) -> list[frozenset[int]]:
+    """Cosets x·N of a normal subgroup N, ordered by least member.
+
+    Raises NotNormal when N is not a subgroup, or not a normal one.
+    """
     if not is_subgroup(g, members):
         raise NotNormal("not a subgroup")
     if not is_normal(g, members):
         raise NotNormal("subgroup is not normal")
-    n = g.order
-    proj = [-1] * n
-    reps: list[int] = []
-    for x in range(n):
-        if proj[x] >= 0:
-            continue
-        idx = len(reps)
-        reps.append(x)
-        for h in members:
-            proj[g.mul[x][h]] = idx
+    seen: set[int] = set()
+    parts = []
+    for x in range(g.order):
+        if x not in seen:
+            coset = frozenset(g.mul[x][h] for h in members)
+            seen |= coset
+            parts.append(coset)
+    return parts
+
+
+def quotient(
+    g: FiniteGroup, members: frozenset[int]
+) -> tuple[FiniteGroup, tuple[int, ...]]:
+    """Quotient by a normal subgroup; returns (G/N, projection to coset index)."""
+    parts = cosets(g, members)
+    proj = [0] * g.order
+    for i, c in enumerate(parts):
+        for x in c:
+            proj[x] = i
     # identity's coset carries index 0 because element 0 is seen first
-    k = len(reps)
-    mul = [[0] * k for _ in range(k)]
-    for i, a in enumerate(reps):
-        for j, b in enumerate(reps):
-            mul[i][j] = proj[g.mul[a][b]]
-    q = group_from_cayley_table(mul, name=name or f"{g.name or 'G'}/N")
+    reps = [min(c) for c in parts]
+    mul = [[proj[g.mul[a][b]] for b in reps] for a in reps]
+    q = group_from_cayley_table(mul, name=f"{g.name or 'G'}/N")
     return q, tuple(proj)
 
 

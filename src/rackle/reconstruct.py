@@ -5,8 +5,9 @@ back as coatom complements, maximal abelian subgroups as maximal Boolean
 intervals, normal abelian candidates as unions of class blocks, quotients as
 join posets over coset partitions, and derived length by recursion over all of
 it. Atom p is support bit p, so parts, blocks and supports are all masks over
-support bits. The group-side coset partition lives here too so the two roads
-can be compared in tests.
+support bits. The one group-side step, coset_partition_of, is here so the
+two roads can be compared in tests: it takes the cosets that groups.quotient
+also builds on, from groups.cosets, and checks that each is a subrack.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .errors import (
     NotGroupLattice,
     NotNormal,
 )
-from .groups import NOT_SOLVABLE, FiniteGroup, _NotSolvable, is_normal, is_subgroup
+from .groups import NOT_SOLVABLE, FiniteGroup, _NotSolvable, cosets
 from .lattice import AbstractLattice, order_key
 from .racks import group_rack, is_closed_mask
 
@@ -128,22 +129,14 @@ def max_normal_abelian(
 def coset_partition_of(
     g: FiniteGroup, members: frozenset[int]
 ) -> list[frozenset[int]]:
-    """Cosets of a normal subgroup; each one is checked to be a subrack."""
-    if not is_subgroup(g, members) or not is_normal(g, members):
-        raise NotNormal("coset partition needs a normal subgroup")
-    seen = set()
-    parts = []
-    for x in range(g.order):
-        if x in seen:
-            continue
-        coset = frozenset(g.mul[x][h] for h in members)
-        seen |= coset
-        parts.append(coset)
+    """The cosets of a normal subgroup, each checked to be a subrack: the
+    identity's coset first, the rest by least member."""
+    parts = cosets(g, members)
     rows = group_rack(g).op
     for c in parts:
         if not is_closed_mask(rows, mask_of(c)):
             raise NotNormal(f"coset {sorted(c)} is not closed under conjugation")
-    parts.sort(key=lambda c: (g.identity not in c, min(c)))
+    parts.sort(key=lambda c: g.identity not in c)
     return parts
 
 
@@ -339,8 +332,8 @@ def is_hypothetical_coset_partition(
     Condition three quantifies over index sets and representative tuples; the
     check is exhaustive up to the tuple budget and seeded sampling beyond it
     (`exhaustive` forces the full sweep). The distinguished part C1 is the
-    first part. A partition with no parts, or with a bit that is no atom,
-    fails C1 and is checked no further.
+    first part. A partition with no parts, an empty part, or a bit that is
+    no atom fails C1 and is checked no further.
     """
     classes = recover_classes(lat)
     lines: list[str] = []
@@ -350,11 +343,12 @@ def is_hypothetical_coset_partition(
     covered = reduce(or_, parts, 0)
     disjoint = sum(p.bit_count() for p in parts) == covered.bit_count()
     stray = covered & ~full
-    if not parts or stray:
-        cause = f"bits {bits(stray)} lie beyond the {lat.n_atoms} atoms" if stray else "no parts"
+    if not parts or stray or 0 in parts:
+        cause = (f"bits {bits(stray)} lie beyond the {lat.n_atoms} atoms" if stray else
+                 f"part {parts.index(0)} is empty" if parts else "no parts")
         return PartitionReport(ok=False, lines=(f"FAIL C1 {cause}",))
     sizes = {p.bit_count() for p in parts}
-    if disjoint and covered == full and len(sizes) == 1 and 0 not in sizes:
+    if disjoint and covered == full and len(sizes) == 1:
         lines.append(f"PASS C1 {len(parts)} parts of size {sizes.pop()}")
     else:
         ok = False

@@ -234,16 +234,11 @@ def pairs_scan(
     max_order: int = 12,
     limits: Limits = DEFAULT_LIMITS,
     seed: int = 0,
-    exhaustive: bool = False,
 ) -> ScanReport:
     """Compare invariants across every lattice-isomorphic catalog pair."""
     from .catalog import catalog_entries
 
-    config = (
-        f"order_max={max_order} exhaustive={exhaustive} "
-        f"tuple_budget={limits.tuple_budget}"
-    )
-    report = ScanReport(seed=seed, config=config)
+    report = ScanReport(seed=seed, config=f"order_max={max_order}")
     groups = catalog_entries(max_order)
     lats = []
     for i, g in enumerate(groups):
@@ -311,10 +306,12 @@ def full_verification(
     seed: int = 0,
     exhaustive: bool = False,
 ) -> ScanReport:
-    """The pair scan's report, with verify_group's lines for the catalog in front."""
+    """The pair scan's report, with verify_group's lines for the catalog in front
+    and the settings of their C3 checks in its header."""
     from .catalog import catalog_entries
 
-    report = pairs_scan(max_order, limits=limits, seed=seed, exhaustive=exhaustive)
+    report = pairs_scan(max_order, limits=limits, seed=seed)
+    report.config += f" exhaustive={exhaustive} tuple_budget={limits.tuple_budget}"
     groups = catalog_entries(max_order)
     report.lines[:0] = [ln for g in groups for ln in verify_group(g, limits, seed, exhaustive)]
     return report

@@ -1,7 +1,9 @@
 """Group construction, conjugacy, series, and the oracle layer."""
 
+import hashlib
 import random
 import re
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -25,15 +27,15 @@ from rackle import (
     quotient,
     subgroups,
 )
-from rackle.catalog import catalog_entries, sl23, symmetric
+from rackle.catalog import catalog_entries, cyclic, dihedral, sl23, symmetric
 from rackle.closedsets import bits
 from rackle.config import DEFAULT_LIMITS
 from rackle.groups import (
     _check_associative,
     commutator_subgroup,
+    cosets,
     extend_subgroup,
     format_cayley,
-    generated_subgroup,
     is_normal,
     is_simple,
     is_subgroup,
@@ -44,6 +46,7 @@ from rackle.groups import (
     parse_pgen,
     relabelled,
 )
+from rackle.reconstruct import coset_partition_of
 
 from conftest import GL23_PATH, get_group
 
@@ -80,6 +83,17 @@ class TestConstruction:
         for g in [*catalog_entries(60), symmetric(5)]:
             again = group_from_cayley_table(g.mul)
             assert again.mul == g.mul, g.name
+
+    def test_inverse_is_two_sided_when_identity_is_not_first(self):
+        rng = random.Random(7)
+        for g in catalog_entries(24)[1:]:
+            sigma = list(range(g.order))
+            rng.shuffle(sigma)
+            if sigma[0] == 0:
+                sigma[0], sigma[1] = sigma[1], sigma[0]
+            h = group_from_cayley_table(relabelled(g, sigma).mul)
+            e = h.identity
+            assert all(h.mul[a][h.inv[a]] == e == h.mul[h.inv[a]][a] for a in range(h.order)), g
 
     def test_ragged_table(self):
         with pytest.raises(NotAGroup):
@@ -205,8 +219,9 @@ class TestSubgroups:
 
     def test_generated_subgroup(self):
         g = get_group("S3")
-        assert len(generated_subgroup(g, [])) == 1
-        whole = generated_subgroup(g, range(g.order))
+        trivial = [g.identity]
+        assert len(extend_subgroup(g, trivial, [])) == 1
+        whole = extend_subgroup(g, trivial, range(g.order))
         assert len(whole) == 6
 
     def test_normal_subgroups_s3(self):
@@ -230,13 +245,16 @@ class TestSubgroups:
             assert subgroups(g) == sorted(oracle, key=lambda s: (len(s), sorted(s))), g
 
     def test_extend_subgroup_matches_generated_subgroup(self):
+        # the subgroup generated is the least one holding H and the seeds;
+        # subgroups() is checked by brute force above and lists by size
         for name in ("S3", "D4", "A4", "Dic3"):
             g = get_group(name)
-            for h in subgroups(g):
-                for seeds in ([x] for x in range(g.order)):
-                    assert extend_subgroup(g, h, seeds) == generated_subgroup(g, h | set(seeds))
-                for c in conjugacy_classes(g).classes:
-                    assert extend_subgroup(g, h, c) == generated_subgroup(g, h | set(c))
+            subs = subgroups(g)
+            for h in subs:
+                for seeds in [*([x] for x in range(g.order)), *conjugacy_classes(g).classes]:
+                    want = h | set(seeds)
+                    least = next(k for k in subs if want <= k)
+                    assert extend_subgroup(g, h, seeds) == least
 
     def test_normal_subgroups_a5_simple(self):
         sizes = sorted(len(h) for h in normal_subgroups(get_group("A5")))
@@ -245,7 +263,7 @@ class TestSubgroups:
 
     def test_normality_check(self):
         g = get_group("S3")
-        transposition_pair = generated_subgroup(g, [min(
+        transposition_pair = extend_subgroup(g, [g.identity], [min(
             x for x in range(6) if g.element_order(x) == 2)])
         assert is_subgroup(g, transposition_pair)
         assert not is_normal(g, transposition_pair)
@@ -279,8 +297,12 @@ class TestOracles:
 
     def test_commutator_subgroup_d4(self):
         g = get_group("D4")
-        comm = commutator_subgroup(g, frozenset(range(8)))
+        whole = frozenset(range(8))
+        comm = commutator_subgroup(g, whole, whole)
         assert len(comm) == 2
+        centre = frozenset(x for x in whole if all(g.mul[x][y] == g.mul[y][x] for y in whole))
+        assert commutator_subgroup(g, whole, centre) == {g.identity}
+        assert commutator_subgroup(g, whole, comm) == {g.identity}
 
     def test_nilpotency(self):
         assert nilpotency_class(get_group("Z8")) == 1
@@ -331,12 +353,71 @@ class TestQuotient:
     def test_quotient_not_normal(self):
         g = get_group("S3")
         h = next(h for h in subgroups(g) if len(h) == 2)
-        with pytest.raises(NotNormal):
+        with pytest.raises(NotNormal, match="subgroup is not normal"):
             quotient(g, h)
 
     def test_quotient_not_subgroup(self):
-        with pytest.raises(NotNormal):
+        with pytest.raises(NotNormal, match="not a subgroup"):
             quotient(get_group("Z4"), frozenset({0, 3}))
+
+    def test_cosets_by_least_member(self):
+        for g in catalog_entries(12):
+            for n in normal_subgroups(g):
+                parts = cosets(g, n)
+                assert parts[0] == n and all(len(c) == len(n) for c in parts)
+                assert frozenset().union(*parts) == frozenset(range(g.order))
+                assert [min(c) for c in parts] == sorted(min(c) for c in parts)
+
+
+@cache
+def pinned_groups():
+    return [*catalog_entries(24), load_group(GL23_PATH),
+            direct_product(cyclic(2), sl23()), dihedral(24), symmetric(5)]
+
+
+def _sha(rows) -> str:
+    return hashlib.sha256("\n".join(map(repr, rows)).encode()).hexdigest()
+
+
+def _normal_pairs():
+    return [(g, n) for g in pinned_groups() for n in normal_subgroups(g)]
+
+
+# SHA-256 of each oracle output over the pinned groups: a change to the
+# subgroup closure, the coset loop or the inverse rule that moves any output
+# shows here as a changed digest
+ORACLE_PINS = {
+    "derived-series": (
+        lambda: [(g.name, [sorted(h) for h in s], repr(dl))
+                 for g in pinned_groups() for s, dl in [derived_length_oracle(g)]],
+        "53abf59c45fbf3f9e8713344c41cc30415598606cd351511e24b38c5159896dc",
+    ),
+    "lower-central-series": (
+        lambda: [(g.name, [sorted(h) for h in lower_central_series(g)])
+                 for g in pinned_groups()],
+        "ef3e76ebb59510f53e28aa7ffe8266128aebad5c9279b643d1067e78023f82d4",
+    ),
+    "inv": (
+        lambda: [(g.name, g.inv) for g in pinned_groups()],
+        "48291c4d24e15562319147c170eaa2ccaa41c09eaabf2a17ee5344eff6308106",
+    ),
+    "coset-partition": (
+        lambda: [(g.name, sorted(n), [sorted(c) for c in coset_partition_of(g, n)])
+                 for g, n in _normal_pairs()],
+        "2c5f7c8d0bee4b57dc052a36d682a7cf0a6d3953c8bd9238a094f7cfb47b760d",
+    ),
+    "quotient": (
+        lambda: [(g.name, sorted(n), proj, q.mul, q.inv)
+                 for g, n in _normal_pairs() for q, proj in [quotient(g, n)]],
+        "e565f618886bd4aa985f5de872be440983dfc12399c280fb66de9af12b34f533",
+    ),
+}
+
+
+@pytest.mark.parametrize("what", ORACLE_PINS)
+def test_oracle_outputs_are_pinned(what):
+    rows, digest = ORACLE_PINS[what]
+    assert _sha(rows()) == digest
 
 
 class TestFormats:

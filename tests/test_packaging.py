@@ -164,3 +164,39 @@ def test_no_unused_imports():
             if unused:
                 found[str(path.relative_to(ROOT))] = unused
     assert found == {}
+
+
+def name_uses(path: Path) -> set[tuple[str, str | None]]:
+    """(identifier, module-level definition it sits in, or None) for every
+    name a file reads: plain names, attributes, and the parts of string
+    constants that spell a dotted name, since the benchmark's tracer looks
+    functions up by string."""
+    uses = set()
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                uses.add((node.id, owner))
+            elif isinstance(node, ast.Attribute):
+                uses.add((node.attr, owner))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                uses.update((part, owner) for part in node.value.split(".") if part.isidentifier())
+    return uses
+
+
+def test_no_unreferenced_definitions():
+    # a definition's own body and __init__.py's re-exports do not count
+    files = [p for folder in ("src/rackle", "tests", "demos", "perfbench")
+             for p in sorted((ROOT / folder).glob("*.py")) if p.name != "__init__.py"]
+    where: dict[str, set] = {}
+    for path in files:
+        for name, owner in name_uses(path):
+            where.setdefault(name, set()).add((path, owner))
+    orphans = []
+    for module in sorted((ROOT / "src" / "rackle").glob("*.py")):
+        for node in ast.parse(module.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not (
+                where.get(node.name, set()) - {(module, node.name)}
+            ):
+                orphans.append(f"{module.name}:{node.lineno} {node.name}")
+    assert orphans == []

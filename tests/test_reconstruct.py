@@ -433,10 +433,14 @@ class TestHypotheticalPartition:
     @pytest.mark.parametrize("parts, cause", [
         ((), "no parts"),
         ((0b1, 0b1000000), "bits [6] lie beyond the 6 atoms"),
-    ], ids=["empty", "stray-bit"])
+        ((0, 0b111111), "part 0 is empty"),
+        ((0b111111, 0), "part 1 is empty"),
+    ], ids=["empty", "stray-bit", "zero-first", "zero-last"])
     def test_malformed_partition_fails_c1_only(self, parts, cause):
-        ab = to_abstract(get_lattice("S3"))
-        rep = is_hypothetical_coset_partition(ab, parts)
+        # tuple_budget 0 sends C3 to its sampled stream, which draws one
+        # atom from every part it picks
+        rep = is_hypothetical_coset_partition(
+            get_abstract("S3", seed=1), parts, limits=DEFAULT_LIMITS.with_(tuple_budget=0))
         assert not rep.ok
         assert rep.lines == (f"FAIL C1 {cause}",)
 
