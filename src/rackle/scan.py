@@ -207,6 +207,10 @@ def _coset_join_check(
     Condition C3 on the cosets, with closures computed on the group rack,
     not read off the lattice: one memo shared by every normal subgroup, so
     seeds with common high bits share their work. One rng serves them all.
+
+    The trivial subgroup is counted, not checked: its parts are singletons,
+    so the reps are the whole union U and join = predicted = close(U), one
+    closure of one mask. Its stream is never read: it draws nothing from rng.
     """
     close = memo_closure(group_rack(g).op)
     rng = random.Random(seed)
@@ -215,7 +219,7 @@ def _coset_join_check(
     for members in normals:
         cosets = _cosets_as_masks(g, members)
         space, sampled, tuples = c3_tuples(cosets, rng, exhaustive, limits)
-        witness = c3_witness(cosets, close, tuples)
+        witness = c3_witness(cosets, close, tuples) if len(members) > 1 else None
         if witness is not None:
             _, reps, join, predicted = witness
             return (

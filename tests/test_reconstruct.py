@@ -56,7 +56,7 @@ from rackle.lattice import (
     enumerate_subrack_lattice,
     to_abstract,
 )
-from rackle.racks import group_rack, memo_closure
+from rackle.racks import group_rack, is_closed_mask, memo_closure
 from rackle.reconstruct import (
     _tuple_space,
     c3_tuples,
@@ -230,6 +230,16 @@ class TestCosetOps:
         t = next(x for x in range(6) if g.element_order(x) == 2)
         with pytest.raises(NotNormal):
             coset_partition_of(g, frozenset({0, t}))
+
+    @pytest.mark.parametrize("name", [g.name for g in catalog_entries(12)])
+    def test_cosets_are_subracks_of_the_group_rack(self, name):
+        # the rack table is an independent check of coset_partition_of's
+        # own per-coset conjugation test
+        g = get_group(name)
+        rows = group_rack(g).op
+        for members in normal_subgroups(g):
+            for c in coset_partition_of(g, members):
+                assert is_closed_mask(rows, mask_of(c)), (sorted(members), sorted(c))
 
 
 class TestPartitionBijection:
@@ -422,6 +432,16 @@ class TestHypotheticalPartition:
                 cosets = [mask_of(c) for c in coset_partition_of(g, members)]
                 if _tuple_space(cosets) <= DEFAULT_LIMITS.tuple_budget:
                     assert c3_witness(cosets, close, every_tuple(cosets)) is None
+
+    @pytest.mark.parametrize("name", [g.name for g in catalog_entries(8)])
+    def test_c3_holds_on_singletons_through_both_closures(self, name):
+        # why verify's coset-join check skips the trivial subgroup: the reps
+        # of singleton parts are their whole union, so join = predicted
+        g = get_group(name)
+        parts = [mask_of(c) for c in coset_partition_of(g, frozenset({g.identity}))]
+        assert sorted(parts) == [1 << x for x in range(g.order)]
+        for close in c3_closures(name):
+            assert c3_witness(parts, close, every_tuple(parts)) is None
 
     def test_c3_witness_same_through_both_closures(self):
         parts = self._s3_wrong_parts()

@@ -6,11 +6,12 @@ from pathlib import Path
 import pytest
 
 from rackle import full_verification, pairs_scan, verify_group
-from rackle import cli
+from rackle import cli, scan
 from rackle.cli import main
 from rackle.config import DEFAULT_LIMITS
 from rackle.groups import load_group
 from rackle.lattice import AbstractLattice
+from rackle.racks import memo_closure
 from rackle.scan import _coset_join_check
 
 from conftest import GL23_PATH, get_group
@@ -53,6 +54,24 @@ class TestVerifyGroup:
         g = load_group(GL23_PATH)
         line = _coset_join_check(g, "gl23", DEFAULT_LIMITS, seed=0, exhaustive=False)
         assert line == "PASS coset-joins gl23 3672 tuples across 5 normal subgroups"
+
+    def test_coset_joins_skip_the_trivial_subgroup(self, monkeypatch):
+        # Z7's normal subgroups are {e} and G: G's 7 tuples and its join make
+        # 8 closure calls; sweeping {e}'s 127 index sets would add 254 more
+        calls = []
+
+        def counting_memo_closure(rows):
+            close = memo_closure(rows)
+
+            def counted(mask):
+                calls.append(mask)
+                return close(mask)
+            return counted
+
+        monkeypatch.setattr(scan, "memo_closure", counting_memo_closure)
+        line = _coset_join_check(get_group("Z7"), "Z7", DEFAULT_LIMITS, seed=0, exhaustive=False)
+        assert line == "PASS coset-joins Z7 134 tuples across 2 normal subgroups"
+        assert len(calls) <= 8
 
     def test_deterministic(self):
         a = verify_group(get_group("D4"), seed=5)
