@@ -1,8 +1,8 @@
 """Enumerate every subrack of a conjugation rack into its lattice.
 
-The enumerator walks closed sets in lectic order, so it never touches the
-2^n subsets it can skip; a brute-force subset scan cross-checks the small
-cases here.
+The enumerator is Close-by-One with popcount-then-lex output, so it never
+touches the 2^n subsets it can skip; a brute-force subset scan cross-checks
+the small cases here.
 
 Run as: python3 demos/02_enumerate_lattice.py
 """

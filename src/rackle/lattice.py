@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .closedsets import bits, close_by_one, mask_of
 from .config import DEFAULT_LIMITS, Limits
 from .errors import FormatError, IsomorphismTimeout, TooLarge
-from .racks import ConjugationRack, closure_extend, is_closed_mask, moves_of
+from .racks import ConjugationRack, closure_extend, moves_of
 from .textio import content_lines, ints, read_file
 
 
@@ -115,14 +115,23 @@ def enumerate_closed_masks(
 
 
 def brute_force_closed_masks(rack: ConjugationRack) -> list[int]:
-    """Oracle: scan all 2^m subsets. Only viable for small ground sets."""
+    """Oracle: scan all 2^m subsets, reading only rack.op. Small m only.
+
+    prods[s] is the mask of every a ▷ b with a, b ∈ s; s is closed iff
+    prods[s] & ~s == 0. With a and b the lowest and highest members of s,
+    every ordered pair of s lies in s − {a} or s − {b} except (a, b) and
+    (b, a), so prods[s] = prods[s − {a}] | prods[s − {b}] | bit(a ▷ b) |
+    bit(b ▷ a). For s = {a} that is bit(a ▷ a), which in a rack need not
+    be a. The table holds 2^m ints, about 1M at the cap.
+    """
     m = rack.size
     if m > 20:
         raise TooLarge("brute-force scan is for small ground sets only")
-    rows = rack.op
-    out = [s for s in range(1 << m) if is_closed_mask(rows, s)]
-    out.sort(key=order_key(m))
-    return out
+    rows, prods = rack.op, [0] * (1 << m)
+    for s in range(1, 1 << m):
+        a, b = (s & -s).bit_length() - 1, s.bit_length() - 1
+        prods[s] = prods[s & s - 1] | prods[s ^ 1 << b] | 1 << rows[a][b] | 1 << rows[b][a]
+    return sorted((s for s, p in enumerate(prods) if not p & ~s), key=order_key(m))
 
 
 # ---------------------------------------------------------------------------

@@ -289,16 +289,6 @@ def rack_closure(rack: ConjugationRack, seeds: Iterable[int]) -> frozenset[int]:
     return frozenset(bits(closure_mask(rack.op, mask)))
 
 
-def is_closed_mask(rows: Sequence[Sequence[int]], mask: int) -> bool:
-    members = bits(mask)
-    for a in members:
-        ra = rows[a]
-        for b in members:
-            if not mask >> ra[b] & 1:
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # file format
 

@@ -1,6 +1,6 @@
 """Shared caches so each catalog lattice is enumerated at most once per run,
-and the small-rack and closed-family strategies that several test files
-draw from."""
+the small-rack and closed-family strategies that several test files draw
+from, and the pairwise closedness test they check subracks with."""
 
 from importlib import resources
 from math import gcd
@@ -9,6 +9,7 @@ import pytest
 from hypothesis import strategies as st
 
 from rackle.catalog import named_group
+from rackle.closedsets import bits
 from rackle.groups import conjugacy_classes
 from rackle.lattice import enumerate_subrack_lattice, to_abstract
 from rackle.racks import (
@@ -62,6 +63,13 @@ def abstract_of():
 
 def rack_from(op):
     return ConjugationRack(size=len(op), op=tuple(tuple(row) for row in op))
+
+
+def is_closed_mask(rows, mask):
+    """Whether the set is closed, by all |S|² products: the reference that
+    the brute-force oracle's subset recurrence is checked against."""
+    members = bits(mask)
+    return all(mask >> rows[a][b] & 1 for a in members for b in members)
 
 
 def permutation_rack(perm):

@@ -36,10 +36,10 @@ from rackle.lattice import (
     enumerate_closed_masks,
     enumerate_subrack_lattice,
 )
-from rackle.racks import conjugacy_class_rack, is_closed_mask
+from rackle.racks import conjugacy_class_rack
 from rackle.scan import _coset_join_check, pairs_scan
 
-from conftest import get_abstract, get_group, get_lattice
+from conftest import get_abstract, get_group, get_lattice, is_closed_mask
 
 GROUND_CAP = 30   # largest group order the catalog criteria sweep
 

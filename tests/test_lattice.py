@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import tracemalloc
 from functools import cache, reduce
 from itertools import islice, permutations, product
 from operator import or_
@@ -43,7 +44,6 @@ from rackle.racks import (
     closure_extend,
     closure_mask,
     conjugacy_class_rack,
-    is_closed_mask,
     moves_of,
     rack_closure,
     verify_rack_axioms,
@@ -57,6 +57,7 @@ from conftest import (
     get_abstract,
     get_group,
     get_lattice,
+    is_closed_mask,
     permutation_rack,
     rack_from,
     relabelled_rack,
@@ -268,6 +269,26 @@ def test_fixed_points_anywhere(rack):
     assert verify_rack_axioms(rack.op).is_rack
     assert enumerate_closed_masks(rack) == brute_force_closed_masks(rack)
     assert_walk_matches_reference(rack.op, rack.size)
+
+
+@given(st.one_of(small_racks, racks_with_fixed_points()))
+@example(permutation_rack([1, 2, 0]))        # a ▷ a ≠ a: no singleton is closed
+@settings(max_examples=80, deadline=None)
+def test_brute_force_matches_pairwise_scan(rack):
+    m, rows = rack.size, rack.op
+    ref = sorted((s for s in range(1 << m) if is_closed_mask(rows, s)), key=order_key(m))
+    assert brute_force_closed_masks(rack) == ref
+
+
+def test_brute_force_refuses_before_building_its_table():
+    # the 2^21-entry table alone would take 16 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge):
+            brute_force_closed_masks(rack_from([list(range(21))] * 21))
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("perm", list(permutations(range(3))))

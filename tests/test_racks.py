@@ -24,14 +24,13 @@ from rackle.racks import (
     closure_extend,
     closure_mask,
     format_rack,
-    is_closed_mask,
     memo_closure,
     moves_of,
     parse_rack,
 )
 from rackle.scan import _coset_join_check
 
-from conftest import get_group, small_racks
+from conftest import get_group, is_closed_mask, small_racks
 
 
 def bits(mask):

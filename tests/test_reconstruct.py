@@ -56,14 +56,14 @@ from rackle.lattice import (
     enumerate_subrack_lattice,
     to_abstract,
 )
-from rackle.racks import group_rack, is_closed_mask, memo_closure
+from rackle.racks import group_rack, memo_closure
 from rackle.reconstruct import (
     _tuple_space,
     c3_tuples,
     c3_witness,
 )
 
-from conftest import GL23_PATH, get_abstract, get_group, get_lattice
+from conftest import GL23_PATH, get_abstract, get_group, get_lattice, is_closed_mask
 
 
 def every_tuple(parts):
