@@ -75,13 +75,15 @@ def _add_cap_flags(p: argparse.ArgumentParser, *flags: str) -> None:
 
 
 def _resolve_group(ref: str, limits: Limits) -> FiniteGroup:
-    if os.path.exists(ref):
+    """A group file when ref names one by extension or exists, else a catalog
+    name: a missing .cay or .pgen fails as a missing file."""
+    if ref.endswith((".cay", ".pgen")) or os.path.exists(ref):
         return load_group(ref, limits=limits)
     return named_group(ref)
 
 
 def _resolve_rack(ref: str, limits: Limits) -> ConjugationRack:
-    if ref.endswith(".rk") and os.path.exists(ref):
+    if ref.endswith(".rk"):
         return load_rack(ref)
     return group_rack(_resolve_group(ref, limits))
 

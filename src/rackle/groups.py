@@ -10,7 +10,7 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .closedsets import bits, close_by_one, mask_of
 from .config import DEFAULT_LIMITS, Limits
@@ -193,7 +193,8 @@ def group_from_permutation_generators(
 ) -> FiniteGroup:
     """Close a generating set of 0-based permutation tuples under composition.
 
-    Breadth-first closure; element 0 is always the identity permutation.
+    Breadth-first closure, one worklist in order of discovery; element 0 is
+    always the identity permutation.
     """
     ident = tuple(range(degree))
     for p in gens:
@@ -202,23 +203,16 @@ def group_from_permutation_generators(
     gen_tuples = [tuple(p) for p in gens]
     index: dict[tuple[int, ...], int] = {ident: 0}
     elements: list[tuple[int, ...]] = [ident]
-    frontier = [ident]
-    while frontier:
-        nxt: list[tuple[int, ...]] = []
-        for p in frontier:
-            for q in gen_tuples:
-                # composition acts left-to-right: (p*q)(x) = q(p(x)) is a
-                # convention choice; fix "apply q after p" through indices
-                r = tuple(p[q[i]] for i in range(degree))
-                if r not in index:
-                    if len(elements) >= limits.generation_cap:
-                        raise TooLarge(
-                            f"generated order exceeds cap {limits.generation_cap}"
-                        )
-                    index[r] = len(elements)
-                    elements.append(r)
-                    nxt.append(r)
-        frontier = nxt
+    for p in elements:                   # grows as products are found
+        for q in gen_tuples:
+            # composition acts left-to-right: (p*q)(x) = q(p(x)) is a
+            # convention choice; fix "apply q after p" through indices
+            r = tuple(p[q[i]] for i in range(degree))
+            if r not in index:
+                if len(elements) >= limits.generation_cap:
+                    raise TooLarge(f"generated order exceeds cap {limits.generation_cap}")
+                index[r] = len(elements)
+                elements.append(r)
     n = len(elements)
     mul = [[0] * n for _ in range(n)]
     for a, p in enumerate(elements):
@@ -257,30 +251,20 @@ class ConjClassPartition:
 
 
 def conjugacy_classes(g: FiniteGroup) -> ConjClassPartition:
-    """Partition under x ~ a x a^-1, classes ordered by minimum member."""
-    n = g.order
-    seen = [False] * n
+    """Partition under x ~ a x a^-1, classes ordered by least member.
+
+    Each class is the orbit {a x a⁻¹ : a ∈ G} of its least member x, found
+    in ascending x, so the classes come in order without a sort.
+    """
+    mul = g.mul
+    class_of = [-1] * g.order
     classes: list[tuple[int, ...]] = []
-    for x in range(n):
-        if seen[x]:
-            continue
-        orbit = {x}
-        frontier = [x]
-        while frontier:
-            y = frontier.pop()
-            for a in range(n):
-                z = g.conj(a, y)
-                if z not in orbit:
-                    orbit.add(z)
-                    frontier.append(z)
-        for y in orbit:
-            seen[y] = True
-        classes.append(tuple(sorted(orbit)))
-    classes.sort(key=lambda c: c[0])
-    class_of = [0] * n
-    for i, c in enumerate(classes):
-        for y in c:
-            class_of[y] = i
+    for x in range(g.order):
+        if class_of[x] < 0:
+            orbit = sorted({mul[row[x]][ia] for row, ia in zip(mul, g.inv)})
+            for y in orbit:
+                class_of[y] = len(classes)
+            classes.append(tuple(orbit))
     return ConjClassPartition(classes=tuple(classes), class_of=tuple(class_of))
 
 
@@ -325,22 +309,18 @@ def subgroups(g: FiniteGroup, limits: Limits = DEFAULT_LIMITS) -> list[frozenset
         raise TooLarge(
             f"subgroup enumeration capped at order {limits.subgroup_cap}, got {g.order}"
         )
-    trivial = frozenset({g.identity})
-    found = {trivial}
-    frontier = [trivial]
-    while frontier:
-        nxt = []
-        for h in frontier:
-            tried = set(h)
-            for x in range(g.order):
-                if x in tried:
-                    continue
-                tried.update(g.mul[x][k] for k in h)
-                ext = extend_subgroup(g, h, [x])
-                if ext not in found:
-                    found.add(ext)
-                    nxt.append(ext)
-        frontier = nxt
+    found = [frozenset({g.identity})]
+    seen = set(found)
+    for h in found:                      # grows as subgroups are found
+        tried = set(h)
+        for x in range(g.order):
+            if x in tried:
+                continue
+            tried.update(g.mul[x][k] for k in h)
+            ext = extend_subgroup(g, h, [x])
+            if ext not in seen:
+                seen.add(ext)
+                found.append(ext)
     return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
@@ -410,31 +390,28 @@ def commutator_subgroup(g: FiniteGroup, a: frozenset[int], b: frozenset[int]) ->
     return extend_subgroup(g, [g.identity], comms)
 
 
+def _series(
+    whole: frozenset[int], step: Callable[[frozenset[int]], frozenset[int]]
+) -> list[frozenset[int]]:
+    """whole, step(whole), step(step(whole)), ... up to the first term that
+    step fixes."""
+    series = [whole]
+    while (nxt := step(series[-1])) != series[-1]:
+        series.append(nxt)
+    return series
+
+
 def derived_length_oracle(
     g: FiniteGroup,
 ) -> tuple[list[frozenset[int]], int | _NotSolvable]:
     """Derived series by commutator iteration; length or NOT_SOLVABLE."""
-    series = [frozenset(range(g.order))]
-    while True:
-        nxt = commutator_subgroup(g, series[-1], series[-1])
-        if nxt == series[-1]:
-            break
-        series.append(nxt)
-    if len(series[-1]) == 1:
-        return series, len(series) - 1
-    return series, NOT_SOLVABLE
+    series = _series(frozenset(range(g.order)), lambda h: commutator_subgroup(g, h, h))
+    return series, len(series) - 1 if len(series[-1]) == 1 else NOT_SOLVABLE
 
 
 def lower_central_series(g: FiniteGroup) -> list[frozenset[int]]:
     whole = frozenset(range(g.order))
-    series = [whole]
-    while True:
-        cur = series[-1]
-        nxt = commutator_subgroup(g, whole, cur)
-        if nxt == cur:
-            break
-        series.append(nxt)
-    return series
+    return _series(whole, lambda h: commutator_subgroup(g, whole, h))
 
 
 def nilpotency_class(g: FiniteGroup) -> int | None:

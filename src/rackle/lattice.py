@@ -541,18 +541,33 @@ def _in_order(a: int, b: int) -> bool:
     return ka < kb or (ka == kb and a & d & -d != 0)
 
 
+class _FirstUse(dict):
+    """token -> value, each token converted once, on its first use."""
+
+    def __init__(self, convert: Callable[[str], int]) -> None:
+        super().__init__()
+        self.convert = convert
+
+    def __missing__(self, token: str) -> int:
+        value = self[token] = self.convert(token)
+        return value
+
+
 def parse_lattice(text: str, name: str = "") -> SubrackLattice:
     """Read a .lat file: a header, then one member list per element. Lines
     are read lazily, so the HASSE section of an older concrete file is
-    skipped. A member list that repeats a member, a top that is not the
-    whole ground set, or a "-" member list (the HASSE form, which is no
-    longer read) is rejected.
+    skipped.
 
-    While every line's id is its position, a line whose tokens have all been
-    read before costs one split: its mask is the sum of the tokens' cached bits.
-    A sum of k distinct bits has popcount k, and a repeated bit carries and
-    lowers it, so the popcount test still finds a repeated member. Any other
-    line takes the general path, which raises each error with its message."""
+    Each line passes one sequence of checks, in this order, each with its
+    own message: two tokens at least, no "-" for members (the HASSE form,
+    no longer read), integers, an id in range and not taken before, a
+    popcount that counts the members, members inside the ground set and
+    none repeated. Member and popcount tokens are converted once each, on
+    first use. A member outside the ground set reads as no bit, and a sum
+    of k distinct bits has popcount k while a repeated bit carries and
+    lowers it, so one popcount test finds both faults; only then are the
+    members read again to name the fault. The elements must come in
+    popcount-then-lex order, the whole ground set last."""
     lines = content_lines(text)
     header = next(lines, None)
     if header is None:
@@ -570,52 +585,35 @@ def parse_lattice(text: str, name: str = "") -> SubrackLattice:
     # checked before any member bit is built, with room to spare
     if not 0 <= ground <= 8 * len(text):
         raise FormatError(f"header ground size {ground} is not one the file could list")
-    bit: dict[str, int] = {}             # member tokens read so far, not all of range(ground)
-    count: dict[str, int] = {}           # popcount tokens read so far
+
+    def member_bit(token: str) -> int:
+        v = int(token)
+        return 1 << v if 0 <= v < ground else 0
+
+    bit, count = _FirstUse(member_bit), _FirstUse(int)
     get = bit.__getitem__
-    masks = [0] * n
-    seen_ids = bytearray(n)              # kept by the general path only
-    fast = True                          # so far every line's id is its position
-    for i, own, ln in zip(range(n), map(str, range(n)), body):
+    masks = [-1] * n                     # -1: no line has taken this id yet
+    for ln in body:
         toks = ln.split()
         try:
             idt, pop_tok, *rest = toks
             mask = sum(map(get, rest))
-            hit = fast and idt == own and count[pop_tok] == len(rest) == mask.bit_count()
-        except (ValueError, KeyError):   # under two tokens, or a token not yet read
-            hit = False
-        if hit:
-            masks[i] = mask
-            continue
-        if len(toks) < 2:
-            raise FormatError(f"bad element line {ln!r}")
-        rest = toks[2:]
-        try:
-            mask, members = reduce(or_, map(get, rest), 0), []
-        except KeyError:                 # a new token, or "zz": through int()
-            if rest == ["-"]:
+            idx, pop = int(idt), count[pop_tok]
+        except ValueError:               # under two tokens, or one that is no integer
+            if toks[2:] == ["-"]:
                 raise FormatError(
                     f"line {ln!r} has '-' for members: the HASSE form of .lat is "
                     "no longer read; list each element's atoms instead"
                 ) from None
-            mask, members = 0, ints(rest, "element line", ln)
-        idx, pop = ints(toks[:2], "element line", ln)
-        count[toks[1]] = pop
-        if fast and idx != i:
-            # lines 0..i-1 took ids 0..i-1; from here on every id is marked
-            seen_ids[:i] = b"\1" * i
-            fast = False
-        if not (0 <= idx < n) or seen_ids[idx]:
+            raise FormatError(f"bad element line {ln!r}") from None
+        if not 0 <= idx < n or masks[idx] >= 0:
             raise FormatError(f"bad element id {idx}")
-        seen_ids[idx] = 1
         if len(rest) != pop:
             raise FormatError(f"popcount mismatch on line {ln!r}")
-        for t, v in zip(rest, members):
-            if not (0 <= v < ground):
-                raise FormatError(f"member {v} outside ground set")
-            bit[t] = 1 << v
-            mask |= bit[t]
         if mask.bit_count() != pop:
+            for t in rest:
+                if not bit[t]:
+                    raise FormatError(f"member {int(t)} outside ground set")
             raise FormatError(f"repeated member on line {ln!r}")
         masks[idx] = mask
     if not all(map(_in_order, masks, islice(masks, 1, None))):

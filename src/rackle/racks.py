@@ -58,38 +58,25 @@ class AxiomReport:
 def verify_rack_axioms(op: Sequence[Sequence[int]]) -> AxiomReport:
     """Check self-distributivity, bijective translations, and idempotence."""
     m = len(op)
-    witnesses: list[tuple] = []
     for row in op:
         if len(row) != m or any(not (0 <= x < m) for x in row):
             raise BadIndex("operation table is not square over [0,m)")
-    a2_ok = True
-    for a in range(m):
-        if len(set(op[a])) != m:
-            witnesses.append(("A2", a))
-            a2_ok = False
-    a1_ok = True
-    for a in range(m):
-        ra = op[a]
-        for b in range(m):
-            rab = op[ra[b]]
-            rb = op[b]
-            for c in range(m):
-                if ra[rb[c]] != rab[ra[c]]:
-                    witnesses.append(("A1", a, b, c))
-                    a1_ok = False
-                    break
-            if not a1_ok:
-                break
-        if not a1_ok:
-            break
-    is_rack = a1_ok and a2_ok
-    a3_ok = all(op[a][a] == a for a in range(m))
-    if is_rack and not a3_ok:
-        bad = next(a for a in range(m) if op[a][a] != a)
-        witnesses.append(("A3", bad))
+    witnesses: list[tuple] = [("A2", a) for a in range(m) if len(set(op[a])) != m]
+    # A1: a ▷ (b ▷ c) = (a ▷ b) ▷ (a ▷ c); the first failing triple in order
+    a1 = next(
+        (("A1", a, b, c) for a, ra in enumerate(op) for b, rb in enumerate(op)
+         for c in range(m) if ra[rb[c]] != op[ra[b]][ra[c]]),
+        None,
+    )
+    if a1:
+        witnesses.append(a1)
+    is_rack = not witnesses
+    a3 = next((a for a in range(m) if op[a][a] != a), None)
+    if is_rack and a3 is not None:
+        witnesses.append(("A3", a3))
     return AxiomReport(
         is_rack=is_rack,
-        is_quandle=is_rack and a3_ok,
+        is_quandle=is_rack and a3 is None,
         witnesses=tuple(witnesses),
     )
 

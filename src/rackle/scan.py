@@ -88,47 +88,31 @@ def verify_group(
             return lines
     lines.append(f"PASS enumerate {name} {lat.size} elements{note}")
 
-    cc = conjugacy_classes(g)
-    full = (1 << g.order) - 1
-    complements = {full ^ mask_of(c) for c in cc.classes}
-    # a group rack is a quandle: support bit p is the atom {p}, ground element p
-    agree = {lat.elements[x] for x in lat.proper_maximal} == complements
-    if agree:
-        lines.append(f"PASS coatoms {name} c={cc.count} class complements")
-    else:
-        lines.append(f"FAIL coatoms {name} coatoms do not match class complements")
+    def compare(check: str, got: set[int], want: set[int], passed: str) -> None:
+        """One line: PASS when the lattice's masks are the oracle's, else FAIL
+        naming both sets."""
+        lines.append(f"PASS {check} {name} {passed}" if got == want else
+                     f"FAIL {check} {name} lattice {sorted(got)} vs oracle {sorted(want)}")
 
+    cc = conjugacy_classes(g)
+    class_masks = set(map(mask_of, cc.classes))
+    full = (1 << g.order) - 1
+    # a group rack is a quandle: support bit p is the atom {p}, ground element p
+    compare("coatoms", {lat.supports[x] for x in lat.proper_maximal},
+            {full ^ c for c in class_masks}, f"c={cc.count} class complements")
     mb = maximal_boolean_elements(lat)
-    mb_supports = {lat.supports[x] for x in mb}
     if g.order <= limits.subgroup_cap:
-        oracle_ab = {mask_of(h) for h in maximal_abelian_subgroups(g, limits)}
-        if mb_supports == oracle_ab:
-            lines.append(f"PASS boolean-elements {name} {len(mb)} maximal abelian")
-        else:
-            lines.append(
-                f"FAIL boolean-elements {name} lattice {sorted(mb_supports)} "
-                f"vs oracle {sorted(oracle_ab)}"
-            )
+        compare("boolean-elements", {lat.supports[x] for x in mb},
+                set(map(mask_of, maximal_abelian_subgroups(g, limits))),
+                f"{len(mb)} maximal abelian")
     else:
         lines.append(f"SKIP boolean-elements {name} order over subgroup cap")
-
     classes = recover_classes(lat)
-    class_masks = {mask_of(c) for c in cc.classes}
-    if {b for b in classes.blocks} == class_masks:
-        lines.append(f"PASS classes {name} blocks match conjugacy classes")
-    else:
-        lines.append(f"FAIL classes {name} blocks differ from conjugacy classes")
-
+    compare("classes", set(classes.blocks), class_masks, "blocks match conjugacy classes")
     mna = max_normal_abelian(lat, classes)
-    mna_supports = {lat.supports[x] for x in mna}
-    oracle_mna = {mask_of(h) for h in maximal_normal_abelian_oracle(g)}
-    if mna_supports == oracle_mna:
-        lines.append(f"PASS normal-abelian {name} {len(mna)} candidates")
-    else:
-        lines.append(
-            f"FAIL normal-abelian {name} lattice {sorted(mna_supports)} "
-            f"vs oracle {sorted(oracle_mna)}"
-        )
+    oracle_mna = set(map(mask_of, maximal_normal_abelian_oracle(g)))
+    compare("normal-abelian", {lat.supports[x] for x in mna}, oracle_mna,
+            f"{len(mna)} candidates")
 
     lines.append(_coset_join_check(g, name, limits, seed, exhaustive))
 
@@ -274,14 +258,10 @@ def pairs_scan(
                 if k not in invariants:
                     invariants[k] = group_invariants(groups[k])
             inv_a, inv_b = invariants[i], invariants[j]
-            agree = (
-                inv_a.is_abelian == inv_b.is_abelian
-                and (inv_a.nilpotency_class is None) == (inv_b.nilpotency_class is None)
-                and inv_a.is_solvable == inv_b.is_solvable
-                and inv_a.derived_length == inv_b.derived_length
-                and inv_a.is_simple == inv_b.is_simple
-            )
-            if agree:
+            # what isomorphic lattices must share; the nilpotency class itself need not agree
+            shared = [(v.is_abelian, v.nilpotency_class is None, v.is_solvable,
+                       v.derived_length, v.is_simple) for v in (inv_a, inv_b)]
+            if shared[0] == shared[1]:
                 report.lines.append(
                     f"PASS pair {groups[i].name} {groups[j].name} isomorphic lattices, "
                     f"invariants agree (dl={inv_a.derived_length})"

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 import tracemalloc
 from functools import cache, reduce
 from itertools import islice, permutations, product
@@ -1083,8 +1084,8 @@ class TestLatFormat:
     @pytest.mark.parametrize("name", ["S3", "D4", "A4", "Z2xZ2xZ2"])
     def test_ids_in_any_order_load_the_same(self, name):
         # lines in shuffled order with ids, popcounts and members written
-        # with leading zeros: no id matches its line, or only some do, so the
-        # reader's general path alone must give the canonical lattice
+        # with leading zeros: no id matches its line, or only some do, and the
+        # reader must still give the canonical lattice
         rows = lat_rows(name)
         head, body = " ".join(rows[0]), list(rows[1:])
         for seed, pad in ((1, True), (2, False), (3, False)):
@@ -1093,12 +1094,12 @@ class TestLatFormat:
             assert parse_lattice("\n".join([head, *lines])).elements == get_lattice(name).elements
 
     def test_id_clashes_between_read_paths(self):
-        # lines 5 and 6 of this Boolean lattice are read on the fast path
+        # ids taken before a line claims them, and members spelled two ways
         lines = ["8 3", "0 0", "1 1 0", "2 1 1", "3 1 2", "4 2 0 1", "5 2 0 2", "6 2 1 2",
                  "7 3 0 1 2"]
         assert parse_lattice("\n".join(lines)).elements == [0, 1, 2, 4, 3, 5, 6, 7]
         for edits, message in (
-            ({7: "05 2 1 2"}, "bad element id 5"),       # an id taken on the fast path
+            ({7: "05 2 1 2"}, "bad element id 5"),       # an id an earlier line took
             ({2: "05 1 0"}, "bad element id 5"),         # an id a later line claims
             # "0" and "00" both cached: their bits add to one carried bit
             ({2: "1 1 00", 6: "5 2 0 00"}, "repeated member on line '5 2 0 00'"),
@@ -1107,6 +1108,26 @@ class TestLatFormat:
             with pytest.raises(FormatError, match=message):
                 parse_lattice(text)
             assert read_or_error(parse_lattice_reference, text) == message
+
+    @pytest.mark.parametrize("line, message", [
+        ("1", "bad element line '1'"),
+        ("x 1 -", "line 'x 1 -' has '-' for members"),         # before the id is read
+        ("9 5 zz", "bad element line '9 5 zz'"),               # before the id is checked
+        ("0 2 0", "bad element id 0"),                         # before the popcount
+        ("1 2 9", "popcount mismatch on line '1 2 9'"),        # before the members
+        ("1 3 0 0 9", "member 9 outside ground set"),          # before the repeat
+        ("1 2 7 9", "member 7 outside ground set"),            # the first in line order
+        ("1 2 0 00", "repeated member on line '1 2 0 00'"),
+    ])
+    def test_a_line_reports_its_first_fault(self, line, message):
+        # each line's checks run in one order; a line with several faults
+        # names the first, as the reference reader does
+        lines = ["8 3", "0 0", line, "2 1 1", "3 1 2", "4 2 0 1", "5 2 0 2", "6 2 1 2",
+                 "7 3 0 1 2"]
+        text = "\n".join(lines)
+        with pytest.raises(FormatError, match=re.escape(message)):
+            parse_lattice(text)
+        assert read_or_error(parse_lattice_reference, text).startswith(message)
 
     @pytest.mark.xfail(strict=True, reason="the reader does not yet check the least-upper-bound "
                        "property (ROADMAP item 4)")

@@ -464,6 +464,25 @@ class TestHypotheticalPartition:
         assert not rep.ok
         assert rep.lines == (f"FAIL C1 {cause}",)
 
+    @pytest.mark.parametrize("parts, lines", [
+        ((0b100101,), ("FAIL C1 parts miss atoms",
+                       "PASS C2 distinguished part is a class union with a central atom",
+                       "PASS C3 exhaustive over 3 tuples")),
+        ((0b1, 0b111110), ("FAIL C1 part sizes [1, 5]",
+                           "PASS C2 distinguished part is a class union with a central atom",
+                           "PASS C3 exhaustive over 11 tuples")),
+        ((0b100100, 0b011011), ("FAIL C1 part sizes [2, 4]",
+                                "FAIL C2 distinguished part has no central atom",
+                                "PASS C3 exhaustive over 14 tuples")),
+    ], ids=["miss-atoms", "part-sizes", "no-central-atom"])
+    def test_c1_and_c2_name_their_cause(self, parts, lines):
+        # unshuffled S3: A3 is {0, 2, 5}, the 3-cycles {2, 5}, the transpositions
+        # {1, 3, 4}; the 3-cycle class as the distinguished part is a class
+        # union without the identity
+        rep = is_hypothetical_coset_partition(to_abstract(get_lattice("S3")), parts)
+        assert not rep.ok
+        assert rep.lines == lines
+
     def test_c1_violations(self):
         ab = to_abstract(get_lattice("S3"))
         overlap = (0b11, 0b110, 0b111000)  # parts share atom 1
@@ -649,6 +668,13 @@ class TestFindCosetPartition:
                 pairs += 1
         assert pairs == 23
 
+    def test_no_cover_passes(self):
+        # in S3 the parts of size 2 with lowest atom 3 would hold two
+        # transpositions, which generate the third: no cover extends {e, t}
+        ab = to_abstract(get_lattice("S3"))
+        with pytest.raises(NoPartition, match="no candidate partition satisfies the conditions"):
+            find_coset_partition(ab, ab.support_index[0b11])
+
     def test_stall_has_none(self):
         lat = stall_lattice()
         three = next(x for x in range(lat.size)
@@ -716,6 +742,16 @@ class TestJoinPoset:
                  if len(ab.atoms_below(x)) == 2 and ab.leq(ab.atoms[0], x))
         jp = join_poset(ab, find_coset_partition(ab, n))
         assert jp.size == 8 and jp.n_atoms == 3 and jp.is_boolean()
+
+    @pytest.mark.parametrize("parts, message", [
+        # the join of {1, 2} is all of S3, more than the parts cover
+        ((0b1, 0b110), "a join of parts is not a union of parts"),
+        # the join of part {1, 2} is the union of all three parts
+        ((0b1, 0b110, 0b111000), "parts are not the atoms of their join poset"),
+    ], ids=["join-not-a-union", "part-not-an-atom"])
+    def test_parts_of_no_quotient_are_rejected(self, parts, message):
+        with pytest.raises(NotGroupLattice, match=message):
+            join_poset(to_abstract(get_lattice("S3")), parts)
 
     def test_matches_every_subset_of_parts(self):
         # Close-by-One against the join of each of the 2^m sets of parts, on

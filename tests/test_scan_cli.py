@@ -1,5 +1,6 @@
 """The verification scan and the command-line interface."""
 
+import dataclasses
 from functools import cached_property
 from pathlib import Path
 
@@ -9,9 +10,11 @@ from rackle import full_verification, pairs_scan, verify_group
 from rackle import cli, scan
 from rackle.cli import main
 from rackle.config import DEFAULT_LIMITS
-from rackle.groups import load_group
+from rackle.errors import NoPartition
+from rackle.groups import ConjClassPartition, load_group
 from rackle.lattice import AbstractLattice
 from rackle.racks import memo_closure
+from rackle.reconstruct import AtomClassPartition
 from rackle.scan import _coset_join_check
 
 from conftest import GL23_PATH, get_group
@@ -77,6 +80,113 @@ class TestVerifyGroup:
         a = verify_group(get_group("D4"), seed=5)
         b = verify_group(get_group("D4"), seed=5)
         assert a == b
+
+
+def _raise(exc):
+    raise exc
+
+
+# scan's own oracles, for fakes that alter what the real one returns
+REAL = {name: getattr(scan, name) for name in ("coset_partition_of", "group_invariants")}
+# S3: identity 0, transpositions {1, 3, 4}, 3-cycles {2, 5}; A3 = {0, 2, 5} is mask 37
+S3_FAILS = [
+    pytest.param({"brute_force_closed_masks": lambda rack: []}, DEFAULT_LIMITS,
+                 ["FAIL enumerate S3 lectic and brute-force outputs differ"], id="enumerate"),
+    pytest.param({}, DEFAULT_LIMITS.with_(lattice_cap=5),
+                 ["FAIL enumerate S3 lattice exceeds cap of 5 elements"], id="enumerate-cap"),
+    # the identity merged into the transpositions' class: two classes, so the
+    # sphere's expected sign flips too
+    pytest.param({"conjugacy_classes": lambda g: ConjClassPartition(
+        ((0, 1, 3, 4), (2, 5)), (0, 0, 1, 0, 0, 1))}, DEFAULT_LIMITS,
+                 ["FAIL coatoms S3 lattice [27, 37, 62] vs oracle [27, 36]",
+                  "FAIL classes S3 lattice [1, 26, 36] vs oracle [27, 36]",
+                  "FAIL sphere S3 mu=-1 expected 1"], id="coatoms"),
+    pytest.param({"maximal_abelian_subgroups": lambda g, limits: []}, DEFAULT_LIMITS,
+                 ["FAIL boolean-elements S3 lattice [3, 9, 17, 37] vs oracle []"],
+                 id="boolean-elements"),
+    # blocks {0, 1, 3, 4} and {2, 5}: the 3-cycles alone are the candidate
+    pytest.param({"recover_classes": lambda lat: AtomClassPartition((27, 36))}, DEFAULT_LIMITS,
+                 ["FAIL classes S3 lattice [27, 36] vs oracle [1, 26, 36]",
+                  "FAIL normal-abelian S3 lattice [36] vs oracle [37]"], id="classes"),
+    pytest.param({"maximal_normal_abelian_oracle": lambda g: []}, DEFAULT_LIMITS,
+                 ["FAIL normal-abelian S3 lattice [37] vs oracle []"], id="normal-abelian"),
+    # the transposition coset first: a class union with no central atom
+    pytest.param({"coset_partition_of": lambda g, n: REAL["coset_partition_of"](g, n)[::-1]},
+                 DEFAULT_LIMITS,
+                 ["FAIL hypothetical S3 N=[0, 2, 5]: PASS C1 2 parts of size 3; FAIL C2 "
+                  "distinguished part has no central atom; PASS C3 exhaustive over 15 tuples"],
+                 id="hypothetical"),
+    pytest.param({"find_coset_partition": lambda lat, n, limits: _raise(NoPartition("none"))},
+                 DEFAULT_LIMITS, ["FAIL quotient-poset S3 N=[0, 2, 5]: none"],
+                 id="quotient-poset-raises"),
+    pytest.param({"quotient": lambda g, n: (g, ())}, DEFAULT_LIMITS,
+                 ["FAIL quotient-poset S3 N=[0, 2, 5]: join poset not isomorphic to "
+                  "quotient lattice"], id="quotient-poset-not-isomorphic"),
+    pytest.param({"derived_length_oracle": lambda g: ([], 3)}, DEFAULT_LIMITS,
+                 ["FAIL derive S3 lattice=2 oracle=3"], id="derive"),
+    pytest.param({"reduced_euler_characteristic": lambda lat, limits: 0}, DEFAULT_LIMITS,
+                 ["FAIL sphere S3 mu=-1 chain-count=0"], id="sphere-chain-count"),
+    pytest.param({"mobius_bottom_top": lambda lat: 1,
+                  "reduced_euler_characteristic": lambda lat, limits: 1}, DEFAULT_LIMITS,
+                 ["FAIL sphere S3 mu=1 expected -1"], id="sphere-sign"),
+    # every closure gains the identity: the transposition coset's join is itself
+    # and the identity, while the parts meeting a closure are both cosets
+    pytest.param({"memo_closure": lambda rows: lambda mask: mask | 1}, DEFAULT_LIMITS,
+                 ["FAIL coset-joins S3 N=[0, 2, 5] reps=(1,): join 11011 vs predicted 111111"],
+                 id="coset-joins"),
+]
+
+
+@pytest.mark.parametrize("fakes, limits, fails", S3_FAILS)
+def test_each_check_names_its_failure(monkeypatch, fakes, limits, fails):
+    # one oracle (or lattice step) in scan is replaced by a wrong one, and the
+    # report's non-PASS lines are exactly the checks that must catch it
+    for name, fake in fakes.items():
+        monkeypatch.setattr(scan, name, fake)
+    lines = verify_group(get_group("S3"), limits)
+    assert [ln for ln in lines if not ln.startswith("PASS")] == fails
+
+
+def _q8_invariants(**changes):
+    def fake(g):
+        inv = REAL["group_invariants"](g)
+        return dataclasses.replace(inv, **changes) if g.name == "Q8" else inv
+    return fake
+
+
+ORDER8_PAIRS = (("Z2xZ2", "Z4"), ("D4", "Q8"), ("Z2xZ2xZ2", "Z4xZ2"), ("Z2xZ2xZ2", "Z8"),
+                ("Z4xZ2", "Z8"))
+PASS_PAIRS = [f"PASS pair {a} {b} isomorphic lattices, invariants agree "
+              f"(dl={2 if a == 'D4' else 1})" for a, b in ORDER8_PAIRS]
+
+
+@pytest.mark.parametrize("fakes, lines", [
+    pytest.param({"are_isomorphic": lambda a, b, limits: None},
+                 [f"INFO pair {a} {b} same size, not isomorphic" for a, b in ORDER8_PAIRS]
+                 + ["PASS pairs-scan 14 groups, 0 isomorphic pairs, 0 violations"],
+                 id="not-isomorphic"),
+    pytest.param({"check_isomorphism": lambda a, b, mapping: False},
+                 [f"FAIL pair {a} {b} reported map is not an isomorphism" for a, b in ORDER8_PAIRS]
+                 + ["FAIL pairs-scan 14 groups, 0 isomorphic pairs, 5 violations"],
+                 id="bad-map"),
+    pytest.param({"group_invariants": _q8_invariants(is_simple=True)},
+                 [*PASS_PAIRS[:1],
+                  "FAIL pair D4 Q8 isomorphic lattices but invariants differ: order=8, "
+                  "nonabelian, nilpotent(class 2), solvable(derived length 2) vs order=8, "
+                  "nonabelian, nilpotent(class 2), solvable(derived length 2), simple",
+                  *PASS_PAIRS[2:], "FAIL pairs-scan 14 groups, 5 isomorphic pairs, 1 violations"],
+                 id="invariants-differ"),
+    pytest.param({"group_invariants": _q8_invariants(nilpotency_class=3)},
+                 [*PASS_PAIRS[:2], "INFO pair D4 Q8 nilpotency classes 2 vs 3", *PASS_PAIRS[2:],
+                  "PASS pairs-scan 14 groups, 5 isomorphic pairs, 0 violations"],
+                 id="nilpotency-classes"),
+])
+def test_pairs_scan_lines(monkeypatch, fakes, lines):
+    for name, fake in fakes.items():
+        monkeypatch.setattr(scan, name, fake)
+    report = pairs_scan(8)
+    assert [ln for ln in report.lines if not ln.startswith("INFO group")] == lines
+    assert report.ok == lines[-1].startswith("PASS")
 
 
 class TestPairsScan:
@@ -237,6 +347,44 @@ class TestCli:
     def test_missing_file(self):
         assert run_cli("group", "info", "/no/such/file.cay") == 2
 
+    @pytest.mark.parametrize("argv, path", [
+        (("derive", "--group", "missing.cay"), "missing.cay"),
+        (("group", "info", "missing.pgen"), "missing.pgen"),
+        (("lattice", "build", "--in", "missing.rk", "--out", "x.lat"), "missing.rk"),
+    ], ids=["cay", "pgen", "rk"])
+    def test_missing_file_is_no_catalog_name(self, tmp_path, monkeypatch, capsys, argv, path):
+        # a file reference that does not exist fails as a file, not as a
+        # catalog lookup of its name
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {path!r}\n"
+        assert not (tmp_path / "x.lat").exists()
+
+    def test_lattice_that_is_no_group_lattice_exits_1(self, tmp_path, capsys):
+        # ∅, {0}, {1}, {2}, {0,1,2} loads, but its coatoms are the three atoms,
+        # whose complements overlap: no group's classes
+        path = tmp_path / "overlap.lat"
+        path.write_text("5 3\n0 0\n1 1 0\n2 1 1\n3 1 2\n4 3 0 1 2\n")
+        assert run_cli("invariants", "--lattice", str(path)) == 1
+        assert capsys.readouterr().err == "error: coatom complements overlap\n"
+
+    def test_topology_over_the_chain_count_cap(self, capsys):
+        # S4's 212 elements leave 210 in the proper part, over the cap of 200
+        assert run_cli("topology", "--group", "S4") == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "mu(bottom, top) of the subrack lattice of S4: -1",
+            "proper part exceeds the chain-counting cap; Mobius value stands alone",
+            "PASS sphere S4 mu=-1 c=5 expected=-1",
+        ]
+
+    def test_lattice_build_from_rack_file(self, tmp_path, capsys):
+        # a ▷ b = b + 1 mod 3 is a rack and no quandle; any point generates all three
+        rk, out = tmp_path / "perm.rk", tmp_path / "perm.lat"
+        rk.write_text("3\n1 2 0\n1 2 0\n1 2 0\n")
+        assert run_cli("lattice", "build", "--in", str(rk), "--out", str(out)) == 0
+        assert capsys.readouterr().out == f"wrote {out}: 2 subracks over 3 points\n"
+        assert out.read_text() == "2 3\n0 0\n1 3 0 1 2\n"
+
     @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
     def test_unreadable_file_is_bad_input(self, tmp_path, capsys, kind):
         good = tmp_path / "s3.lat"
@@ -261,14 +409,26 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "Traceback" not in err, argv
 
-    @pytest.mark.parametrize("name, text", [
-        ("bad.cay", "2\n0 1\n1 1\n"), ("bad.cay", "2\n0 1\n1\n"), ("bad.pgen", "-3\n"),
-    ], ids=["not-latin", "ragged", "negative-degree"])
-    def test_malformed_group_file_is_bad_input(self, tmp_path, capsys, name, text):
+    @pytest.mark.parametrize("name, text, message", [
+        ("bad.cay", "2\n0 1\n1 1\n", "table is not a group: row 1 is not a permutation"),
+        ("bad.cay", "2\n0 1\n1\n", "row '1' is not 2 indices in [0,2)"),
+        ("bad.pgen", "-3\n", "negative degree -3"),
+        ("bad.cay", "2\n0 1\n0 1\n", "table is not a group: column 0 is not a permutation"),
+        ("bad.cay", "0\n", "table is not a group: empty table"),
+        ("bad.pgen", "3\n(1 2 1)\n", "point 1 repeated in '(1 2 1)'"),
+        ("bad.pgen", "3\n(1 5)\n", "point 5 outside degree 3"),
+        ("bad.pgen", "3\n(1 2) x\n", "stray text 'x' in permutation '(1 2) x'"),
+        ("bad.pgen", "# a comment and no degree\n", "empty generator file"),
+        ("bad.pgen", "3\n,\n", "empty permutation line"),
+        ("bad.txt", "3\n(1 2)\n", "unknown group file extension on 'bad.txt'"),
+    ], ids=["not-latin", "ragged", "negative-degree", "column", "empty-table",
+            "repeated-point", "beyond-degree", "stray-text", "no-degree", "empty-permutation",
+            "extension"])
+    def test_malformed_group_file_is_bad_input(self, tmp_path, capsys, name, text, message):
         bad = tmp_path / name
         bad.write_text(text)
         assert run_cli("group", "info", str(bad)) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_cap_flag_throttles(self, capsys):
         # the subgroup cap limits which groups get the subgroup oracle
