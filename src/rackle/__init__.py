@@ -72,6 +72,7 @@ from .reconstruct import (
     max_normal_abelian,
     maximal_boolean_elements,
     partition_bijection,
+    quotient_steps,
     recover_classes,
 )
 from .topology import mobius_bottom_top, reduced_euler_characteristic

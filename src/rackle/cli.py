@@ -75,11 +75,16 @@ def _add_cap_flags(p: argparse.ArgumentParser, *flags: str) -> None:
 
 
 def _resolve_group(ref: str, limits: Limits) -> FiniteGroup:
-    """A group file when ref names one by extension or exists, else a catalog
-    name: a missing .cay or .pgen fails as a missing file."""
-    if ref.endswith((".cay", ".pgen")) or os.path.exists(ref):
-        return load_group(ref, limits=limits)
-    return named_group(ref)
+    """A catalog name, unless ref ends in .cay or .pgen, or names no catalog
+    group and exists: then a group file. A missing .cay or .pgen fails as a
+    missing file, so a file never shadows a catalog name."""
+    if not ref.endswith((".cay", ".pgen")):
+        try:
+            return named_group(ref)
+        except UnknownGroup:
+            if not os.path.exists(ref):
+                raise
+    return load_group(ref, limits=limits)
 
 
 def _resolve_rack(ref: str, limits: Limits) -> ConjugationRack:

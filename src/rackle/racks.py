@@ -36,12 +36,10 @@ class ConjugationRack:
     op: OpTable
     # ground_labels[i] = index of this point inside the source group, if any
     ground_labels: tuple[int, ...] | None = None
-    source: str = "raw"
     name: str = ""
 
     def __repr__(self) -> str:
-        label = self.name or self.source
-        return f"<rack {label}, {self.size} points>"
+        return f"<rack {self.name or 'unnamed'}, {self.size} points>"
 
 
 @dataclass(frozen=True)
@@ -50,9 +48,6 @@ class AxiomReport:
     is_quandle: bool
     # on failure: ("A1", a, b, c) or ("A2", a) or ("A3", a)
     witnesses: tuple[tuple, ...]
-
-    def __bool__(self) -> bool:
-        return self.is_rack
 
 
 def verify_rack_axioms(op: Sequence[Sequence[int]]) -> AxiomReport:
@@ -86,7 +81,7 @@ def verify_rack_axioms(op: Sequence[Sequence[int]]) -> AxiomReport:
 
 
 def _conjugation_rack(
-    g: FiniteGroup, members: Sequence[int], source: str, name: str
+    g: FiniteGroup, members: Sequence[int], name: str
 ) -> ConjugationRack:
     """Conjugation a ▷ b = a b a^-1 on members, a subset closed under it;
     point i of the rack is members[i]."""
@@ -95,14 +90,13 @@ def _conjugation_rack(
         size=len(members),
         op=tuple(tuple(pos[g.conj(a, b)] for b in members) for a in members),
         ground_labels=tuple(members),
-        source=source,
         name=name,
     )
 
 
 def group_rack(g: FiniteGroup) -> ConjugationRack:
     """Whole-group conjugation quandle: op[a][b] = a b a^-1."""
-    return _conjugation_rack(g, range(g.order), "group-rack", g.name)
+    return _conjugation_rack(g, range(g.order), g.name)
 
 
 def conjugacy_class_rack(g: FiniteGroup, class_index: int) -> ConjugationRack:
@@ -110,9 +104,7 @@ def conjugacy_class_rack(g: FiniteGroup, class_index: int) -> ConjugationRack:
     cc = conjugacy_classes(g)
     if not (0 <= class_index < cc.count):
         raise BadIndex(f"class index {class_index} out of range [0,{cc.count})")
-    return _conjugation_rack(
-        g, cc.classes[class_index], "class-rack", f"{g.name or 'G'}-class{class_index}"
-    )
+    return _conjugation_rack(g, cc.classes[class_index], f"{g.name or 'G'}-class{class_index}")
 
 
 def _is_prime(p: int) -> bool:
@@ -142,7 +134,7 @@ def p_power_rack(g: FiniteGroup, p: int) -> ConjugationRack:
             k //= p
         if k == 1:
             members.append(x)
-    return _conjugation_rack(g, members, "p-power-rack", f"{g.name or 'G'}-{p}power")
+    return _conjugation_rack(g, members, f"{g.name or 'G'}-{p}power")
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +278,7 @@ def parse_rack(text: str, name: str = "") -> ConjugationRack:
     report = verify_rack_axioms(op)
     if not report.is_rack:
         raise FormatError(f"table violates rack axioms: {report.witnesses[0]}")
-    return ConjugationRack(size=len(op), op=op, source="raw", name=name)
+    return ConjugationRack(size=len(op), op=op, name=name)
 
 
 def format_rack(rack: ConjugationRack) -> str:

@@ -504,27 +504,35 @@ def join_poset(lat: AbstractLattice, parts: Sequence[int]) -> AbstractLattice:
     return AbstractLattice(sorted(closed, key=lambda b: key(union(b))))
 
 
+def quotient_steps(
+    lat: AbstractLattice, limits: Limits = DEFAULT_LIMITS
+) -> Iterator[tuple[int, tuple[int, ...], AbstractLattice]]:
+    """The quotient step, once per normal abelian candidate N with more than
+    one atom: (N's support, its first passing cover, the cover's join poset).
+
+    This is the only code that takes a quotient: the derived-length recursion
+    reads it, and so does verify's check of each quotient against the group.
+    """
+    for n_elem in max_normal_abelian(lat):
+        if lat.supports[n_elem].bit_count() > 1:
+            parts = find_coset_partition(lat, n_elem, limits=limits)
+            yield lat.supports[n_elem], parts, join_poset(lat, parts)
+
+
 def lattice_derived_length(
     lat: AbstractLattice, limits: Limits = DEFAULT_LIMITS
 ) -> int | _NotSolvable:
     """Derived length read off the lattice alone.
 
     One atom means the trivial group. A Boolean lattice means abelian. In
-    general: recover classes, take the maximal normal abelian candidates; if
-    they are all single atoms the recursion has stalled and the group cannot
-    be solvable; otherwise recurse into each candidate's quotient lattice and
-    take the minimum.
+    general: take each quotient step and recurse into its join poset, and
+    take the minimum. With no step (every candidate a single atom) the
+    recursion has stalled and the group cannot be solvable.
     """
     if lat.n_atoms <= 1:
         return 0
     if lat.is_boolean():
         return 1
-    cands = max_normal_abelian(lat)
-    # with no nontrivial candidate the recursion stalls: not solvable
-    result: int | _NotSolvable = NOT_SOLVABLE
-    for n_elem in (x for x in cands if lat.supports[x].bit_count() > 1):
-        parts = find_coset_partition(lat, n_elem, limits=limits)
-        sub = lattice_derived_length(join_poset(lat, parts), limits=limits)
-        if sub is not NOT_SOLVABLE and (result is NOT_SOLVABLE or 1 + sub < result):
-            result = 1 + sub
-    return result
+    subs = [lattice_derived_length(jp, limits) for _, _, jp in quotient_steps(lat, limits)]
+    solvable = [sub for sub in subs if sub is not NOT_SOLVABLE]
+    return 1 + min(solvable) if solvable else NOT_SOLVABLE

@@ -29,6 +29,7 @@ from rackle import (
     maximal_boolean_elements,
     mobius_bottom_top,
     partition_bijection,
+    quotient_steps,
     recover_classes,
 )
 from rackle.catalog import (
@@ -686,13 +687,10 @@ class TestFindCosetPartition:
 def first_covers(ab):
     """(N, first passing cover) for each lattice-only candidate N with more
     than one atom, at every level of the derived-length recursion."""
-    for n in max_normal_abelian(ab):
-        if ab.supports[n].bit_count() > 1:
-            parts = find_coset_partition(ab, n)
-            yield ab.supports[n], parts
-            jp = join_poset(ab, parts)
-            if jp.n_atoms > 1 and not jp.is_boolean():
-                yield from first_covers(jp)
+    for n, parts, jp in quotient_steps(ab):
+        yield n, parts
+        if jp.n_atoms > 1 and not jp.is_boolean():
+            yield from first_covers(jp)
 
 
 # SHA-256 of every first passing cover of the inputs of

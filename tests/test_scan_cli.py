@@ -31,13 +31,22 @@ class TestVerifyGroup:
         assert not [ln for ln in lines if ln.startswith("FAIL")]
 
     def test_oversized_group_skips(self):
-        # A5 (60 points) runs every check; only the subgroup oracle is over its cap
-        lines = verify_group(get_group("A5"))
-        assert not [ln for ln in lines if ln.startswith("FAIL")], lines
-        assert [ln for ln in lines if ln.startswith("SKIP")] == [
-            "SKIP boolean-elements A5 order over subgroup cap"
+        # A5 (60 points) runs every check; only the subgroup oracle is over its
+        # cap. The whole report is pinned: it is the nonsolvable verdict through
+        # verify, and A5's one normal abelian candidate is the identity, a
+        # single atom, so the recursion takes no quotient step
+        assert verify_group(get_group("A5")) == [
+            "PASS enumerate A5 490 elements",
+            "PASS coatoms A5 c=5 class complements",
+            "SKIP boolean-elements A5 order over subgroup cap",
+            "PASS classes A5 blocks match conjugacy classes",
+            "PASS normal-abelian A5 1 candidates",
+            "PASS coset-joins A5 1060 tuples across 2 normal subgroups",
+            "PASS hypothetical A5 coset partitions satisfy the conditions",
+            "PASS quotient-poset A5 0 quotients match join posets",
+            "PASS derive A5 lattice=NOT_SOLVABLE oracle=NOT_SOLVABLE",
+            "PASS sphere A5 mu=-1 c=5",
         ]
-        assert any(ln.startswith("PASS derive A5") and "NOT_SOLVABLE" in ln for ln in lines)
 
     def test_exhaustive_mode(self):
         lines = verify_group(get_group("S3"), exhaustive=True)
@@ -116,14 +125,20 @@ S3_FAILS = [
                  ["FAIL hypothetical S3 N=[0, 2, 5]: PASS C1 2 parts of size 3; FAIL C2 "
                   "distinguished part has no central atom; PASS C3 exhaustive over 15 tuples"],
                  id="hypothetical"),
-    pytest.param({"find_coset_partition": lambda lat, n, limits: _raise(NoPartition("none"))},
-                 DEFAULT_LIMITS, ["FAIL quotient-poset S3 N=[0, 2, 5]: none"],
+    # the quotient step itself raises: on the labelled lattice and in the recursion
+    pytest.param({"rackle.reconstruct.find_coset_partition":
+                  lambda lat, n, limits: _raise(NoPartition("none"))},
+                 DEFAULT_LIMITS, ["FAIL quotient-poset S3 NoPartition: none",
+                                  "FAIL derive S3 lattice=NoPartition('none') oracle=2"],
                  id="quotient-poset-raises"),
     pytest.param({"quotient": lambda g, n: (g, ())}, DEFAULT_LIMITS,
                  ["FAIL quotient-poset S3 N=[0, 2, 5]: join poset not isomorphic to "
                   "quotient lattice"], id="quotient-poset-not-isomorphic"),
     pytest.param({"derived_length_oracle": lambda g: ([], 3)}, DEFAULT_LIMITS,
                  ["FAIL derive S3 lattice=2 oracle=3"], id="derive"),
+    pytest.param({"lattice_derived_length": lambda lat, limits: _raise(NoPartition("none"))},
+                 DEFAULT_LIMITS, ["FAIL derive S3 lattice=NoPartition('none') oracle=2"],
+                 id="derive-raises"),
     pytest.param({"reduced_euler_characteristic": lambda lat, limits: 0}, DEFAULT_LIMITS,
                  ["FAIL sphere S3 mu=-1 chain-count=0"], id="sphere-chain-count"),
     pytest.param({"mobius_bottom_top": lambda lat: 1,
@@ -139,12 +154,30 @@ S3_FAILS = [
 
 @pytest.mark.parametrize("fakes, limits, fails", S3_FAILS)
 def test_each_check_names_its_failure(monkeypatch, fakes, limits, fails):
-    # one oracle (or lattice step) in scan is replaced by a wrong one, and the
-    # report's non-PASS lines are exactly the checks that must catch it
+    # one oracle (or lattice step) in scan, or a dotted name where it lives, is
+    # replaced by a wrong one, and the report's non-PASS lines are exactly the
+    # checks that must catch it
     for name, fake in fakes.items():
-        monkeypatch.setattr(scan, name, fake)
+        if "." in name:
+            monkeypatch.setattr(name, fake)
+        else:
+            monkeypatch.setattr(scan, name, fake)
     lines = verify_group(get_group("S3"), limits)
     assert [ln for ln in lines if not ln.startswith("PASS")] == fails
+
+
+@pytest.mark.parametrize("name, fake, line", [
+    # the hypothetical line checks the oracle's N and the quotient-poset line
+    # the recursion's steps: a FAIL on one leaves the other checked
+    pytest.param("coset_partition_of", lambda g, n: REAL["coset_partition_of"](g, n)[::-1],
+                 "PASS quotient-poset S3 1 quotients match join posets", id="hypothetical"),
+    # a raise in the lattice-only recursion is a FAIL line, and the report goes on
+    pytest.param("lattice_derived_length", lambda lat, limits: _raise(NoPartition("none")),
+                 "PASS sphere S3 mu=-1 c=3, chain count agrees", id="derive-raises"),
+])
+def test_a_failure_leaves_the_later_checks(monkeypatch, name, fake, line):
+    monkeypatch.setattr(scan, name, fake)
+    assert line in verify_group(get_group("S3"))
 
 
 def _q8_invariants(**changes):
@@ -229,6 +262,17 @@ class TestCli:
 
     def test_unknown_group(self, capsys):
         assert run_cli("group", "info", "NoSuchGroup") == 2
+
+    @pytest.mark.parametrize("make", [Path.touch, Path.mkdir], ids=["file", "directory"])
+    def test_path_does_not_shadow_a_catalog_name(self, tmp_path, monkeypatch, capsys, make):
+        # a catalog name is looked up first; only a name outside the catalog
+        # is read as a path
+        monkeypatch.chdir(tmp_path)
+        make(tmp_path / "S3")
+        assert run_cli("group", "info", "S3") == 0
+        assert run_cli("derive", "--group", "S3") == 0
+        out = capsys.readouterr().out
+        assert out.startswith("group S3\n") and "PASS derive S3 lattice=2 oracle=2" in out
 
     def test_lattice_build_and_invariants(self, tmp_path, capsys):
         out = tmp_path / "s3.lat"
