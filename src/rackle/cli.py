@@ -39,21 +39,17 @@ from .scan import full_verification
 from .topology import mobius_bottom_top, reduced_euler_characteristic
 
 
-# cap flag -> (Limits field, help, least value); each subcommand registers
-# the flags it reads. A C3 check drawing no samples would pass having checked
-# nothing, so --samples starts at 1; --budget 0 forces sampling.
+# cap flag -> (Limits field, help); each subcommand registers the flags it reads
 _CAP_FLAGS = {
-    "--lattice-cap": ("lattice_cap", "max number of lattice elements", 0),
-    "--subgroup-cap": ("subgroup_cap", "max group order for subgroup enumeration", 0),
-    "--iso-budget": ("iso_node_budget", "atom placements in the isomorphism search", 0),
-    "--budget": ("tuple_budget", "exhaustive tuple checking up to this many tuples", 0),
-    "--samples": ("sample_count", "sample count above the tuple budget", 1),
+    "--lattice-cap": ("lattice_cap", "max number of lattice elements"),
+    "--subgroup-cap": ("subgroup_cap", "max group order for subgroup enumeration"),
+    "--iso-budget": ("iso_node_budget", "atom placements in the isomorphism search"),
 }
 
 
 def _limits_from(args: argparse.Namespace) -> Limits:
     return DEFAULT_LIMITS.with_(**{
-        field: val for field, _, _ in _CAP_FLAGS.values()
+        field: val for field, _ in _CAP_FLAGS.values()
         if (val := getattr(args, field, None)) is not None
     })
 
@@ -70,8 +66,8 @@ def _at_least(least: int) -> Callable[[str], int]:
 
 def _add_cap_flags(p: argparse.ArgumentParser, *flags: str) -> None:
     for flag in flags:
-        field, help_, least = _CAP_FLAGS[flag]
-        p.add_argument(flag, type=_at_least(least), dest=field, help=help_)
+        field, help_ = _CAP_FLAGS[flag]
+        p.add_argument(flag, type=_at_least(0), dest=field, help=help_)
 
 
 def _resolve_group(ref: str, limits: Limits) -> FiniteGroup:
@@ -117,7 +113,6 @@ def _cmd_lattice_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
-    limits = _limits_from(args)
     ab = load_lattice(args.lattice)
     print(f"lattice {args.lattice}: {ab.size} elements, {len(ab.atoms)} atoms")
     classes = recover_classes(ab)
@@ -132,7 +127,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
         "  maximal normal abelian candidates: "
         f"{sorted(ab.supports[x].bit_count() for x in mna)} atoms"
     )
-    dl = lattice_derived_length(ab, limits=limits)
+    dl = lattice_derived_length(ab)
     print(f"  derived length (lattice only): {dl}")
     return 0
 
@@ -142,7 +137,7 @@ def _cmd_derive(args: argparse.Namespace) -> int:
     g = _resolve_group(args.group, limits)
     lat = enumerate_subrack_lattice(group_rack(g), limits=limits)
     ab = to_abstract(lat, seed=args.seed)
-    dl = lattice_derived_length(ab, limits=limits)
+    dl = lattice_derived_length(ab)
     print(f"derived length of {g.name or args.group} from the lattice: {dl}")
     if args.lattice_only:
         return 0
@@ -186,12 +181,7 @@ def _cmd_topology(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     limits = _limits_from(args)
-    report = full_verification(
-        max_order=args.order_max,
-        limits=limits,
-        seed=args.seed,
-        exhaustive=args.exhaustive,
-    )
+    report = full_verification(max_order=args.order_max, limits=limits, seed=args.seed)
     sys.stdout.write(report.text())
     return 0 if report.ok else 1
 
@@ -220,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_inv = sub.add_parser("invariants", help="lattice-only reconstruction")
     p_inv.add_argument("--lattice", required=True, help=".lat file")
-    _add_cap_flags(p_inv, "--budget", "--samples")
     p_inv.set_defaults(func=_cmd_invariants)
 
     p_der = sub.add_parser("derive", help="derived length from the lattice")
@@ -228,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_der.add_argument("--lattice-only", action="store_true")
     p_der.add_argument("--seed", type=int, default=None,
                        help="shuffle seed for the abstract lattice")
-    _add_cap_flags(p_der, "--lattice-cap", "--budget", "--samples")
+    _add_cap_flags(p_der, "--lattice-cap")
     p_der.set_defaults(func=_cmd_derive)
 
     p_cmp = sub.add_parser("compare", help="poset isomorphism of two lattices")
@@ -245,11 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="full catalog verification report")
     p_ver.add_argument("--order-max", type=_at_least(1), default=12, dest="order_max")
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--exhaustive", action="store_true",
-                       help="never sample; sweep every representative tuple")
-    _add_cap_flags(
-        p_ver, "--lattice-cap", "--subgroup-cap", "--iso-budget", "--budget", "--samples"
-    )
+    _add_cap_flags(p_ver, "--lattice-cap", "--subgroup-cap", "--iso-budget")
     p_ver.set_defaults(func=_cmd_verify)
     return parser
 

@@ -5,9 +5,9 @@ A rack here is a square table op[a][b] = a ▷ b over indices 0..m-1. For
 conjugation racks a ▷ b is a b a^-1 inside some finite group; those always
 satisfy the quandle axioms, but raw tables can be fed in and checked too.
 
-Closures that grow a closed set one point at a time (closure_extend, and
-memo_closure built on it) cross a new point a only with the members of
-moves[a], the points b for which a ▷ b ≠ b or b ▷ a ≠ a (see moves_of).
+Closures that grow a closed set one point at a time (closure_extend) cross
+a new point a only with the members of moves[a], the points b for which
+a ▷ b ≠ b or b ▷ a ≠ a (see moves_of).
 Every other product is b or a, both already present. In a conjugation rack
 moves[a] is the complement of a's centralizer, so an abelian group's rack
 closes every set without a single product. A point with moves[a] == 0 is
@@ -20,7 +20,7 @@ as its step, and adds the fixed ones as a Boolean factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .closedsets import bits
 from .errors import BadIndex, FormatError, NotPrime
@@ -216,46 +216,6 @@ def closure_extend(
                     mask |= bit
                     work.append(c)
     return mask
-
-
-def memo_closure(rows: Sequence[Sequence[int]]) -> Callable[[int], int]:
-    """Closure of any seed mask over one table, memoized by mask.
-
-    cl(S ∪ {j}) = cl(cl(S) ∪ {j}), so the closure of a seed is the closure
-    of the seed without its lowest bit j, extended by j, or left as it is
-    when it already holds j. Seeds that share their high bits share that
-    work. The walk down to a memoized prefix is a loop, not recursion, so
-    it has no depth limit.
-
-    Each step extends a closed set c by a point j, and its result depends
-    only on the mask c ∪ {j}. Seeds with different prefixes often reach the
-    same c and then add the same j, so the step is memoized under that
-    mask: each (closed set, point) pair is extended once. Both kinds of key
-    map a mask to its closure, so one dict holds them. It keeps every seed
-    asked for, its prefixes and every step's mask for as long as the
-    returned function lives.
-    """
-    memo = {0: 0}
-    moves = moves_of(rows)
-
-    def closure(seed: int) -> int:
-        pending = []
-        m = seed
-        while m not in memo:
-            pending.append(m)
-            m &= m - 1
-        c = memo[m]
-        for s in reversed(pending):
-            low = s & -s
-            if not c & low:
-                step = c | low
-                if step not in memo:
-                    memo[step] = closure_extend(rows, moves, c, low.bit_length() - 1)
-                c = memo[step]
-            memo[s] = c
-        return c
-
-    return closure
 
 
 def rack_closure(rack: ConjugationRack, seeds: Iterable[int]) -> frozenset[int]:

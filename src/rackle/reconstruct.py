@@ -12,13 +12,10 @@ also builds on, from groups.cosets, and checks that each is a subrack.
 
 from __future__ import annotations
 
-import itertools
-import math
-import random
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .closedsets import bits, close_by_one, mask_of
 from .config import DEFAULT_LIMITS, Limits
@@ -217,126 +214,65 @@ def partition_bijection(
 class PartitionReport:
     ok: bool
     lines: tuple[str, ...]
+    join_poset: AbstractLattice | None = None    # built when C3 passes
 
     def text(self) -> str:
         return "\n".join(self.lines)
 
 
-def _tuple_space(parts: Sequence[int]) -> int:
-    """Number of (index set, representative tuple) pairs to check: the sum
-    over nonempty index sets of the product of part sizes, ∏(1 + |Pᵢ|) − 1."""
-    return math.prod(p.bit_count() + 1 for p in parts) - 1
+def _c3(lat: AbstractLattice, parts: Sequence[int]) -> PartitionReport:
+    """Condition C3 on a partition of the atoms, exactly, by two facts.
 
+    C3: for every index set I and every tuple X of one atom from each part
+    in I, join(U) = sat(join(X)), where U is the union of the parts in I and
+    sat(S) is the union of the parts that meet S. It holds exactly when
+    (A) every join of a set of parts is a union of parts, and
+    (B) sat(S) is a lattice element for every element S.
+    (A) and (B) give C3: with J = join(U) and Y = join(X), Y ⊆ J, so
+    sat(Y) ⊆ sat(J) = J by (A); sat(Y) holds U and is an element by (B), so
+    J ⊆ sat(Y). C3 gives (A), since J = sat(Y), and (B): for an element S,
+    take X in S, one atom from each part meeting S; sat(join(X)) = sat(S),
+    so sat(S) = join(sat(S)).
 
-def c3_tuples(
-    parts: Sequence[int], rng: random.Random, exhaustive: bool, limits: Limits
-) -> tuple[int, bool, Iterator[tuple[tuple[int, ...], tuple[int, ...]]]]:
-    """(tuple space, sampled, stream) of the (index set, reps) pairs for C3.
-
-    Within limits.tuple_budget, or with exhaustive, the stream is every pair:
-    index sets by size, then lexicographically, each with every choice of one
-    atom per part. Beyond it, limits.sample_count samples drawn from rng: a
-    size, an index set of that size, one atom per part. The draws, and rng's
-    state after them, are those of rng.randint(1, m), rng.sample(range(m),
-    size) and rng.choice per part, at one getrandbits call a draw."""
-    space = _tuple_space(parts)
-    sampled = not exhaustive and space > limits.tuple_budget
-    m = len(parts)
-    members = [bits(p) for p in parts]
-
-    def stream() -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-        if not sampled:
-            for r in range(1, m + 1):
-                for idxs in itertools.combinations(range(m), r):
-                    for reps in itertools.product(*(members[i] for i in idxs)):
-                        yield idxs, reps
-            return
-        getrandbits = rng.getrandbits
-
-        def below(n: int) -> int:        # random's _randbelow; 0 for n == 0
-            k = n.bit_length()
-            j = getrandbits(k)
-            while j >= n > 0:
-                j = getrandbits(k)
-            return j
-
-        for _ in range(limits.sample_count):
-            size = 1 + below(m)
-            # random.sample's pool branch: a partial Fisher–Yates over range(m)
-            if m <= 21 + (4 ** math.ceil(math.log(3 * size, 4)) if size > 5 else 0):
-                picked = list(range(m))
-                for i in range(m - 1, m - size - 1, -1):
-                    j = below(i + 1)
-                    picked[i], picked[j] = picked[j], picked[i]
-                picked = picked[m - size:]
-            else:                        # its set branch: a repeat is redrawn
-                picked = set()
-                while len(picked) < size:
-                    picked.add(below(m))
-            idxs = tuple(sorted(picked))
-            yield idxs, tuple(members[i][below(len(members[i]))] for i in idxs)
-
-    return space, sampled, stream()
-
-
-def c3_witness(
-    parts: Sequence[int],
-    close: Callable[[int], int],
-    tuples: Iterable[tuple[tuple[int, ...], tuple[int, ...]]],
-) -> tuple[tuple[int, ...], tuple[int, ...], int, int] | None:
-    """The first (index set, reps, join, predicted) that breaks C3, or None.
-
-    C3: the closure of the union of the indexed parts (join) is the union of
-    the parts that meet the closure of the reps (predicted). close is the
-    lattice join on the lattice side and the rack closure on the group side.
-
-    The join depends only on the index set, and the exhaustive stream yields
-    each index set's tuples in one run, so it is computed once per run.
-    predicted depends only on the closure, so it is memoized by closure:
-    each distinct closure is saturated against the parts once.
+    (B) costs one pass over the supports. (A) is what join_poset checks as
+    it walks the joins of parts, so the join poset comes back with a PASS.
     """
-    last_idxs = None
-    join = 0
-    predicted_of: dict[int, int] = {}
-    for idxs, reps in tuples:
-        if idxs != last_idxs:
-            last_idxs = idxs
-            union = 0
-            for i in idxs:
-                union |= parts[i]
-            join = close(union)
-        closure = close(mask_of(reps))
-        predicted = predicted_of.get(closure)
-        if predicted is None:
-            predicted = 0
-            for p in parts:
-                if p & closure:
-                    predicted |= p
-            predicted_of[closure] = predicted
-        if join != predicted:
-            return idxs, reps, join, predicted
-    return None
+    owner = [0] * lat.n_atoms             # atom -> the part holding it
+    for p in parts:
+        for a in bits(p):
+            owner[a] = p
+    for s in lat.supports:
+        sat, rest = 0, s
+        while rest:
+            p = owner[(rest & -rest).bit_length() - 1]
+            sat |= p
+            rest &= ~p
+        if sat not in lat.support_index:
+            added = next(i for i, p in enumerate(parts) if p & s and p & ~s)
+            return PartitionReport(False, (
+                f"FAIL C3 S={bits(s)}: sat(S) adds part {added} and is no element",))
+    try:
+        jp = join_poset(lat, parts)
+    except NotGroupLattice as exc:
+        return PartitionReport(False, (f"FAIL C3 {exc}",))
+    return PartitionReport(True, (
+        f"PASS C3 sat(S) is an element for all {lat.size} S, "
+        f"and the {jp.size} joins of parts are unions of parts",), jp)
 
 
 def is_hypothetical_coset_partition(
-    lat: AbstractLattice,
-    parts: Sequence[int],
-    exhaustive: bool = False,
-    seed: int = 0,
-    limits: Limits = DEFAULT_LIMITS,
+    lat: AbstractLattice, parts: Sequence[int]
 ) -> PartitionReport:
     """Check the three coset-partition conditions on parts (masks over the
-    atoms), with witnesses.
+    atoms), with witnesses; a PASS carries the parts' join poset.
 
-    Condition three quantifies over index sets and representative tuples; the
-    check is exhaustive up to the tuple budget and seeded sampling beyond it
-    (`exhaustive` forces the full sweep). The distinguished part C1 is the
-    first part. A partition with no parts, an empty part, or a bit that is
-    no atom fails C1 and is checked no further.
+    The distinguished part C1 is the first part. A partition with no parts,
+    an empty part, or a bit that is no atom fails C1 and is checked no
+    further. C3 is checked exactly (see _c3), on partitions only: after a
+    C1 failure it is not reported.
     """
     classes = recover_classes(lat)
     lines: list[str] = []
-    ok = True
     full = (1 << lat.n_atoms) - 1
 
     covered = reduce(or_, parts, 0)
@@ -347,10 +283,11 @@ def is_hypothetical_coset_partition(
                  f"part {parts.index(0)} is empty" if parts else "no parts")
         return PartitionReport(ok=False, lines=(f"FAIL C1 {cause}",))
     sizes = {p.bit_count() for p in parts}
-    if disjoint and covered == full and len(sizes) == 1:
+    partition = disjoint and covered == full and len(sizes) == 1
+    ok = partition
+    if partition:
         lines.append(f"PASS C1 {len(parts)} parts of size {sizes.pop()}")
     else:
-        ok = False
         lines.append(
             "FAIL C1 "
             + ("parts overlap" if not disjoint else
@@ -370,19 +307,10 @@ def is_hypothetical_coset_partition(
         else:
             lines.append("FAIL C2 distinguished part has no central atom")
 
-    space, sampled, tuples = c3_tuples(parts, random.Random(seed), exhaustive, limits)
-    witness = c3_witness(parts, lambda mask: lat.supports[lat.join_mask(mask)], tuples)
-    if witness is not None:
-        ok = False
-        lines.append(f"FAIL C3 I={witness[0]} reps={witness[1]}")
-    elif not sampled:
-        lines.append(f"PASS C3 exhaustive over {space} tuples")
-    else:
-        lines.append(
-            f"PASS C3 sampled {limits.sample_count} of ~{space} tuples (seed {seed})"
-        )
-
-    return PartitionReport(ok=ok, lines=tuple(lines))
+    if not partition:
+        return PartitionReport(ok=False, lines=tuple(lines))
+    c3 = _c3(lat, parts)
+    return PartitionReport(ok and c3.ok, tuple(lines) + c3.lines, c3.join_poset)
 
 
 def _breaks(part: int, rules: Iterable[tuple[int, list[int]]]) -> bool:
@@ -431,8 +359,8 @@ def _covers(
 
 
 def find_coset_partition(
-    lat: AbstractLattice, n_elem: int, limits: Limits = DEFAULT_LIMITS
-) -> tuple[int, ...]:
+    lat: AbstractLattice, n_elem: int
+) -> tuple[tuple[int, ...], AbstractLattice]:
     """Search for a coset-style partition whose distinguished part is N.
 
     Candidate parts are supports of lattice elements of the right size
@@ -440,9 +368,9 @@ def find_coset_partition(
     One depth-first search over the atoms in order yields exact covers, each
     step placing a part through the lowest uncovered atom; the first cover
     that passes is_hypothetical_coset_partition is returned, as a tuple of
-    part masks with N first. The candidates are indexed by their lowest
-    atom, each index in the order of sorted(..., key=bits), which fixes
-    which passing cover comes first.
+    part masks with N first, with the join poset that check built. The
+    candidates are indexed by their lowest atom, each index in the order of
+    sorted(..., key=bits), which fixes which passing cover comes first.
 
     The search is pruned by condition C3 on pairs: for placed parts a, b and
     representatives x ∈ a, y ∈ b, every placed part inside join(a ∪ b) must
@@ -462,8 +390,9 @@ def find_coset_partition(
     for s in sorted({s for s in lat.supports if s.bit_count() == size}, key=bits):
         table[(s & -s).bit_length() - 1].append((s, bits(s)))
     for parts in _covers(lat, table, full, sn, [(sn, bits(sn))], [], {}):
-        if is_hypothetical_coset_partition(lat, parts, limits=limits).ok:
-            return parts
+        rep = is_hypothetical_coset_partition(lat, parts)
+        if rep.ok:
+            return parts, rep.join_poset
     raise NoPartition("no candidate partition satisfies the conditions")
 
 
@@ -493,19 +422,20 @@ def join_poset(lat: AbstractLattice, parts: Sequence[int]) -> AbstractLattice:
         s = lat.supports[lat.join_mask(union(chosen))]
         below = mask_of(i for i, p in enumerate(parts) if p & s == p)
         if union(below) != s:
-            raise NotGroupLattice("a join of parts is not a union of parts")
+            raise NotGroupLattice(
+                f"a join of parts is not a union of parts: I={bits(chosen)}")
         return below
 
     for i in range(len(parts)):
         if close(1 << i) != 1 << i:
-            raise NotGroupLattice("parts are not the atoms of their join poset")
+            raise NotGroupLattice(f"parts are not the atoms of their join poset: part {i}")
     key = order_key(lat.n_atoms)
     closed = [0, *close_by_one(range(len(parts)), lambda a, j: close(a | 1 << j))]
     return AbstractLattice(sorted(closed, key=lambda b: key(union(b))))
 
 
 def quotient_steps(
-    lat: AbstractLattice, limits: Limits = DEFAULT_LIMITS
+    lat: AbstractLattice,
 ) -> Iterator[tuple[int, tuple[int, ...], AbstractLattice]]:
     """The quotient step, once per normal abelian candidate N with more than
     one atom: (N's support, its first passing cover, the cover's join poset).
@@ -515,8 +445,8 @@ def quotient_steps(
     """
     for n_elem in max_normal_abelian(lat):
         if lat.supports[n_elem].bit_count() > 1:
-            parts = find_coset_partition(lat, n_elem, limits=limits)
-            yield lat.supports[n_elem], parts, join_poset(lat, parts)
+            parts, jp = find_coset_partition(lat, n_elem)
+            yield lat.supports[n_elem], parts, jp
 
 
 def lattice_derived_length(
@@ -527,12 +457,13 @@ def lattice_derived_length(
     One atom means the trivial group. A Boolean lattice means abelian. In
     general: take each quotient step and recurse into its join poset, and
     take the minimum. With no step (every candidate a single atom) the
-    recursion has stalled and the group cannot be solvable.
+    recursion has stalled and the group cannot be solvable. No step has a
+    cap, so limits is read by nothing; perfbench/workloads.py passes it.
     """
     if lat.n_atoms <= 1:
         return 0
     if lat.is_boolean():
         return 1
-    subs = [lattice_derived_length(jp, limits) for _, _, jp in quotient_steps(lat, limits)]
+    subs = [lattice_derived_length(jp) for _, _, jp in quotient_steps(lat)]
     solvable = [sub for sub in subs if sub is not NOT_SOLVABLE]
     return 1 + min(solvable) if solvable else NOT_SOLVABLE

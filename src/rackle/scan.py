@@ -6,7 +6,6 @@ seed and configuration that produced them so a rerun is byte-identical.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 from .closedsets import bits, mask_of
@@ -15,6 +14,7 @@ from .errors import RackleError, TooLarge
 from .groups import (
     FiniteGroup,
     conjugacy_classes,
+    cosets,
     derived_length_oracle,
     group_invariants,
     maximal_abelian_subgroups,
@@ -29,10 +29,8 @@ from .lattice import (
     enumerate_subrack_lattice,
     to_abstract,
 )
-from .racks import group_rack, memo_closure
+from .racks import group_rack
 from .reconstruct import (
-    c3_tuples,
-    c3_witness,
     coset_partition_of,
     is_hypothetical_coset_partition,
     lattice_derived_length,
@@ -63,10 +61,7 @@ class ScanReport:
 
 
 def verify_group(
-    g: FiniteGroup,
-    limits: Limits = DEFAULT_LIMITS,
-    seed: int = 0,
-    exhaustive: bool = False,
+    g: FiniteGroup, limits: Limits = DEFAULT_LIMITS, seed: int = 0
 ) -> list[str]:
     """Run the whole pipeline on one group; one report line per check."""
     lines: list[str] = []
@@ -113,12 +108,11 @@ def verify_group(
     compare("normal-abelian", {lat.supports[x] for x in mna}, oracle_mna,
             f"{len(mna)} candidates")
 
-    lines.append(_coset_join_check(g, name, limits, seed, exhaustive))
+    lines.append(_coset_join_check(g, name))
 
     for nmask in sorted(oracle_mna):
         rep = is_hypothetical_coset_partition(
-            lat, _cosets_as_masks(g, frozenset(bits(nmask))), exhaustive=exhaustive,
-            seed=seed, limits=limits,
+            lat, [mask_of(c) for c in coset_partition_of(g, frozenset(bits(nmask)))]
         )
         if not rep.ok:
             lines.append(f"FAIL hypothetical {name} N={bits(nmask)}: " + "; ".join(rep.lines))
@@ -129,7 +123,7 @@ def verify_group(
     # the recursion's own quotient steps, on the labelled lattice: support bit
     # p is group element p, so each N and its join poset name G/N
     try:
-        steps = list(quotient_steps(lat, limits))
+        steps = list(quotient_steps(lat))
     except RackleError as exc:
         lines.append(f"FAIL quotient-poset {name} {type(exc).__name__}: {exc}")
     else:
@@ -148,7 +142,7 @@ def verify_group(
 
     _, dl_oracle = derived_length_oracle(g)
     try:
-        dl_lat = lattice_derived_length(to_abstract(lat, seed=seed), limits=limits)
+        dl_lat = lattice_derived_length(to_abstract(lat, seed=seed))
     except RackleError as exc:
         dl_lat = repr(exc)               # never the oracle's length: a FAIL
     verdict = "PASS" if dl_lat == dl_oracle else "FAIL"
@@ -170,39 +164,44 @@ def verify_group(
     return lines
 
 
-def _cosets_as_masks(g: FiniteGroup, members: frozenset[int]) -> list[int]:
-    return [mask_of(c) for c in coset_partition_of(g, members)]
+def _congruence_witness(g: FiniteGroup, parts: list[frozenset[int]]) -> str | None:
+    """Why parts, a partition of G, is no congruence of its conjugation
+    rack, or None when it is one.
 
-
-def _coset_join_check(
-    g: FiniteGroup, name: str, limits: Limits, seed: int, exhaustive: bool
-) -> str:
-    """Coset-join sweep: joins of coset subsets over all normal subgroups.
-
-    Condition C3 on the cosets, with closures computed on the group rack,
-    not read off the lattice: one memo shared by every normal subgroup, so
-    seeds with common high bits share their work. One rng serves them all.
-
-    The trivial subgroup is counted, not checked: its parts are singletons,
-    so the reps are the whole union U and join = predicted = close(U), one
-    closure of one mask. Its stream is never read: it draws nothing from rng.
+    A congruence: x ▷ y's part depends only on x's part and y's part, so
+    each map x ▷ − sends every part into one part, which part depending
+    only on x's part. |G|² g.conj calls, no closure.
     """
-    close = memo_closure(group_rack(g).op)
-    rng = random.Random(seed)
-    checked = 0
+    part_of = {x: i for i, part in enumerate(parts) for x in part}
+    first: dict[tuple[int, int], tuple[int, int, int]] = {}
+    for x in range(g.order):
+        for y in range(g.order):
+            z = g.conj(x, y)
+            x0, y0, z0 = first.setdefault((part_of[x], part_of[y]), (x, y, z))
+            if part_of[z] != part_of[z0]:
+                return f"{x0} ▷ {y0} = {z0} and {x} ▷ {y} = {z} lie in different parts"
+    return None
+
+
+def _coset_join_check(g: FiniteGroup, name: str) -> str:
+    """The cosets of every normal subgroup form a rack congruence.
+
+    This gives C3 on the group rack's subrack lattice for each of them, by
+    the two facts reconstruct._c3 checks on the lattice side. Each x ▷ − is
+    a bijection, so it sends each coset onto a coset, as cosets have one
+    size. (A): the closure of a union of cosets grows by sets x ▷ C, x in
+    it and C a coset in it, each a whole coset, so every join of cosets is
+    a union of cosets. (B): for a subrack S and x, y in the cosets meeting
+    it, x ▷ y lies in the coset of s ▷ t, for s in S in x's coset and t in S
+    in y's, so the union of those cosets is a subrack. (A) and (B) give C3.
+    """
     normals = normal_subgroups(g)
     for members in normals:
-        cosets = _cosets_as_masks(g, members)
-        space, sampled, tuples = c3_tuples(cosets, rng, exhaustive, limits)
-        witness = c3_witness(cosets, close, tuples) if len(members) > 1 else None
-        if witness is not None:
-            _, reps, join, predicted = witness
-            return (
-                f"FAIL coset-joins {name} N={sorted(members)} reps={reps}: "
-                f"join {join:b} vs predicted {predicted:b}"
-            )
-        checked += limits.sample_count if sampled else space
-    return f"PASS coset-joins {name} {checked} tuples across {len(normals)} normal subgroups"
+        why = _congruence_witness(g, cosets(g, members))
+        if why is not None:
+            return f"FAIL coset-joins {name} N={sorted(members)}: {why}"
+    return (f"PASS coset-joins {name} cosets of {len(normals)} normal subgroups "
+            "are rack congruences")
 
 
 # ---------------------------------------------------------------------------
@@ -279,14 +278,11 @@ def full_verification(
     max_order: int = 12,
     limits: Limits = DEFAULT_LIMITS,
     seed: int = 0,
-    exhaustive: bool = False,
 ) -> ScanReport:
-    """The pair scan's report, with verify_group's lines for the catalog in front
-    and the settings of their C3 checks in its header."""
+    """The pair scan's report, with verify_group's lines for the catalog in front."""
     from .catalog import catalog_entries
 
     report = pairs_scan(max_order, limits=limits, seed=seed)
-    report.config += f" exhaustive={exhaustive} tuple_budget={limits.tuple_budget}"
     groups = catalog_entries(max_order)
-    report.lines[:0] = [ln for g in groups for ln in verify_group(g, limits, seed, exhaustive)]
+    report.lines[:0] = [ln for g in groups for ln in verify_group(g, limits, seed)]
     return report

@@ -1130,7 +1130,7 @@ class TestLatFormat:
         assert read_or_error(parse_lattice_reference, text).startswith(message)
 
     @pytest.mark.xfail(strict=True, reason="the reader does not yet check the least-upper-bound "
-                       "property (ROADMAP item 4)")
+                       "property (ROADMAP item 5)")
     def test_non_lattice_is_rejected(self):
         # atomistic and bounded, but {0, 1} has two minimal upper bounds
         text = concrete_text([0, 1, 2, 4, 8, 0b0111, 0b1011, 0b1111], 4)

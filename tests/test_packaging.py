@@ -123,7 +123,7 @@ def test_traced_layers_resolve():
         for name in names
         if not callable(getattr(importlib.import_module(f"rackle.{layer}"), name, None))
     }
-    # deleted from rackle, still listed by the benchmark (ROADMAP item 4)
+    # deleted from rackle, still listed by the benchmark (ROADMAP item 7)
     assert missing == {"lattice.is_boolean_interval"}
 
 

@@ -1,7 +1,5 @@
 """Rack axioms, conjugation rack constructions, and bitmask closure."""
 
-from collections import Counter
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,21 +14,17 @@ from rackle import (
     rack_closure,
     verify_rack_axioms,
 )
-from rackle import racks
 from rackle.closedsets import mask_of
-from rackle.config import DEFAULT_LIMITS
 from rackle.errors import FormatError
 from rackle.racks import (
     closure_extend,
     closure_mask,
     format_rack,
-    memo_closure,
     moves_of,
     parse_rack,
 )
-from rackle.scan import _coset_join_check
 
-from conftest import get_group, is_closed_mask, small_racks
+from conftest import get_group, is_closed_mask
 
 
 def bits(mask):
@@ -217,53 +211,6 @@ def test_intersection_of_closed_is_closed(a, b):
     rack = group_rack(get_group("D6"))
     inter = closure_mask(rack.op, a) & closure_mask(rack.op, b)
     assert is_closed_mask(rack.op, inter)
-
-
-@given(small_racks, st.data())
-@settings(max_examples=80, deadline=None)
-def test_memo_closure_matches_closure_mask(rack, data):
-    full = (1 << rack.size) - 1
-    drawn = data.draw(st.lists(st.integers(0, full), max_size=20))
-    again = data.draw(st.lists(st.sampled_from(drawn), max_size=5)) if drawn else []
-    # d and cl(d), both above point j, reach one closed set by different
-    # prefixes and then add j: the memo's step from that set is shared
-    j = data.draw(st.integers(0, rack.size - 1))
-    above = full & ~((2 << j) - 1)
-    shared = []
-    for d in drawn:
-        shared += [(d & above) | 1 << j, closure_mask(rack.op, d & above) | 1 << j]
-    seeds = data.draw(st.permutations([0, full] + drawn + again + shared))
-    close = memo_closure(rack.op)
-    for m in seeds:
-        assert close(m) == closure_mask(rack.op, m), (rack.op, m)
-
-
-@pytest.mark.parametrize("name", ["S4", "sl23"])
-def test_memo_closure_extends_each_step_once(name, monkeypatch):
-    # the coset-join sweep asks one memo for many seeds that reach the same
-    # closed set by different prefixes; each (closed set, point) step is
-    # computed once
-    steps = Counter()
-
-    def counted(rows, moves, closed_mask, j, *rest):
-        steps[closed_mask, j] += 1
-        return closure_extend(rows, moves, closed_mask, j, *rest)
-
-    monkeypatch.setattr(racks, "closure_extend", counted)
-    g = get_group(name)
-    assert _coset_join_check(g, name, DEFAULT_LIMITS, 0, False).startswith("PASS")
-    assert steps and max(steps.values()) == 1
-
-
-def test_memo_closure_walks_long_seeds_without_recursion():
-    # trivial quandle a ▷ b = b: every subset is closed, so the full seed is
-    # its own closure and its walk visits all 1,200 prefixes
-    n = 1200
-    close = memo_closure((tuple(range(n)),) * n)
-    full = (1 << n) - 1
-    assert close(full) == full
-    assert close(full ^ 1) == full ^ 1
-    assert close(1 << (n - 1)) == 1 << (n - 1)
 
 
 class TestFormats:

@@ -6,14 +6,13 @@ import hashlib
 import math
 import random
 import sys
-from itertools import accumulate, combinations
+from itertools import combinations, product
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rackle import (
-    DEFAULT_LIMITS,
     NOT_SOLVABLE,
     BadPartition,
     NotGroupLattice,
@@ -57,18 +56,44 @@ from rackle.lattice import (
     enumerate_subrack_lattice,
     to_abstract,
 )
-from rackle.racks import group_rack, memo_closure
-from rackle.reconstruct import (
-    _tuple_space,
-    c3_tuples,
-    c3_witness,
-)
+from rackle.racks import closure_mask, group_rack
+from rackle.scan import _congruence_witness
 
 from conftest import GL23_PATH, get_abstract, get_group, get_lattice, is_closed_mask
 
 
 def every_tuple(parts):
-    return c3_tuples(parts, None, True, DEFAULT_LIMITS)[2]
+    """Every (index set, reps) pair C3 quantifies over: index sets by size,
+    then lexicographically, each with every choice of one atom per part."""
+    members = [bits(p) for p in parts]
+    for r in range(1, len(parts) + 1):
+        for idxs in combinations(range(len(parts)), r):
+            for reps in product(*(members[i] for i in idxs)):
+                yield idxs, reps
+
+
+def tuple_count(parts):
+    """How many pairs every_tuple yields: ∏(1 + |Pᵢ|) − 1."""
+    return math.prod(p.bit_count() + 1 for p in parts) - 1
+
+
+def c3_witness_reference(parts, close, tuples):
+    """The first (index set, reps, join, predicted) that breaks C3, or None:
+    the condition itself, one join and one saturation per tuple. close is
+    the lattice join or the rack closure."""
+    for idxs, reps in tuples:
+        union = 0
+        for i in idxs:
+            union |= parts[i]
+        join = close(union)
+        closure = close(mask_of(reps))
+        predicted = 0
+        for p in parts:
+            if p & closure:
+                predicted |= p
+        if join != predicted:
+            return idxs, reps, join, predicted
+    return None
 
 
 def support_sizes(ab, idxs):
@@ -368,14 +393,18 @@ def test_partition_bijection_always_valid(pair):
         [frozenset(p) for p in ps], [frozenset(q) for q in qs]) is not None
 
 
+C3_GROUPS = ("Z2xZ2", "S3", "Z6", "D4", "Q8", "A4")
+
+
 @functools.cache
 def c3_closures(name):
     """C3's two closures: the join of the unseeded lattice, whose support
-    bit p is element p, and the memo over the group rack."""
+    bit p is element p, and the closure on the group rack."""
     ab = to_abstract(get_lattice(name))
+    rows = group_rack(get_group(name)).op
     return (
         lambda mask: ab.supports[ab.join_mask(mask)],
-        memo_closure(group_rack(get_group(name)).op),
+        lambda mask: closure_mask(rows, mask),
     )
 
 
@@ -398,15 +427,6 @@ class TestHypotheticalPartition:
         rep = is_hypothetical_coset_partition(ab, parts)
         assert rep.ok, rep.text()
 
-    def test_modes_agree(self):
-        ab, parts = self._s3_setup()
-        a = is_hypothetical_coset_partition(ab, parts, exhaustive=True)
-        # a zero tuple budget forces sampling
-        b = is_hypothetical_coset_partition(
-            ab, parts, seed=3, limits=DEFAULT_LIMITS.with_(tuple_budget=0))
-        assert a.ok and b.ok
-        assert "exhaustive" in a.lines[-1] and "sampled" in b.lines[-1]
-
     @staticmethod
     def _s3_wrong_parts():
         g = get_group("S3")
@@ -420,10 +440,50 @@ class TestHypotheticalPartition:
         )
 
     def test_wrong_partition_fails(self):
+        # unshuffled S3: the identity 0 shares a part with transposition 1,
+        # so sat({2}) is the 3-cycle 2 with transposition 3, no subrack
         ab = to_abstract(get_lattice("S3"))
-        rep = is_hypothetical_coset_partition(ab, self._s3_wrong_parts())
+        parts = self._s3_wrong_parts()
+        rep = is_hypothetical_coset_partition(ab, parts)
         assert not rep.ok
-        assert any(ln.startswith("FAIL") for ln in rep.lines)
+        assert rep.lines[-1] == "FAIL C3 S=[2]: sat(S) adds part 1 and is no element"
+        assert c3_witness_reference(parts, c3_closures("S3")[0], every_tuple(parts))
+        assert _congruence_witness(get_group("S3"), [frozenset(bits(p)) for p in parts]) == (
+            "0 ▷ 2 = 2 and 1 ▷ 2 = 5 lie in different parts")
+
+    def test_join_of_parts_not_a_union_fails_c3(self):
+        # sat(S) is an element for every S, but join({2, 3, 4, 5}) is
+        # {2, 3, 4, 5, 6}; the coatom complements {0}, {1}, {2..7} are classes
+        def m(*atoms):
+            return mask_of(atoms)
+
+        full = m(*range(8))
+        ab = AbstractLattice([0, *(1 << a for a in range(8)), m(0, 1), m(2, 3), m(4, 5),
+                              m(6, 7), m(2, 3, 4, 5, 6), m(*range(2, 8)), full & ~1,
+                              full & ~2, full])
+        parts = (m(0, 1), m(2, 3), m(4, 5), m(6, 7))
+        rep = is_hypothetical_coset_partition(ab, parts)
+        assert rep.lines == (
+            "PASS C1 4 parts of size 2",
+            "PASS C2 distinguished part is a class union with a central atom",
+            "FAIL C3 a join of parts is not a union of parts: I=[1, 2]",
+        )
+        assert rep.join_poset is None
+        close = lambda mask: ab.supports[ab.join_mask(mask)]
+        assert c3_witness_reference(parts, close, every_tuple(parts))[0] == (1, 2)
+
+    @pytest.mark.parametrize("name", C3_GROUPS)
+    def test_true_cosets_pass_both_checks(self, name):
+        # the lattice side on the unseeded lattice, whose support bit p is
+        # element p, and the group side, for every normal subgroup
+        g = get_group(name)
+        ab = to_abstract(get_lattice(name))
+        for members in normal_subgroups(g):
+            parts = coset_partition_of(g, members)
+            rep = is_hypothetical_coset_partition(ab, [mask_of(c) for c in parts])
+            assert rep.ok, rep.text()
+            assert rep.join_poset.n_atoms == len(parts)
+            assert _congruence_witness(g, parts) is None
 
     @pytest.mark.parametrize("name", ["S3", "D4", "Q8", "A4", "D6", "S4"])
     def test_c3_holds_on_true_cosets_through_both_closures(self, name):
@@ -431,8 +491,8 @@ class TestHypotheticalPartition:
         for close in c3_closures(name):
             for members in normal_subgroups(g):
                 cosets = [mask_of(c) for c in coset_partition_of(g, members)]
-                if _tuple_space(cosets) <= DEFAULT_LIMITS.tuple_budget:
-                    assert c3_witness(cosets, close, every_tuple(cosets)) is None
+                if tuple_count(cosets) <= 2_000:
+                    assert c3_witness_reference(cosets, close, every_tuple(cosets)) is None
 
     @pytest.mark.parametrize("name", [g.name for g in catalog_entries(8)])
     def test_c3_holds_on_singletons_through_both_closures(self, name):
@@ -442,12 +502,13 @@ class TestHypotheticalPartition:
         parts = [mask_of(c) for c in coset_partition_of(g, frozenset({g.identity}))]
         assert sorted(parts) == [1 << x for x in range(g.order)]
         for close in c3_closures(name):
-            assert c3_witness(parts, close, every_tuple(parts)) is None
+            assert c3_witness_reference(parts, close, every_tuple(parts)) is None
 
     def test_c3_witness_same_through_both_closures(self):
         parts = self._s3_wrong_parts()
         lat_side, group_side = (
-            c3_witness(parts, close, every_tuple(parts)) for close in c3_closures("S3")
+            c3_witness_reference(parts, close, every_tuple(parts))
+            for close in c3_closures("S3")
         )
         assert lat_side is not None and lat_side == group_side
 
@@ -458,28 +519,22 @@ class TestHypotheticalPartition:
         ((0b111111, 0), "part 1 is empty"),
     ], ids=["empty", "stray-bit", "zero-first", "zero-last"])
     def test_malformed_partition_fails_c1_only(self, parts, cause):
-        # tuple_budget 0 sends C3 to its sampled stream, which draws one
-        # atom from every part it picks
-        rep = is_hypothetical_coset_partition(
-            get_abstract("S3", seed=1), parts, limits=DEFAULT_LIMITS.with_(tuple_budget=0))
+        rep = is_hypothetical_coset_partition(get_abstract("S3", seed=1), parts)
         assert not rep.ok
         assert rep.lines == (f"FAIL C1 {cause}",)
 
     @pytest.mark.parametrize("parts, lines", [
         ((0b100101,), ("FAIL C1 parts miss atoms",
-                       "PASS C2 distinguished part is a class union with a central atom",
-                       "PASS C3 exhaustive over 3 tuples")),
+                       "PASS C2 distinguished part is a class union with a central atom")),
         ((0b1, 0b111110), ("FAIL C1 part sizes [1, 5]",
-                           "PASS C2 distinguished part is a class union with a central atom",
-                           "PASS C3 exhaustive over 11 tuples")),
+                           "PASS C2 distinguished part is a class union with a central atom")),
         ((0b100100, 0b011011), ("FAIL C1 part sizes [2, 4]",
-                                "FAIL C2 distinguished part has no central atom",
-                                "PASS C3 exhaustive over 14 tuples")),
+                                "FAIL C2 distinguished part has no central atom")),
     ], ids=["miss-atoms", "part-sizes", "no-central-atom"])
     def test_c1_and_c2_name_their_cause(self, parts, lines):
         # unshuffled S3: A3 is {0, 2, 5}, the 3-cycles {2, 5}, the transpositions
         # {1, 3, 4}; the 3-cycle class as the distinguished part is a class
-        # union without the identity
+        # union without the identity. C3 needs a partition, so it is not reported
         rep = is_hypothetical_coset_partition(to_abstract(get_lattice("S3")), parts)
         assert not rep.ok
         assert rep.lines == lines
@@ -491,168 +546,68 @@ class TestHypotheticalPartition:
         assert not rep.ok
         assert any("C1" in ln for ln in rep.lines if ln.startswith("FAIL"))
 
-    @given(st.lists(st.integers(1, 255), min_size=1, max_size=6))
-    @settings(max_examples=50, deadline=None)
-    def test_tuple_space_counts_every_index_set(self, parts):
-        brute = sum(
-            math.prod(parts[i].bit_count() for i in idxs)
-            for r in range(1, len(parts) + 1)
-            for idxs in combinations(range(len(parts)), r)
-        )
-        assert _tuple_space(parts) == brute
-
-    def test_tuple_space_exact_past_a_billion(self):
-        # 40 parts of 3 atoms: every index set and tuple, far past 10^9
-        assert _tuple_space([0b111 << 3 * i for i in range(40)]) == 4**40 - 1
-
-
-def c3_witness_reference(parts, close, tuples):
-    """c3_witness as one join and one saturation per tuple."""
-    for idxs, reps in tuples:
-        union = 0
-        for i in idxs:
-            union |= parts[i]
-        join = close(union)
-        closure = close(mask_of(reps))
-        predicted = 0
-        for p in parts:
-            if p & closure:
-                predicted |= p
-        if join != predicted:
-            return idxs, reps, join, predicted
-    return None
-
-
-C3_GROUPS = ("Z2xZ2", "S3", "Z6", "D4", "Q8", "A4")
-
 
 @st.composite
 def near_coset_parts(draw):
     """(group name, parts): the cosets of a normal subgroup, then a few
-    edits that merge parts, give an atom to a second part, or drop it."""
+    swaps of two atoms between parts, so the parts stay one partition into
+    parts of one size."""
     name = draw(st.sampled_from(C3_GROUPS))
     g = get_group(name)
     members = draw(st.sampled_from(normal_subgroups(g)))
     parts = [mask_of(c) for c in coset_partition_of(g, members)]
     for _ in range(draw(st.integers(0, 3))):
-        edit = draw(st.sampled_from(("merge", "overlap", "miss")))
-        i = draw(st.integers(0, len(parts) - 1))
-        bit = 1 << draw(st.integers(0, g.order - 1))
-        if edit == "merge" and len(parts) > 1:
-            merged = parts.pop(i)
-            parts[i - 1] |= merged
-        elif edit == "overlap":
-            parts[i] |= bit
-        elif edit == "miss" and any(p & ~bit for p in parts):
-            parts = [p & ~bit for p in parts if p & ~bit]
+        a, b = draw(st.integers(0, g.order - 1)), draw(st.integers(0, g.order - 1))
+        i, j = (next(k for k, p in enumerate(parts) if p >> x & 1) for x in (a, b))
+        if i != j:
+            parts[i] ^= 1 << a | 1 << b
+            parts[j] ^= 1 << a | 1 << b
     return name, draw(st.permutations(parts))
 
 
 @st.composite
 def random_parts(draw):
-    """(group name, parts): up to four arbitrary nonempty masks, which may
-    overlap and may miss atoms."""
+    """(group name, parts): the elements in any order, cut into parts of
+    one size that divides the order."""
     name = draw(st.sampled_from(C3_GROUPS))
-    full = (1 << get_group(name).order) - 1
-    return name, draw(st.lists(st.integers(1, full), min_size=1, max_size=4))
+    order = get_group(name).order
+    size = draw(st.sampled_from([d for d in range(1, order + 1) if order % d == 0]))
+    xs = draw(st.permutations(range(order)))
+    return name, [mask_of(xs[i:i + size]) for i in range(0, order, size)]
 
 
-@given(st.one_of(near_coset_parts(), random_parts()), st.integers(0, 1 << 16))
-@settings(max_examples=80, deadline=None)
-def test_c3_witness_matches_per_tuple_reference(case, seed):
-    # the same first witness, or None from both, through both closures and
-    # on exhaustive and sampled streams
+@given(st.one_of(near_coset_parts(), random_parts()))
+@settings(max_examples=120, deadline=None)
+def test_exact_c3_matches_per_tuple_reference(case):
+    # on partitions into parts of one size, the exact C3 check passes
+    # exactly when no index set and tuple breaks C3
     name, parts = case
-    limits = DEFAULT_LIMITS.with_(tuple_budget=300, sample_count=200)
-    for close in c3_closures(name):
-        got, want = (
-            witness(parts, close, c3_tuples(parts, random.Random(seed), False, limits)[2])
-            for witness in (c3_witness, c3_witness_reference)
-        )
-        assert got == want
-
-
-def c3_sample_reference(parts, rng, count):
-    """The sampled C3 stream drawn through random's own sample and choice."""
-    members = [bits(p) for p in parts]
-    m = len(parts)
-    for _ in range(count):
-        idxs = tuple(sorted(rng.sample(range(m), rng.randint(1, m))))
-        yield idxs, tuple(rng.choice(members[i]) for i in idxs)
-
-
-def disjoint_parts(sizes):
-    """Consecutive runs of atoms, one part per size."""
-    ends = list(accumulate(sizes, initial=0))
-    return [(1 << b) - (1 << a) for a, b in zip(ends, ends[1:])]
-
-
-def sample_branch(m, k):
-    """The branch random.sample takes for k of range(m): a pool of m, or a
-    set of the picks when m exceeds its size estimate."""
-    setsize = 21 + (4 ** math.ceil(math.log(3 * k, 4)) if k > 5 else 0)
-    return "pool" if m <= setsize else "set"
-
-
-def assert_c3_sample_stream_is_the_stdlibs(parts, seed, count):
-    limits = DEFAULT_LIMITS.with_(tuple_budget=0, sample_count=count)
-    ours, ref = random.Random(seed), random.Random(seed)
-    _, sampled, tuples = c3_tuples(parts, ours, False, limits)
-    got = list(tuples)
-    assert sampled and got == list(c3_sample_reference(parts, ref, count))
-    assert ours.random() == ref.random()        # the shared rng moves on alike
-    return got
-
-
-def test_c3_sample_stream_is_the_stdlibs_for_every_m():
-    # m = 1..100 parts of 1 to 4 atoms; m = 21/22 and sizes 5/6 sit on the
-    # edges of random.sample's two branches, and every edge case is drawn
-    seen = set()
-    for m in range(1, 101):
-        parts = disjoint_parts([1 + i % 4 for i in range(m)])
-        for idxs, _ in assert_c3_sample_stream_is_the_stdlibs(parts, m, 60):
-            seen.add((m, sample_branch(m, len(idxs))))
-    assert {(21, "pool"), (22, "set"), (22, "pool"), (100, "set"), (100, "pool")} <= seen
-
-
-def test_c3_sample_from_an_empty_part_raises_as_choice_does():
-    # rng.choice([]) raises IndexError; the one-draw stream must not hang
-    limits = DEFAULT_LIMITS.with_(tuple_budget=0, sample_count=50)
-    for reference in (False, True):
-        rng = random.Random(0)
-        stream = (c3_sample_reference([1, 0], rng, 50) if reference
-                  else c3_tuples([1, 0], rng, False, limits)[2])
-        with pytest.raises(IndexError):
-            list(stream)
-
-
-@given(st.lists(st.integers(1, 4), min_size=1, max_size=100), st.integers(0, 1 << 32))
-@example([1] * 21, 0)
-@example([4] * 22, 5)
-@example([2] * 100, 9)
-@settings(max_examples=60, deadline=None)
-def test_c3_sample_stream_is_the_stdlibs(sizes, seed):
-    assert_c3_sample_stream_is_the_stdlibs(disjoint_parts(sizes), seed, 20)
+    ab = to_abstract(get_lattice(name))
+    rep = is_hypothetical_coset_partition(ab, parts)
+    assert rep.lines[0].startswith("PASS C1")
+    witness = c3_witness_reference(parts, c3_closures(name)[0], every_tuple(parts))
+    assert rep.lines[-1].startswith("PASS C3") == (witness is None), (rep.lines, witness)
 
 
 class TestFindCosetPartition:
     def test_s3(self):
         ab = get_abstract("S3", seed=1)
         n = max_normal_abelian(ab)[0]
-        parts = find_coset_partition(ab, n)
+        parts, _ = find_coset_partition(ab, n)
         assert len(parts) == 2 and parts[0].bit_count() == 3
         assert parts[0] == ab.supports[n]
 
     def test_d4(self):
         ab = get_abstract("D4", seed=2)
         for n in max_normal_abelian(ab):
-            parts = find_coset_partition(ab, n)
+            parts, _ = find_coset_partition(ab, n)
             assert len(parts) == 2 and parts[0].bit_count() == 4
 
     def test_whole_lattice_single_part(self):
         ab = get_abstract("Z6")
         n = max_normal_abelian(ab)[0]   # the top of a Boolean lattice
-        assert len(find_coset_partition(ab, n)) == 1
+        parts, jp = find_coset_partition(ab, n)
+        assert len(parts) == 1 and jp.size == 2
 
     def test_finds_the_cosets(self):
         # the pair-level C3 prune keeps the true partition: for each of the
@@ -662,7 +617,7 @@ class TestFindCosetPartition:
             for members in maximal_normal_abelian_oracle(g):
                 if len(members) == g.order:
                     continue
-                parts = find_coset_partition(ab, ab.support_index[mask_of(members)])
+                parts, _ = find_coset_partition(ab, ab.support_index[mask_of(members)])
                 cosets = {mask_of(c) for c in coset_partition_of(g, members)}
                 assert set(parts) == cosets, (g.name, sorted(members))
                 assert parts[0] == mask_of(members)
@@ -725,7 +680,7 @@ class TestJoinPoset:
     def test_s3_quotient_is_b1(self):
         ab = get_abstract("S3")
         n = max_normal_abelian(ab)[0]
-        jp = join_poset(ab, find_coset_partition(ab, n))
+        jp = join_poset(ab, find_coset_partition(ab, n)[0])
         g = get_group("S3")
         n3 = next(h for h in normal_subgroups(g) if len(h) == 3)
         q, _ = quotient(g, n3)
@@ -738,7 +693,7 @@ class TestJoinPoset:
         ab = get_abstract("Z6")
         n = next(x for x in range(ab.size)
                  if len(ab.atoms_below(x)) == 2 and ab.leq(ab.atoms[0], x))
-        jp = join_poset(ab, find_coset_partition(ab, n))
+        jp = join_poset(ab, find_coset_partition(ab, n)[0])
         assert jp.size == 8 and jp.n_atoms == 3 and jp.is_boolean()
 
     @pytest.mark.parametrize("parts, message", [
@@ -760,8 +715,9 @@ class TestJoinPoset:
         z6 = get_abstract("Z6")
         cases.append((z6, z6.support_index[0b11]))
         for ab, n in cases:
-            parts = find_coset_partition(ab, n)
-            assert join_poset(ab, parts).supports == subset_join_poset(ab, parts)
+            # the search returns the join poset its C3 check built
+            parts, jp = find_coset_partition(ab, n)
+            assert jp.supports == join_poset(ab, parts).supports == subset_join_poset(ab, parts)
 
 
 class TestDerivedLength:
