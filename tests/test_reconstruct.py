@@ -44,10 +44,12 @@ from rackle.errors import FormatError, NoPartition
 from rackle.groups import (
     derived_length_oracle,
     direct_product,
+    is_normal,
     load_group,
     maximal_normal_abelian_oracle,
     normal_subgroups,
     quotient,
+    subgroups,
 )
 from rackle.lattice import (
     AbstractLattice,
@@ -484,6 +486,26 @@ class TestHypotheticalPartition:
             assert rep.ok, rep.text()
             assert rep.join_poset.n_atoms == len(parts)
             assert _congruence_witness(g, parts) is None
+
+    @pytest.mark.parametrize("name", ["S3", "D4", "A4", "D5", "D6"])
+    def test_cosets_of_a_non_normal_subgroup_fail_both_checks(self, name):
+        # the left cosets x·H of a non-normal H have one size, so they pass
+        # C1, but no x ▷ − keeps them whole: C3, the congruence and the
+        # per-tuple reference all reject them
+        g = get_group(name)
+        ab = to_abstract(get_lattice(name))
+        non_normal = [h for h in subgroups(g) if not is_normal(g, h)]
+        assert non_normal
+        for members in non_normal:
+            parts = sorted({frozenset(g.mul[x][h] for h in members) for x in range(g.order)},
+                           key=min)
+            masks = [mask_of(c) for c in parts]
+            rep = is_hypothetical_coset_partition(ab, masks)
+            assert rep.lines[0].startswith("PASS C1"), rep.text()
+            assert rep.lines[-1].startswith("FAIL C3 S="), rep.text()
+            assert _congruence_witness(g, parts) is not None
+            if tuple_count(masks) <= 2_000:
+                assert c3_witness_reference(masks, c3_closures(name)[0], every_tuple(masks))
 
     @pytest.mark.parametrize("name", ["S3", "D4", "Q8", "A4", "D6", "S4"])
     def test_c3_holds_on_true_cosets_through_both_closures(self, name):

@@ -482,11 +482,9 @@ class TestCli:
     ])
     def test_cap_flags_per_subcommand(self, argv, flags, capsys):
         # a subcommand takes exactly the cap flags its code path reads; the
-        # removed ones (--ground-cap, and the C3 sampler's --budget, --samples
-        # and --exhaustive) are unknown everywhere
+        # removed --ground-cap is unknown everywhere
         parser = cli.build_parser()
-        for flag in ("--ground-cap", "--lattice-cap", "--subgroup-cap", "--iso-budget",
-                     "--budget", "--samples", "--exhaustive"):
+        for flag in ("--ground-cap", "--lattice-cap", "--subgroup-cap", "--iso-budget"):
             if flag in flags:
                 limits = cli._limits_from(parser.parse_args([*argv, flag, "7"]))
                 assert limits != DEFAULT_LIMITS and 7 in vars(limits).values()
@@ -495,6 +493,20 @@ class TestCli:
                     run_cli(*argv, flag, "7")
                 assert exc.value.code == 2
                 assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, removed", [
+        pytest.param([cmd, *args], [flag, "7"], id=f"{cmd}{flag}")
+        for cmd, args in (("invariants", ["--lattice", "s3.lat"]),
+                          ("derive", ["--group", "S3"]), ("verify", []))
+        for flag in ("--budget", "--samples")
+    ] + [pytest.param(["verify"], ["--exhaustive"], id="verify--exhaustive")])
+    def test_c3_sampler_flags_are_unknown(self, argv, removed, capsys):
+        # C3 is checked exactly, so the sampler's flags went with it; the
+        # subcommands that took them now refuse them as unknown
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, *removed)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(removed)}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, flag", [
         (["--lattice-cap", "-1"], "--lattice-cap"),
