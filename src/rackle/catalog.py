@@ -1,16 +1,20 @@
 """Named group constructors and the desk-scale catalog.
 
-Coverage is complete for every isomorphism type of order up to 12 and
-documented-partial from 13 to 16 (all abelian types, both dihedral and
-dicyclic families, and the two order-16 products with a nonabelian factor),
-plus S4, a bundled order-24 fixture, and A5 for the nonsolvable path. S5 is
-reachable by name only: the catalog sweeps need its subgroups, which are
-beyond the subgroup cap.
+The catalog is one table of (name, order, constructor) entries; a lookup
+builds only the groups it returns. Coverage is complete for every
+isomorphism type of order up to 12 and documented-partial from 13 to 16
+(all abelian types, both dihedral and dicyclic families, and the two
+order-16 products with a nonabelian factor), plus S4, a bundled order-24
+fixture, and A5 for the nonsolvable path. S5 is a name outside the catalog:
+the catalog sweeps need its subgroups, which are beyond the subgroup cap.
 """
 
 from __future__ import annotations
 
+from functools import partial, reduce
 from importlib import resources
+from operator import itemgetter
+from typing import Callable
 
 from .errors import TooLarge, UnknownGroup
 from .groups import (
@@ -32,46 +36,37 @@ def cyclic(n: int) -> FiniteGroup:
     return group_from_cayley_table(table, name="triv" if n == 1 else f"Z{n}")
 
 
+def _twisted(order: int, square: int, name: str) -> FiniteGroup:
+    """<a, b | a^k = 1, b a b^-1 = a^-1, b^2 = a^square> for k = order/2."""
+    k = order // 2
+    # index i < k: a^i; index k+i: b a^i
+    def mul(x: int, y: int) -> int:
+        xi, xb = x % k, x >= k
+        yi, yb = y % k, y >= k
+        if not xb and not yb:
+            return (xi + yi) % k
+        if not xb and yb:
+            return k + (yi - xi) % k
+        if xb and not yb:
+            return k + (xi + yi) % k
+        return (square - xi + yi) % k
+    table = [[mul(x, y) for y in range(order)] for x in range(order)]
+    return group_from_cayley_table(table, name=name)
+
+
 def dihedral(order: int) -> FiniteGroup:
     """Symmetries of the (order/2)-gon; argument is the group order."""
     if order < 2 or order % 2:
         raise TooLarge(f"dihedral order must be even, got {order}")
-    m = order // 2
-    # index i < m: rotation r^i; index m+i: reflection s r^i
-    def mul(x: int, y: int) -> int:
-        xi, xs = x % m, x >= m
-        yi, ys = y % m, y >= m
-        if not xs and not ys:
-            return (xi + yi) % m
-        if not xs and ys:
-            return m + (yi - xi) % m
-        if xs and not ys:
-            return m + (xi + yi) % m
-        return (yi - xi) % m
-    table = [[mul(x, y) for y in range(order)] for x in range(order)]
-    return group_from_cayley_table(table, name=f"D{m}")
+    return _twisted(order, 0, f"D{order // 2}")
 
 
 def dicyclic(order: int) -> FiniteGroup:
     """Dicyclic group of the given order (a multiple of 4); Q8 is dicyclic(8)."""
     if order < 4 or order % 4:
         raise TooLarge(f"dicyclic order must be a multiple of 4, got {order}")
-    m = order // 4
-    two_m = 2 * m
-    # index i < 2m: a^i; index 2m+i: b a^i, with b^2 = a^m, b a b^-1 = a^-1
-    def mul(x: int, y: int) -> int:
-        xi, xb = x % two_m, x >= two_m
-        yi, yb = y % two_m, y >= two_m
-        if not xb and not yb:
-            return (xi + yi) % two_m
-        if not xb and yb:
-            return two_m + (yi - xi) % two_m
-        if xb and not yb:
-            return two_m + (xi + yi) % two_m
-        return (m - xi + yi) % two_m
-    table = [[mul(x, y) for y in range(order)] for x in range(order)]
-    name = f"Q{order}" if (order & (order - 1)) == 0 else f"Dic{m}"
-    return group_from_cayley_table(table, name=name)
+    name = f"Q{order}" if (order & (order - 1)) == 0 else f"Dic{order // 4}"
+    return _twisted(order, order // 4, name)
 
 
 def symmetric(n: int) -> FiniteGroup:
@@ -105,10 +100,6 @@ def fixture_group(filename: str) -> FiniteGroup:
     return parse_cayley(fixture_text(filename), name=stem(filename))
 
 
-def fixture_lattice(filename: str) -> AbstractLattice:
-    return parse_lattice(fixture_text(filename), name=stem(filename))
-
-
 def sl23() -> FiniteGroup:
     """The order-24 fixture: a dicyclic (quaternion) normal part extended by
     an order-3 rotation; derived length 3."""
@@ -117,78 +108,67 @@ def sl23() -> FiniteGroup:
 
 def stall_lattice() -> AbstractLattice:
     """Synthetic lattice whose normal-abelian candidates are all single atoms."""
-    return fixture_lattice("stall.lat")
+    return parse_lattice(fixture_text("stall.lat"), name="stall")
 
 
 # ---------------------------------------------------------------------------
 # the catalog
 
 
+def _abelian(*orders: int) -> FiniteGroup:
+    """Z{n1}xZ{n2}x...: the cyclic groups of those orders, multiplied from the left."""
+    name = "x".join(map("Z{}".format, orders))
+    return reduce(partial(direct_product, name=name), map(cyclic, orders))
+
+
+# (name, order, constructor) for every catalog group: a constructor runs
+# only when its group is asked for
+_CATALOG: list[tuple[str, int, Callable[[], FiniteGroup]]] = [
+    ("triv", 1, partial(cyclic, 1)),
+    *((f"Z{n}", n, partial(cyclic, n)) for n in range(2, 17)),
+    ("Z2xZ2", 4, partial(_abelian, 2, 2)),
+    ("Z4xZ2", 8, partial(_abelian, 4, 2)),
+    ("Z2xZ2xZ2", 8, partial(_abelian, 2, 2, 2)),
+    ("Z3xZ3", 9, partial(_abelian, 3, 3)),
+    ("Z6xZ2", 12, partial(_abelian, 6, 2)),
+    ("Z8xZ2", 16, partial(_abelian, 8, 2)),
+    ("Z4xZ4", 16, partial(_abelian, 4, 4)),
+    ("Z4xZ2xZ2", 16, partial(_abelian, 4, 2, 2)),
+    ("Z2xZ2xZ2xZ2", 16, partial(_abelian, 2, 2, 2, 2)),
+    ("S3", 6, partial(symmetric, 3)),
+    ("D4", 8, partial(dihedral, 8)),
+    ("Q8", 8, partial(dicyclic, 8)),
+    ("D5", 10, partial(dihedral, 10)),
+    ("D6", 12, partial(dihedral, 12)),
+    ("A4", 12, partial(alternating, 4)),
+    ("Dic3", 12, partial(dicyclic, 12)),
+    ("D7", 14, partial(dihedral, 14)),
+    ("D8", 16, partial(dihedral, 16)),
+    ("Q16", 16, partial(dicyclic, 16)),
+    ("Z2xD4", 16, lambda: direct_product(cyclic(2), dihedral(8), "Z2xD4")),
+    ("Z2xQ8", 16, lambda: direct_product(cyclic(2), dicyclic(8), "Z2xQ8")),
+    ("S4", 24, partial(symmetric, 4)),
+    ("sl23", 24, sl23),
+    ("A5", 60, partial(alternating, 5)),
+]
+
+
 def catalog_entries(max_order: int = 12) -> list[FiniteGroup]:
     """Catalog groups of order up to max_order, in (order, name) order."""
-    z2, z3, z4 = cyclic(2), cyclic(3), cyclic(4)
-    out: list[FiniteGroup] = [cyclic(1)]
-    out += [cyclic(n) for n in range(2, 17)]
-    out += [
-        direct_product(z2, z2, "Z2xZ2"),
-        direct_product(z4, z2, "Z4xZ2"),
-        direct_product(direct_product(z2, z2, "Z2xZ2"), z2, "Z2xZ2xZ2"),
-        direct_product(z3, z3, "Z3xZ3"),
-        direct_product(cyclic(6), z2, "Z6xZ2"),
-        direct_product(cyclic(8), z2, "Z8xZ2"),
-        direct_product(z4, z4, "Z4xZ4"),
-        direct_product(direct_product(z4, z2, "Z4xZ2"), z2, "Z4xZ2xZ2"),
-        direct_product(direct_product(direct_product(z2, z2, "x"), z2, "x"), z2, "Z2xZ2xZ2xZ2"),
-        symmetric(3),
-        dihedral(8),
-        dicyclic(8),
-        dihedral(10),
-        dihedral(12),
-        alternating(4),
-        dicyclic(12),
-        dihedral(14),
-        dihedral(16),
-        dicyclic(16),
-        direct_product(z2, dihedral(8), "Z2xD4"),
-        direct_product(z2, dicyclic(8), "Z2xQ8"),
-        symmetric(4),
-        sl23(),
-        alternating(5),
-    ]
-    out = [g for g in out if g.order <= max_order]
-    out.sort(key=lambda g: (g.order, g.name))
-    return out
+    by_order = sorted(_CATALOG, key=itemgetter(1, 0))
+    return [make() for _, order, make in by_order if order <= max_order]
 
 
-_ALIASES = {
-    "v4": "Z2xZ2",
-    "k4": "Z2xZ2",
-    "s3": "S3",
-    "d3": "S3",
-    "q8": "Q8",
-    "dic2": "Q8",
-    "q16": "Q16",
-    "dic4": "Q16",
-    "sl23": "sl23",
-    "a5": "A5",
-    "triv": "triv",
-    "z1": "triv",
-}
+# constructor by lower-case name: the catalog's, and S5's
+_MAKERS = {name.lower(): make for name, _, make in _CATALOG} | {"s5": partial(symmetric, 5)}
+# names that are no catalog name in any case, as _MAKERS keys
+_ALIASES = {"v4": "z2xz2", "k4": "z2xz2", "d3": "s3", "dic2": "q8", "dic4": "q16", "z1": "triv"}
 
 
 def named_group(name: str) -> FiniteGroup:
-    """Look a group up by catalog name (case-insensitive, a few aliases)."""
-    want = _ALIASES.get(name.lower(), name)
-    specials = {
-        "sl23": sl23,
-        "A5": lambda: alternating(5),
-        "S4": lambda: symmetric(4),
-        "S5": lambda: symmetric(5),
-    }
-    for key, maker in specials.items():
-        if want.lower() == key.lower():
-            return maker()
-    for g in catalog_entries(max_order=10_000):
-        if g.name.lower() == want.lower():
-            return g
-    raise UnknownGroup(f"no catalog group named {name!r}")
+    """Build the one group of that catalog name or alias, in any case."""
+    key = name.lower()
+    make = _MAKERS.get(_ALIASES.get(key, key))
+    if make is None:
+        raise UnknownGroup(f"no catalog group named {name!r}")
+    return make()

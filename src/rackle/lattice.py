@@ -369,16 +369,23 @@ def enumerate_subrack_lattice(
     return SubrackLattice(elements=masks, ground_size=rack.size, name=rack.name)
 
 
+def _byte_tables(images: Sequence, zero: int | str) -> list[list]:
+    """Table k maps byte b to zero plus images[8k + i] for each bit i of b,
+    lowest first. Each image doubles the table, added to every entry so far."""
+    tables = []
+    for k in range(0, len(images), 8):
+        table = [zero]
+        for v in images[k:k + 8]:
+            table += [t + v for t in table]
+        tables.append(table)
+    return tables
+
+
 def relabel(masks: Iterable[int], pi: Sequence[int]) -> list[int]:
     """Each mask, none with a bit at or past len(pi), carried through the bit
     permutation pi: bit p -> bit pi[p]. A mask goes a byte at a time through
-    a table of the 256 images of each byte: one lookup per 8 bits."""
-    tables = []
-    for k in range(0, len(pi), 8):
-        table = [0]                      # entry b: the image of byte b at bit k
-        for q in pi[k:k + 8]:
-            table += [t | 1 << q for t in table]
-        tables.append(table)
+    a table of the 256 images (sums of disjoint bits) of each byte."""
+    tables = _byte_tables([1 << q for q in pi], 0)
     out = []
     for s in masks:
         t = 0
@@ -522,15 +529,20 @@ def check_isomorphism(
 def format_lattice(lat: AbstractLattice) -> str:
     """The header and one line of members per element, in popcount-then-lex
     order: a SubrackLattice lists its member sets over its ground set, any
-    other lattice its supports over its atoms as points."""
+    other lattice its supports over its atoms as points. Each byte of a mask
+    adds one string from a table of the 256 member lists (" 8 9 12")."""
     if isinstance(lat, SubrackLattice):
         masks, ground = lat.elements, lat.ground_size
     else:
         masks, ground = sorted(lat.supports, key=order_key(lat.n_atoms)), lat.n_atoms
+    tables = _byte_tables([f" {x}" for x in range(ground)], "")
     lines = [f"{len(masks)} {ground}"]
     for i, mask in enumerate(masks):
-        mem = " ".join(str(x) for x in bits(mask))
-        lines.append(f"{i} {mask.bit_count()}" + (f" {mem}" if mem else ""))
+        line = f"{i} {mask.bit_count()}"
+        for table in tables:
+            line += table[mask & 255]
+            mask >>= 8
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 

@@ -1,5 +1,7 @@
 """The bundled group catalog, constructors, fixtures, and name lookup."""
 
+import hashlib
+
 import pytest
 
 from rackle import (
@@ -18,6 +20,7 @@ from rackle import (
     stall_lattice,
     symmetric,
 )
+from rackle import catalog
 from rackle.catalog import fixture_group, fixture_text
 from rackle.lattice import AbstractLattice
 
@@ -95,6 +98,69 @@ class TestCatalog:
             if g.order == 8:
                 hists.add(tuple(sorted(g.order_histogram().items())))
         assert len(hists) == 5
+
+
+# SHA-256 over (name, order, Cayley table) of catalog_entries(k), in order,
+# as the catalog built every group before it kept a table of constructors
+CATALOG_HASHES = {
+    1: "3ddaef61b2f99b4085b7ee452291e242580dd9c62f66279c02a863c1b7afaa29",
+    8: "d25c98a4f578d7ce1e49d09053f20fbce53b6da2651a5f6d283194564be2076a",
+    12: "85641841a229203a55d7bfdbd0ade311c0006e364654bb31790e4ae1080db494",
+    16: "198124453b80bb2718fcd5f23dc33f4c2692a5cdd01c49cf11b12c0d43091dc8",
+    24: "9da1ca130a4f41b9ea816645ff82c06d5912322a1f0a083615393e2f3fbdc028",
+    60: "57bbe076c86a8be47888713fd25f9fdbedd39fec5696fe337ba60bc1d14f6457",
+    10_000: "57bbe076c86a8be47888713fd25f9fdbedd39fec5696fe337ba60bc1d14f6457",
+}
+
+
+@pytest.mark.parametrize("k", CATALOG_HASHES)
+def test_catalog_groups_are_pinned(k):
+    h = hashlib.sha256()
+    for g in catalog_entries(k):
+        h.update(repr((g.name, g.order, g.mul)).encode())
+    assert h.hexdigest() == CATALOG_HASHES[k]
+
+
+@pytest.mark.parametrize("name, order, make", catalog._CATALOG,
+                         ids=[name for name, _, _ in catalog._CATALOG])
+def test_table_entry_builds_what_it_declares(name, order, make):
+    g = make()
+    assert (g.name, g.order) == (name, order)
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("built a group nobody asked for")
+
+
+class TestBuildsOnlyWhatIsAsked:
+    def test_lookup_builds_one_group(self, monkeypatch):
+        # the table holds the constructors themselves, so the builders under
+        # them are patched too: those are what a held constructor reaches
+        for name in ("alternating", "symmetric", "sl23",
+                     "group_from_permutation_generators", "fixture_group"):
+            monkeypatch.setattr(catalog, name, refuse)
+        for name in ("D8", "Z2xQ8", "Z2xZ2xZ2xZ2"):
+            assert named_group(name).name == name
+        for name in ("S3", "A5", "sl23"):
+            with pytest.raises(AssertionError, match="nobody asked for"):
+                named_group(name)
+
+    def test_entries_up_to_an_order_build_only_those(self, monkeypatch):
+        built = []
+        original = catalog.group_from_permutation_generators
+
+        def record(n, gens, name=""):
+            built.append(name)
+            return original(n, gens, name=name)
+
+        monkeypatch.setattr(catalog, "group_from_permutation_generators", record)
+        monkeypatch.setattr(catalog, "fixture_group", refuse)
+        assert len(catalog_entries(16)) == 37
+        assert built == ["S3", "A4"]
+
+    def test_each_lookup_builds_anew(self):
+        assert named_group("D8") is not named_group("D8")
+        assert catalog_entries(4)[0] is not catalog_entries(4)[0]
 
 
 class TestNamedGroup:

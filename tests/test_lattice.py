@@ -1006,6 +1006,65 @@ def test_reader_matches_reference(text):
     assert read_or_error(parse_lattice, text) == read_or_error(parse_lattice_reference, text)
 
 
+def format_lattice_reference(lat):
+    """format_lattice as it wrote one member at a time, a bits() step and a
+    str() each, before the byte tables: what the writer must match."""
+    if isinstance(lat, SubrackLattice):
+        masks, ground = lat.elements, lat.ground_size
+    else:
+        masks, ground = sorted(lat.supports, key=order_key(lat.n_atoms)), lat.n_atoms
+    lines = [f"{len(masks)} {ground}"]
+    for i, mask in enumerate(masks):
+        mem = " ".join(str(x) for x in bits(mask))
+        lines.append(f"{i} {mask.bit_count()}" + (f" {mem}" if mem else ""))
+    return "\n".join(lines) + "\n"
+
+
+# no byte, part bytes, whole bytes, one bit past a byte, and nine bytes
+WRITER_GROUNDS = [0, 1, 7, 8, 9, 16, 17, 70]
+
+
+@pytest.mark.parametrize("ground", [*WRITER_GROUNDS, None])
+@given(st.data())
+@settings(max_examples=20, deadline=None)
+def test_writer_matches_member_at_a_time(ground, data):
+    # a family of the ground set's subsets holding the empty set, every
+    # point and the whole set; None draws the ground size from 0 to 70
+    if ground is None:
+        ground = data.draw(st.integers(0, 70))
+    full = (1 << ground) - 1
+    extra = data.draw(st.lists(st.integers(0, full), max_size=30))
+    family = {0, full, *(1 << p for p in range(ground)), *extra}
+    lat = SubrackLattice(elements=sorted(family, key=order_key(ground)), ground_size=ground)
+    shuffled = to_abstract(lat, seed=data.draw(st.integers(0, 1 << 32)))
+    for one in (lat, shuffled):
+        assert format_lattice(one) == format_lattice_reference(one)
+
+
+# SHA-256 and line count of format_lattice's text, written by the
+# member-at-a-time writer
+LAT_TEXTS = {
+    "S4": ("d35e7230b3dd137d69433ea344b74bc126cb2df46a9f2f3912d7a84025b1b8c5", 213),
+    "A5": ("aa71086719342c32c125b32e30ae0985a5bd4992bc3bccfb6d8a8b3acfaca461", 491),
+    "D12": ("a9cc7df39779a2bc50f4b521bb087b0732c94a60b70fcb520b49e19728a44e95", 4665),
+    "Z2xZ2xZ2xZ2": ("2f6239e2b5decbb8beaf9adae230685c6b1d37122e171de104ca11926b36ebba", 65537),
+    "S4 shuffled at seed 5":
+        ("fe1aa74f3d72e84b2393ed7213ec0ea04db766b0bfb25b29487155796593565b", 213),
+}
+
+
+@pytest.mark.parametrize("name", LAT_TEXTS)
+def test_lat_texts_are_pinned(name):
+    if name == "D12":
+        lat = enumerate_subrack_lattice(group_rack(dihedral(24)))
+    elif name == "S4 shuffled at seed 5":
+        lat = get_abstract("S4", seed=5)
+    else:
+        lat = get_lattice(name)
+    text = format_lattice(lat)
+    assert (hashlib.sha256(text.encode()).hexdigest(), text.count("\n")) == LAT_TEXTS[name]
+
+
 class TestLatFormat:
     def test_concrete_roundtrip(self, tmp_path):
         lat = get_lattice("S3")
