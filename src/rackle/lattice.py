@@ -13,8 +13,9 @@ the list with a shifted copy of itself. There is one lattice type,
 AbstractLattice, which keeps the order relation as atom supports; a
 SubrackLattice is one that also keeps its member sets. Code that claims to
 be "lattice only" reads the supports and nothing else. One function, relabel,
-moves a support list through an atom permutation: to_abstract shuffles with
-it, and the isomorphism search and its check test an atom bijection with it.
+moves a support list through an atom permutation: shuffle, behind
+to_abstract, moves it through the one it draws, and the isomorphism search
+and its check test an atom bijection with it.
 """
 
 from __future__ import annotations
@@ -287,21 +288,24 @@ class AbstractLattice:
         Supports are distinct, so [bottom, x] is Boolean exactly when every
         subset of supp x is a support. Those supports form a down-set: walking
         by popcount, s is Boolean when every s − {p} already is. A Boolean s is
-        maximal when no s ∪ {p} is Boolean, that is when s is no b − {p} for
-        a Boolean b: a larger Boolean support contains some s ∪ {p}, and
-        with it all of that set's subsets.
+        maximal when no s ∪ {p} is Boolean, so each Boolean b, once found,
+        marks every b − {p} as not maximal: a larger Boolean support contains
+        some s ∪ {p}, and with it all of that set's subsets.
         """
         if self.is_boolean():
             return [self.top]
-        boolean: set[int] = set()
+        maximal: dict[int, bool] = {}    # Boolean support -> no b − {p} so far
         for s in map(self.supports.__getitem__, self.ranked):
             t = s                        # the bits p of s still to try
-            while t and s ^ (t & -t) in boolean:
+            while t and s ^ (t & -t) in maximal:
                 t &= t - 1
             if not t:
-                boolean.add(s)
-        below = {b ^ 1 << p for b in boolean for p in bits(b)}
-        return sorted(self.support_index[s] for s in boolean - below)
+                t = s
+                while t:
+                    maximal[s ^ (t & -t)] = False
+                    t &= t - 1
+                maximal[s] = True
+        return sorted(self.support_index[s] for s, m in maximal.items() if m)
 
     def __repr__(self) -> str:
         return f"<abstract lattice, {self.size} elements, {self.n_atoms} atoms>"
@@ -397,17 +401,17 @@ def relabel(masks: Iterable[int], pi: Sequence[int]) -> list[int]:
 
 
 def to_abstract(lat: AbstractLattice, seed: int | None = None) -> AbstractLattice:
-    """Strip labels, keeping only the order relation.
+    """Strip labels, keeping only the order relation: the supports as they
+    are with no seed, shuffle's lattice with one."""
+    return AbstractLattice(lat.supports) if seed is None else shuffle(lat, seed)[0]
 
-    With no seed the supports are kept as they are. With a seed, elements
-    and atom positions are shuffled so downstream code cannot lean on the
-    concrete construction order: the supports are shuffled, then the atom
-    permutation is drawn, and relabel moves support bit p to bit atom_perm[p].
-    The draws are those of random.Random(seed).shuffle on the supports,
-    then on atom_perm: Fisher–Yates (Knuth, TAOCP 3.4.2, Algorithm P).
-    """
-    if seed is None:
-        return AbstractLattice(lat.supports)
+
+def shuffle(lat: AbstractLattice, seed: int) -> tuple[AbstractLattice, list[int]]:
+    """lat with its elements and atom positions shuffled, so downstream code
+    cannot lean on the construction order, and its atom permutation: relabel
+    moves support bit p to bit atom_perm[p]. The draws are random.Random(seed)'s
+    shuffle of the supports, then of atom_perm: Fisher–Yates (Knuth, TAOCP
+    3.4.2, Algorithm P)."""
     supports = lat.supports[:]
     atom_perm = list(range(lat.n_atoms))
     getrandbits = random.Random(seed).getrandbits
@@ -419,7 +423,7 @@ def to_abstract(lat: AbstractLattice, seed: int | None = None) -> AbstractLattic
             while j > i:
                 j = getrandbits(k)
             x[i], x[j] = x[j], x[i]
-    return AbstractLattice(relabel(supports, atom_perm))
+    return AbstractLattice(relabel(supports, atom_perm)), atom_perm
 
 
 # ---------------------------------------------------------------------------
@@ -567,8 +571,8 @@ class _FirstUse(dict):
 
 def parse_lattice(text: str, name: str = "") -> SubrackLattice:
     """Read a .lat file: a header, then one member list per element. Lines
-    are read lazily, so the HASSE section of an older concrete file is
-    skipped.
+    past the element lines are never checked, so the HASSE section of an older
+    concrete file is skipped.
 
     Each line passes one sequence of checks, in this order, each with its
     own message: two tokens at least, no "-" for members (the HASSE form,

@@ -27,6 +27,8 @@ from .lattice import (
     brute_force_closed_masks,
     check_isomorphism,
     enumerate_subrack_lattice,
+    relabel,
+    shuffle,
     to_abstract,
 )
 from .racks import group_rack
@@ -82,59 +84,62 @@ def verify_group(
             return lines
     lines.append(f"PASS enumerate {name} {lat.size} elements{note}")
 
-    def compare(check: str, got: set[int], want: set[int], passed: str) -> None:
-        """One line: PASS when the lattice's masks are the oracle's, else FAIL
-        naming both sets."""
-        lines.append(f"PASS {check} {name} {passed}" if got == want else
-                     f"FAIL {check} {name} lattice {sorted(got)} vs oracle {sorted(want)}")
+    # every check below reads the seeded lattice derive walks. Group element p,
+    # lat's atom {p} (a quandle's), is its atom perm[p]; inv carries masks back
+    seeded, perm = shuffle(lat, seed)
+    inv = sorted(range(len(perm)), key=perm.__getitem__)
+
+    def compare(check: str, got: list[int], want: set[int], passed: str) -> None:
+        """PASS when the lattice's masks, back in G, are the oracle's, else FAIL naming both."""
+        back = set(relabel(got, inv))
+        lines.append(f"PASS {check} {name} {passed}" if back == want else
+                     f"FAIL {check} {name} lattice {sorted(back)} vs oracle {sorted(want)}")
 
     cc = conjugacy_classes(g)
     class_masks = set(map(mask_of, cc.classes))
-    full = (1 << g.order) - 1
-    # a group rack is a quandle: support bit p is the atom {p}, ground element p
-    compare("coatoms", {lat.supports[x] for x in lat.proper_maximal},
+    full, sup = (1 << g.order) - 1, seeded.supports
+    compare("coatoms", [sup[x] for x in seeded.proper_maximal],
             {full ^ c for c in class_masks}, f"c={cc.count} class complements")
-    mb = maximal_boolean_elements(lat)
+    mb = maximal_boolean_elements(seeded)
     if g.order <= limits.subgroup_cap:
-        compare("boolean-elements", {lat.supports[x] for x in mb},
+        compare("boolean-elements", [sup[x] for x in mb],
                 set(map(mask_of, maximal_abelian_subgroups(g, limits))),
                 f"{len(mb)} maximal abelian")
     else:
         lines.append(f"SKIP boolean-elements {name} order over subgroup cap")
-    classes = recover_classes(lat)
-    compare("classes", set(classes.blocks), class_masks, "blocks match conjugacy classes")
-    mna = max_normal_abelian(lat, classes)
+    classes = recover_classes(seeded)
+    compare("classes", list(classes.blocks), class_masks, "blocks match conjugacy classes")
+    mna = max_normal_abelian(seeded, classes)
     oracle_mna = set(map(mask_of, maximal_normal_abelian_oracle(g)))
-    compare("normal-abelian", {lat.supports[x] for x in mna}, oracle_mna,
-            f"{len(mna)} candidates")
+    compare("normal-abelian", [sup[x] for x in mna], oracle_mna, f"{len(mna)} candidates")
 
     lines.append(_coset_join_check(g, name))
 
     for nmask in sorted(oracle_mna):
-        rep = is_hypothetical_coset_partition(
-            lat, [mask_of(c) for c in coset_partition_of(g, frozenset(bits(nmask)))]
-        )
+        rep = is_hypothetical_coset_partition(seeded, relabel(
+            map(mask_of, coset_partition_of(g, frozenset(bits(nmask)))), perm))
         if not rep.ok:
             lines.append(f"FAIL hypothetical {name} N={bits(nmask)}: " + "; ".join(rep.lines))
             break
     else:
         lines.append(f"PASS hypothetical {name} coset partitions satisfy the conditions")
 
-    # the recursion's own quotient steps, on the labelled lattice: support bit
-    # p is group element p, so each N and its join poset name G/N
+    # the recursion's own quotient steps, the ones derive takes: each N,
+    # carried back to the group, and its join poset name G/N
     try:
-        steps = list(quotient_steps(lat))
+        steps = list(quotient_steps(seeded))
     except RackleError as exc:
         lines.append(f"FAIL quotient-poset {name} {type(exc).__name__}: {exc}")
     else:
         for nmask, _, jp in steps:
-            q, _ = quotient(g, frozenset(bits(nmask)))
+            members = bits(relabel([nmask], inv)[0])
+            q, _ = quotient(g, frozenset(members))
             q_lat = to_abstract(
                 enumerate_subrack_lattice(group_rack(q), limits=limits), seed=seed
             )
             mapping = are_isomorphic(jp, q_lat, limits=limits)
             if mapping is None or not check_isomorphism(jp, q_lat, mapping):
-                lines.append(f"FAIL quotient-poset {name} N={bits(nmask)}: "
+                lines.append(f"FAIL quotient-poset {name} N={members}: "
                              "join poset not isomorphic to quotient lattice")
                 break
         else:
@@ -142,17 +147,17 @@ def verify_group(
 
     _, dl_oracle = derived_length_oracle(g)
     try:
-        dl_lat = lattice_derived_length(to_abstract(lat, seed=seed))
+        dl_lat = lattice_derived_length(seeded)
     except RackleError as exc:
         dl_lat = repr(exc)               # never the oracle's length: a FAIL
     verdict = "PASS" if dl_lat == dl_oracle else "FAIL"
     lines.append(f"{verdict} derive {name} lattice={dl_lat} oracle={dl_oracle}")
 
-    mu = mobius_bottom_top(lat)
+    mu = mobius_bottom_top(seeded)
     sphere_ok = mu == (-1) ** cc.count
     chi_note = ""
     if lat.size - 2 <= limits.chain_count_cap:
-        chi = reduced_euler_characteristic(lat, limits=limits)
+        chi = reduced_euler_characteristic(seeded, limits=limits)
         if chi != mu:
             lines.append(f"FAIL sphere {name} mu={mu} chain-count={chi}")
             return lines

@@ -14,8 +14,8 @@ from .errors import FormatError
 
 
 def content_lines(text: str) -> Iterator[str]:
-    """The non-empty lines of text with comments cut, produced lazily. A text
-    with no "#" skips the cut."""
+    """The non-empty lines of text with comments cut, split all at once and
+    cut and stripped as they are read. A text with no "#" skips the cut."""
     lines = text.splitlines()
     if "#" in text:
         lines = (ln.split("#", 1)[0] for ln in lines)

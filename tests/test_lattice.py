@@ -40,6 +40,7 @@ from rackle.lattice import (
     order_key,
     parse_lattice,
     relabel,
+    shuffle,
 )
 from rackle.racks import (
     closure_extend,
@@ -597,7 +598,8 @@ def test_relabel_matches_bit_at_a_time(case):
 @pytest.mark.parametrize("name", [g.name for g in catalog_entries(12)])
 def test_to_abstract_draws_are_pinned(name):
     # seeded shuffles feed derive seeds and verify's output: the supports
-    # are copied and shuffled, then the atom permutation is drawn
+    # are copied and shuffled, then the atom permutation is drawn, which
+    # shuffle returns with the lattice to carry masks between the two
     lat = get_lattice(name)
     for seed in range(5):
         rng = random.Random(seed)
@@ -607,6 +609,8 @@ def test_to_abstract_draws_are_pinned(name):
         rng.shuffle(pi)
         expected = [relabel_reference(s, pi) for s in supports]
         assert to_abstract(lat, seed).supports == expected
+        ab, perm = shuffle(lat, seed)
+        assert ab.supports == expected and perm == pi
 
 
 def star_lattice(size):

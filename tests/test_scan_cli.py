@@ -8,11 +8,14 @@ import pytest
 
 from rackle import full_verification, pairs_scan, verify_group
 from rackle import cli, scan
+from rackle.catalog import cyclic, sl23
 from rackle.cli import main
 from rackle.config import DEFAULT_LIMITS
 from rackle.errors import NoPartition
-from rackle.groups import ConjClassPartition, FiniteGroup, cosets, load_group
-from rackle.lattice import AbstractLattice
+from rackle.groups import (ConjClassPartition, FiniteGroup, cosets, direct_product,
+                           load_group)
+from rackle.lattice import AbstractLattice, enumerate_subrack_lattice, to_abstract
+from rackle.racks import group_rack
 from rackle.reconstruct import AtomClassPartition
 from rackle.scan import _congruence_witness, _coset_join_check
 
@@ -48,14 +51,42 @@ class TestVerifyGroup:
         ]
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "known defect: on unseeded labels the coset-partition search returns, "
-        "for N = Z(GL(2,3)), a 24-part partition that is not the coset "
-        "partition; it passes C1, C2 and C3, but its join poset has "
-        "252 elements against S4's 212, so quotient-poset FAILs"))
+        "known defect: on the lattice shuffled at seed 3, the one derive walks, "
+        "the coset-partition search returns, for N = Z(GL(2,3)) = [0, 35], a "
+        "24-part partition that is not the coset partition; it passes C1, C2 "
+        "and C3, but its join poset has 252 elements against S4's 212, so "
+        "quotient-poset FAILs (at seed 0 the first passing cover is the true one)"))
     def test_gl23_all_pass(self):
         g = load_group(GL23_PATH)
-        lines = verify_group(g)
+        lines = verify_group(g, seed=3)
         assert not [ln for ln in lines if ln.startswith("FAIL")]
+
+    def test_quotient_poset_checks_the_covers_derive_takes(self):
+        # at seed 0 the first cover for the centre is a false one, whose join
+        # poset makes the recursion raise one level down: both lines FAIL
+        lines = verify_group(direct_product(cyclic(2), sl23()), seed=0)
+        assert [ln for ln in lines if ln.startswith("FAIL")] == [
+            "FAIL quotient-poset Z2xsl23 N=[0, 15, 24, 39]: join poset not isomorphic "
+            "to quotient lattice",
+            "FAIL derive Z2xsl23 lattice=NoPartition('atom count 12 not divisible by "
+            "part size 9') oracle=3",
+        ]
+
+    def test_every_check_reads_one_lattice(self, monkeypatch):
+        # the lattice-side checks and derive get one object, the shuffled one
+        seen = {}
+        for name in ("quotient_steps", "lattice_derived_length", "recover_classes",
+                     "mobius_bottom_top"):
+            def spy(lat, *args, _name=name, _real=getattr(scan, name)):
+                seen[_name] = lat
+                return _real(lat, *args)
+            monkeypatch.setattr(scan, name, spy)
+        g = get_group("S4")
+        lines = verify_group(g, seed=5)
+        assert not [ln for ln in lines if ln.startswith("FAIL")]
+        assert len(seen) == 4 and len({id(lat) for lat in seen.values()}) == 1
+        labelled = enumerate_subrack_lattice(group_rack(g))
+        assert seen["quotient_steps"].supports == to_abstract(labelled, seed=5).supports
 
     def test_gl23_coset_joins(self):
         g = load_group(GL23_PATH)
@@ -84,7 +115,17 @@ def _raise(exc):
 
 
 # scan's own oracles, for fakes that alter what the real one returns
-REAL = {name: getattr(scan, name) for name in ("coset_partition_of", "group_invariants")}
+REAL = {name: getattr(scan, name)
+        for name in ("coset_partition_of", "group_invariants", "recover_classes")}
+
+
+def _identity_among_transpositions(lat):
+    """S3's real class blocks, on whatever labelling lat has, with the
+    identity's block (size 1) merged into the transpositions' (size 3)."""
+    by_size = {b.bit_count(): b for b in REAL["recover_classes"](lat).blocks}
+    return AtomClassPartition((by_size[1] | by_size[3], by_size[2]))
+
+
 # S3: identity 0, transpositions {1, 3, 4}, 3-cycles {2, 5}; A3 = {0, 2, 5} is mask 37
 S3_FAILS = [
     pytest.param({"brute_force_closed_masks": lambda rack: []}, DEFAULT_LIMITS,
@@ -102,7 +143,7 @@ S3_FAILS = [
                  ["FAIL boolean-elements S3 lattice [3, 9, 17, 37] vs oracle []"],
                  id="boolean-elements"),
     # blocks {0, 1, 3, 4} and {2, 5}: the 3-cycles alone are the candidate
-    pytest.param({"recover_classes": lambda lat: AtomClassPartition((27, 36))}, DEFAULT_LIMITS,
+    pytest.param({"recover_classes": _identity_among_transpositions}, DEFAULT_LIMITS,
                  ["FAIL classes S3 lattice [27, 36] vs oracle [1, 26, 36]",
                   "FAIL normal-abelian S3 lattice [36] vs oracle [37]"], id="classes"),
     pytest.param({"maximal_normal_abelian_oracle": lambda g: []}, DEFAULT_LIMITS,
