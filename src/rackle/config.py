@@ -4,10 +4,9 @@ Every cap guards a cost some input reaches: the defaults keep desk-scale
 inputs fast, and callers (or the CLI flags of the subcommands that read them)
 may raise them. Which catalog groups a sweep runs is set by its max_order, not
 here. The quotient step has no cap of its own: its join poset costs about
-|quotient lattice| × parts joins, and its partition search is pruned by C3
-on pairs of parts, which is not always enough: lattice-only derived length
-of Z2×SL(2,3) takes 7–9 s unshuffled (three runs), almost all of it in that
-search, and 0.3–0.5 s at shuffle seeds 1 and 7 (2-CPU Xeon VM, Python 3.11)."""
+|quotient lattice| × parts joins, and its partition search is an exact
+cover pruned by the joins of pairs of parts, exponential in the worst case
+with no budget."""
 
 from __future__ import annotations
 

@@ -247,7 +247,7 @@ class AbstractLattice:
     @cached_property
     def pair_joins(self) -> list[list[int]]:
         """Row p holds the support of p ∨ q for each atom q: m(m+1)/2 joins
-        for m atoms, once per lattice, read by both atom-matching searches."""
+        for m atoms, once per lattice, read by the isomorphism search."""
         m = self.n_atoms
         rows = [[0] * m for _ in range(m)]
         for p in range(m):

@@ -313,49 +313,35 @@ def is_hypothetical_coset_partition(
     return PartitionReport(ok and c3.ok, tuple(lines) + c3.lines, c3.join_poset)
 
 
-def _breaks(part: int, rules: Iterable[tuple[int, list[int]]]) -> bool:
-    """Whether part lies inside join(a ∪ b) of some rule and misses one of
-    its joins join(x, y)."""
-    return any(part & j == part and not all(part & r for r in reps) for j, reps in rules)
-
-
 def _covers(
     lat: AbstractLattice,
-    table: Sequence[Sequence[tuple[int, list[int]]]],
+    table: Sequence[Sequence[int]],
     full: int,
     covered: int,
-    placed: list[tuple[int, list[int]]],
-    rules: list[tuple[int, list[int]]],
-    made: dict[tuple[int, int], tuple[int, list[int]]],
+    placed: list[int],
+    joins: list[int],
 ) -> Iterator[tuple[int, ...]]:
-    """Exact covers of full that extend placed, a list of (part, its atoms).
+    """Exact covers of full that extend placed; joins holds the support of
+    join(p ∪ q) for each pair p, q of placed parts.
 
     Each step places a part through the lowest uncovered atom f. Every atom
     below f is covered, so a part that holds f and misses the cover has f as
     its lowest atom: the candidates are table[f] alone, the parts whose
-    lowest atom is f. Every placed part obeys the rule of every pair of
-    placed parts; a new part creates one rule with each part placed before
-    it. A pair's rule is made once per search and kept in made, since other
-    branches place the same pair again.
+    lowest atom is f. No placed part straddles a join in joins: a candidate
+    that meets one without lying inside it is skipped, and its own joins
+    with the placed parts must split none of them (it lies inside each).
     """
     if covered == full:
-        yield tuple(p for p, _ in placed)
+        yield tuple(placed)
         return
     free = ~covered & full
-    pj = lat.pair_joins
-    for cand, atoms in table[(free & -free).bit_length() - 1]:
-        if cand & covered or _breaks(cand, rules):
+    for cand in table[(free & -free).bit_length() - 1]:
+        if cand & covered or any(cand & j and cand & j != cand for j in joins):
             continue
-        new = []
-        for p, q in placed:
-            if (cand, p) not in made:
-                made[cand, p] = (
-                    lat.supports[lat.join_mask(cand | p)], [pj[x][y] for x in atoms for y in q]
-                )
-            new.append(made[cand, p])
-        grown = placed + [(cand, atoms)]
-        if not any(_breaks(p, new) for p, _ in grown):
-            yield from _covers(lat, table, full, covered | cand, grown, rules + new, made)
+        grown = placed + [cand]
+        new = [lat.supports[lat.join_mask(cand | p)] for p in placed]
+        if not any(p & j and p & j != p for j in new for p in placed):
+            yield from _covers(lat, table, full, covered | cand, grown, joins + new)
 
 
 def find_coset_partition(
@@ -372,24 +358,22 @@ def find_coset_partition(
     candidates are indexed by their lowest atom, each index in the order of
     sorted(..., key=bits), which fixes which passing cover comes first.
 
-    The search is pruned by condition C3 on pairs: for placed parts a, b and
-    representatives x ∈ a, y ∈ b, every placed part inside join(a ∪ b) must
-    meet join(x, y). This is sound. C3 on the index set {a, b} says
-    join(a ∪ b) is the union of the parts meeting join(x, y); a part P inside
-    join(a ∪ b) meets one of those parts, and parts are disjoint, so P is
-    one of them and meets join(x, y). A partial cover that breaks the
-    condition therefore fails C3, and so does every cover extending it.
-    The joins join(x, y) are read from the lattice's cached pair_joins.
+    The search is pruned by fact (A) of _c3 on pairs: every placed part lies
+    inside or outside join(a ∪ b) for every pair a, b of placed parts. This
+    is sound. A cover that passes C3 satisfies (A), so join(a ∪ b) is a
+    union of its parts, and a part, disjoint from the others, lies inside
+    that union or misses it. A partial cover with a part that straddles such
+    a join therefore fails C3, and so does every cover extending it.
     """
     sn = lat.supports[n_elem]
     size = sn.bit_count()
     full = (1 << lat.n_atoms) - 1
     if size == 0 or lat.n_atoms % size != 0:
         raise NoPartition(f"atom count {lat.n_atoms} not divisible by part size {size}")
-    table: list[list[tuple[int, list[int]]]] = [[] for _ in range(lat.n_atoms)]
+    table: list[list[int]] = [[] for _ in range(lat.n_atoms)]
     for s in sorted({s for s in lat.supports if s.bit_count() == size}, key=bits):
-        table[(s & -s).bit_length() - 1].append((s, bits(s)))
-    for parts in _covers(lat, table, full, sn, [(sn, bits(sn))], [], {}):
+        table[(s & -s).bit_length() - 1].append(s)
+    for parts in _covers(lat, table, full, sn, [sn], []):
         rep = is_hypothetical_coset_partition(lat, parts)
         if rep.ok:
             return parts, rep.join_poset

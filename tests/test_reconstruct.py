@@ -112,6 +112,13 @@ def unseeded_lattices():
     return [(g, to_abstract(lat)) for g, lat in lattices]
 
 
+@functools.cache
+def z2_sl23_lattice():
+    """The subrack lattice of Z2×SL(2,3), and the oracle's derived length."""
+    g = direct_product(cyclic(2), sl23())
+    return enumerate_subrack_lattice(group_rack(g)), derived_length_oracle(g)[1]
+
+
 def subset_join_poset(ab, parts):
     """Reference quotient: the join of every one of the 2^m sets of parts,
     as part-index sets ordered like AbstractLattice supports."""
@@ -632,7 +639,7 @@ class TestFindCosetPartition:
         assert len(parts) == 1 and jp.size == 2
 
     def test_finds_the_cosets(self):
-        # the pair-level C3 prune keeps the true partition: for each of the
+        # the pair-join prune keeps the true partition: for each of the
         # 23 nontrivial maximal normal abelian N, the search returns its cosets
         pairs = 0
         for g, ab in unseeded_lattices():
@@ -662,10 +669,10 @@ class TestFindCosetPartition:
 
 
 def first_covers(ab):
-    """(N, first passing cover) for each lattice-only candidate N with more
-    than one atom, at every level of the derived-length recursion."""
+    """(lattice, N, first passing cover) for each lattice-only candidate N
+    with more than one atom, at every level of the derived-length recursion."""
     for n, parts, jp in quotient_steps(ab):
-        yield n, parts
+        yield ab, n, parts
         if jp.n_atoms > 1 and not jp.is_boolean():
             yield from first_covers(jp)
 
@@ -673,29 +680,61 @@ def first_covers(ab):
 # SHA-256 of every first passing cover of the inputs of
 # test_first_cover_is_pinned, as returned by the search that scanned the whole
 # candidate pool at each step; the lowest-atom table must keep its order
-FIRST_COVERS_SHA256 = "db893a0db241b4bd627564ef75be4236be07d06fbad4d770429e25353baa3931"
+FIRST_COVERS_SHA256 = "dc05f18698e7b2d81838602fe3629b210a845304e828c5083e2fdbb6b499051f"
 
 
 def test_first_cover_is_pinned():
     # which passing cover comes first decides the quotient, so the search
-    # order is pinned: 68 covers over the catalog through order 24, D12,
-    # GL(2,3), Z2×S4 and Z2×SL(2,3) at several shuffle seeds
+    # order is pinned: 70 covers over the catalog through order 24, D12,
+    # and GL(2,3), Z2×S4 and Z2×SL(2,3) unseeded and at shuffle seeds 1 and 7
     inputs = [(g.name, None, ab) for g, ab in unseeded_lattices()]
     for name, g, seeds in [
         ("gl23", load_group(GL23_PATH), (None, 1, 7)),
         ("Z2xS4", direct_product(cyclic(2), symmetric(4)), (None, 1, 7)),
-        ("Z2xSL23", direct_product(cyclic(2), sl23()), (1, 7)),
+        ("Z2xSL23", direct_product(cyclic(2), sl23()), (None, 1, 7)),
     ]:
         lat = enumerate_subrack_lattice(group_rack(g))
         inputs += [(name, seed, to_abstract(lat, seed=seed)) for seed in seeds]
     digest = hashlib.sha256()
     count = 0
     for name, seed, ab in inputs:
-        for n, parts in first_covers(ab):
+        for _, n, parts in first_covers(ab):
             digest.update(repr((name, seed, n, parts)).encode())
             count += 1
-    assert count == 68
+    assert count == 70
     assert digest.hexdigest() == FIRST_COVERS_SHA256
+
+
+def reference_first_cover(ab, sn):
+    """The first cover with N (support sn) first that passes
+    is_hypothetical_coset_partition, with no pruning: each step tries every
+    candidate part through the lowest uncovered atom, in sorted(..., key=bits)
+    order. None if no cover passes."""
+    full = (1 << ab.n_atoms) - 1
+    pool = sorted({s for s in ab.supports if s.bit_count() == sn.bit_count()}, key=bits)
+
+    def covers(covered, placed):
+        if covered == full:
+            yield placed
+            return
+        free = ~covered & full
+        low = free & -free
+        for s in pool:
+            if s & low and not s & covered:
+                yield from covers(covered | s, placed + (s,))
+
+    return next((parts for parts in covers(sn, (sn,))
+                 if is_hypothetical_coset_partition(ab, parts).ok), None)
+
+
+@pytest.mark.parametrize("seed", [None, 1, 7])
+@pytest.mark.parametrize(
+    "name", [g.name for g in catalog_entries(16)] + ["S4", "sl23"])
+def test_pruned_search_finds_the_unpruned_first_cover(name, seed):
+    # the pair-join prune cuts no passing cover and keeps the branching
+    # order: the first cover that passes is the unpruned search's first
+    for lat, n, parts in first_covers(get_abstract(name, seed)):
+        assert parts == reference_first_cover(lat, n), (name, seed, bits(n))
 
 
 class TestJoinPoset:
@@ -779,13 +818,18 @@ class TestDerivedLength:
         ab = to_abstract(enumerate_subrack_lattice(group_rack(g)), seed=seed)
         assert lattice_derived_length(ab) == derived_length_oracle(g)[1] == 4
 
-    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("seed", [None, *(
+        pytest.param(s, marks=pytest.mark.xfail(
+            strict=True, raises=NoPartition,
+            reason="ROADMAP item 1: the first passing cover is no coset "
+                   "partition, and the recursion raises one level down"))
+        if s in (0, 2, 5) else s for s in range(12))])
     def test_z2_sl23_length_three(self, seed):
-        # order 48 like GL(2,3), with derived length 3; unseeded, its
-        # partition search takes 11–15 s, so that input is left out
-        g = direct_product(cyclic(2), sl23())
-        ab = to_abstract(enumerate_subrack_lattice(group_rack(g)), seed=seed)
-        assert lattice_derived_length(ab) == derived_length_oracle(g)[1] == 3
+        # order 48 like GL(2,3), with derived length 3, at every labelling
+        # of one enumerated lattice
+        lat, oracle = z2_sl23_lattice()
+        assert oracle == 3
+        assert lattice_derived_length(to_abstract(lat, seed=seed)) == oracle
 
     def test_seed_invariance(self):
         vals = {lattice_derived_length(get_abstract("D5", seed=s))
