@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import islice
 from operator import and_, or_
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .closedsets import bits, close_by_one, mask_of
 from .config import DEFAULT_LIMITS, Limits
@@ -225,25 +225,6 @@ class AbstractLattice:
         upper = reduce(and_, (rows[p] for p in bits(mask)), -1)
         return self.ranked[(upper & -upper).bit_length() - 1]
 
-    def atom_joins(self, x: int, atoms: int) -> Iterator[tuple[int, int]]:
-        """(p, x ∨ p) for each atom p in the mask atoms, all outside supp x.
-
-        A miss ANDs the row of p into the upper-bound row of x (the AND of
-        the rank rows over supp x, built on the first miss) and takes the
-        lowest rank, as join_mask does."""
-        sx = self.supports[x]
-        get = self.support_index.get
-        upper = None
-        for p in bits(atoms):
-            y = get(sx | 1 << p)
-            if y is None:
-                rows = self._above
-                if upper is None:
-                    upper = reduce(and_, (rows[q] for q in bits(sx)), -1)
-                u = upper & rows[p]
-                y = self.ranked[(u & -u).bit_length() - 1]
-            yield p, y
-
     @cached_property
     def pair_joins(self) -> list[list[int]]:
         """Row p holds the support of p ∨ q for each atom q: m(m+1)/2 joins
@@ -332,16 +313,20 @@ class SubrackLattice(AbstractLattice):
     def __post_init__(self) -> None:
         # elements come popcount first, so a nonempty element is an atom when
         # it contains no earlier atom; one-point elements always are, so an
-        # element meeting their union is skipped without a scan
+        # element meeting their union is skipped without a scan, and once
+        # that union is the ground set, as in every quandle, no atom is left
         atoms: list[int] = []
         wide: list[int] = []             # the atoms with 2+ points
         points = 0                       # union of the one-point atoms
+        ground = (1 << self.ground_size) - 1
         for mask in self.elements:
             if not mask or mask & points or any(a & mask == a for a in wide):
                 continue
             atoms.append(mask)
             if mask.bit_count() == 1:
                 points |= mask
+                if points == ground:
+                    break
             else:
                 wide.append(mask)
         k = len(atoms)

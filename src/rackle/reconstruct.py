@@ -320,9 +320,11 @@ def _covers(
     covered: int,
     placed: list[int],
     joins: list[int],
+    memo: dict[int, int],
 ) -> Iterator[tuple[int, ...]]:
     """Exact covers of full that extend placed; joins holds the support of
-    join(p ∪ q) for each pair p, q of placed parts.
+    join(p ∪ q) for each pair p, q of placed parts, and memo the support of
+    each join(p ∪ q) found so far, by p | q, for every branch to share.
 
     Each step places a part through the lowest uncovered atom f. Every atom
     below f is covered, so a part that holds f and misses the cover has f as
@@ -338,10 +340,14 @@ def _covers(
     for cand in table[(free & -free).bit_length() - 1]:
         if cand & covered or any(cand & j and cand & j != cand for j in joins):
             continue
-        grown = placed + [cand]
-        new = [lat.supports[lat.join_mask(cand | p)] for p in placed]
+        new = []
+        for u in (cand | p for p in placed):
+            if u not in memo:
+                memo[u] = lat.supports[lat.join_mask(u)]
+            new.append(memo[u])
         if not any(p & j and p & j != p for j in new for p in placed):
-            yield from _covers(lat, table, full, covered | cand, grown, joins + new)
+            yield from _covers(lat, table, full, covered | cand, placed + [cand],
+                               joins + new, memo)
 
 
 def find_coset_partition(
@@ -373,7 +379,7 @@ def find_coset_partition(
     table: list[list[int]] = [[] for _ in range(lat.n_atoms)]
     for s in sorted({s for s in lat.supports if s.bit_count() == size}, key=bits):
         table[(s & -s).bit_length() - 1].append(s)
-    for parts in _covers(lat, table, full, sn, [sn], []):
+    for parts in _covers(lat, table, full, sn, [sn], [], {}):
         rep = is_hypothetical_coset_partition(lat, parts)
         if rep.ok:
             return parts, rep.join_poset

@@ -359,6 +359,21 @@ class TestAtomistic:
             AbstractLattice([0, 1, 2, 3, 3])
 
 
+@given(st.integers(0, 10).flatmap(
+    lambda k: st.tuples(st.just(k), st.lists(st.integers(0, (1 << k) - 1), max_size=20))))
+@settings(max_examples=100, deadline=None)
+def test_quandle_atom_scan_matches_full_scan(case):
+    # every point closed on its own, as in a quandle: the scan stops once
+    # the one-point atoms cover the ground set
+    k, extra = case
+    full = (1 << k) - 1
+    family = sorted({0, full, *(1 << p for p in range(k)), *extra}, key=order_key(k))
+    lat = SubrackLattice(elements=family, ground_size=k)
+    atoms = [m for m in family if m and not any(a and a != m and a & m == a for a in family)]
+    assert [lat.elements[x] for x in lat.atoms] == atoms
+    assert lat.supports == [mask_of(i for i, a in enumerate(atoms) if a & m == a) for m in family]
+
+
 @given(small_racks, st.integers(0, 2**31 - 1))
 @settings(max_examples=40, deadline=None)
 def test_abstraction_keeps_order(rack, seed):
@@ -721,12 +736,6 @@ def test_joins_and_covers_match_brute_force(sets):
     for mask in range(1 << lat.n_atoms):
         least = min((s for s in sets if s & mask == mask), key=int.bit_count)
         assert lat.supports[lat.join_mask(mask)] == least
-    full = (1 << lat.n_atoms) - 1
-    for x, s in enumerate(sets):
-        outside = full ^ s
-        assert list(lat.atom_joins(x, outside)) == [
-            (p, lat.join_mask(s | 1 << p)) for p in bits(outside)
-        ]
 
 
 @given(closed_families().flatmap(st.permutations))

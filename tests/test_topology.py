@@ -15,9 +15,9 @@ from rackle import (
     reduced_euler_characteristic,
     to_abstract,
 )
-from rackle.catalog import catalog_entries
+from rackle.catalog import catalog_entries, dihedral
 from rackle.config import DEFAULT_LIMITS
-from rackle.errors import TooLarge
+from rackle.errors import NotGroupLattice, TooLarge
 from rackle.lattice import AbstractLattice
 
 from conftest import GL23_PATH, closed_families, get_abstract, get_lattice
@@ -26,7 +26,7 @@ from conftest import GL23_PATH, closed_families, get_abstract, get_lattice
 def mobius_by_recursion(lat):
     """mu(bottom, top) by the defining recursion mu(x) = -sum of mu(y) over
     y < x, in a pass by support size. O(n²); the test oracle for the
-    Weisner push, which it agrees with on lattices only."""
+    crosscut sum, which it agrees with on lattices only."""
     if lat.is_boolean():
         return (-1) ** lat.n_atoms
     sup = lat.supports
@@ -52,6 +52,41 @@ def test_mobius_matches_recursion_on_groups(name, seed):
     lat = gl23_lattice() if name == "gl23" else get_lattice(name)
     ab = to_abstract(lat, seed=seed)
     assert mobius_bottom_top(ab) == mobius_by_recursion(ab)
+
+
+@lru_cache(maxsize=None)
+def lattice_and_mu(name):
+    """The labelled lattice and its mu by recursion; mu is label-free, so
+    one O(n²) pass serves every shuffle seed."""
+    if name == "D12":
+        lat = enumerate_subrack_lattice(group_rack(dihedral(24)))
+    else:
+        lat = gl23_lattice() if name == "gl23" else get_lattice(name)
+    return lat, mobius_by_recursion(lat)
+
+
+@pytest.mark.parametrize("seed", [None, 1, 7])
+@pytest.mark.parametrize("name", ["D12", "S5", "gl23"])
+def test_mobius_takes_no_joins(name, seed, monkeypatch):
+    lat, mu = lattice_and_mu(name)
+    ab = to_abstract(lat, seed=seed)
+
+    def no_join(*args):
+        raise AssertionError("mobius_bottom_top took a join")
+
+    # join_mask, and the rank rows that every join not already a support reads
+    monkeypatch.setattr(AbstractLattice, "join_mask", no_join)
+    monkeypatch.setattr(AbstractLattice, "_above", property(no_join))
+    assert mobius_bottom_top(ab) == mu
+
+
+def test_non_lattice_raises():
+    # {0, 1} has the two minimal upper bounds {0,1,2} and {0,1,3}, so the
+    # two coatoms meet in atoms that no element holds
+    poset = AbstractLattice([0, 1, 2, 4, 8, 0b0111, 0b1011, 0b1111])
+    assert mobius_by_recursion(poset) == -1
+    with pytest.raises(NotGroupLattice, match=r"atoms \[0, 1\]"):
+        mobius_bottom_top(poset)
 
 
 @given(closed_families().flatmap(st.permutations))
