@@ -346,8 +346,9 @@ def normal_subgroups(g: FiniteGroup) -> list[frozenset[int]]:
 
     A union of classes generates a normal subgroup, itself a union of
     classes, so S ↦ {classes inside ⟨∪S⟩} is a closure whose closed sets are
-    the normal subgroups without the identity: one subgroup is generated per
-    (closed set, later class), not one subgroup test per set of classes.
+    the normal subgroups without the identity: at most one subgroup is
+    generated per (closed set, later class), not one subgroup test per set
+    of classes.
     A closed set's classes already form a subgroup, so each step extends it
     by the new class rather than generating it afresh.
     """

@@ -1,21 +1,24 @@
 """Subrack lattices: enumeration, queries, label stripping, isomorphism.
 
 The enumerator walks closed sets with closedsets.close_by_one, the one
-Close-by-One walker that the join poset and the normal subgroups use too:
-a closure aborts at its first new point below the one being added, so cost
-scales with the output, never with 2^m. It walks only the moving points. A
-fixed point (moves[a] == 0; in a conjugation rack, a central element) can
-join or leave any closed set and keep it closed, so the lattice is the
-moving points' lattice times the Boolean lattice of the fixed points, and
-that factor is built without a closure. The output comes in popcount-then-lex
-order by construction: the walk alone is sorted, and each fixed point merges
-the list with a shifted copy of itself. There is one lattice type,
-AbstractLattice, which keeps the order relation as atom supports; a
-SubrackLattice is one that also keeps its member sets. Code that claims to
-be "lattice only" reads the supports and nothing else. One function, relabel,
-moves a support list through an atom permutation: shuffle, behind
-to_abstract, moves it through the one it draws, and the isomorphism search
-and its check test an atom bijection with it.
+Fast Close-by-One walker that the join poset and the normal subgroups use
+too. A closure aborts at its first new point below the one being added, and
+the points it gained there let every set walked under the current one skip
+that extend, so cost scales with the output, never with 2^m: D12 takes
+5,470 closures for 4,664 subracks, S5 11,301 for 2,406. It walks only the
+moving points. A fixed point (moves[a] == 0; in a conjugation rack, a
+central element) can join or leave any closed set and keep it closed, so the
+lattice is the moving points' lattice times the Boolean lattice of the fixed
+points, and that factor is built without a closure. The output comes in
+popcount-then-lex order by construction: the walk alone is sorted, and each
+fixed point merges the list with a shifted copy of itself.
+
+There is one lattice type, AbstractLattice, which keeps the order relation
+as atom supports; a SubrackLattice is one that also keeps its member sets.
+Code that claims to be "lattice only" reads the supports and nothing else.
+One function, relabel, moves a support list through an atom permutation:
+shuffle, behind to_abstract, moves it through the one it draws, and the
+isomorphism search and its check test an atom bijection with it.
 """
 
 from __future__ import annotations
@@ -93,7 +96,7 @@ def enumerate_closed_masks(
     moving = [j for j in range(m) if moves[j]]
     fixed = [j for j in range(m) if not moves[j]]
 
-    def extend(a: int, j: int) -> int | None:
+    def extend(a: int, j: int) -> int:
         return closure_extend(rows, moves, a, j, (1 << j) - 1)
 
     # walk · 2^|F| > cap iff walk > walk_cap, so drawing walk_cap sets after ∅ tells
@@ -401,13 +404,18 @@ def shuffle(lat: AbstractLattice, seed: int) -> tuple[AbstractLattice, list[int]
     atom_perm = list(range(lat.n_atoms))
     getrandbits = random.Random(seed).getrandbits
     for x in (supports, atom_perm):
-        for i in range(len(x) - 1, 0, -1):
-            # j uniform on [0, i], one getrandbits a draw as random draws it
-            k = (i + 1).bit_length()
-            j = getrandbits(k)
-            while j > i:
+        # j uniform on [0, i], one getrandbits a draw as random draws it, of
+        # k = (i + 1).bit_length() bits: one k for each run of i down to 2^(k-1) - 1
+        hi = len(x) - 1
+        while hi > 0:
+            k = (hi + 1).bit_length()
+            lo = (1 << k - 1) - 1
+            for i in range(hi, lo - 1, -1):
                 j = getrandbits(k)
-            x[i], x[j] = x[j], x[i]
+                while j > i:
+                    j = getrandbits(k)
+                x[i], x[j] = x[j], x[i]
+            hi = lo - 1
     return AbstractLattice(relabel(supports, atom_perm)), atom_perm
 
 

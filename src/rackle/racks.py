@@ -14,7 +14,10 @@ closes every set without a single product. A point with moves[a] == 0 is
 fixed (in a conjugation rack, a central element): every subset of the fixed
 points can be added to a closed set and leaves it closed, so the enumerator
 runs closedsets.close_by_one over the other points only, with closure_extend
-as its step, and adds the fixed ones as a Boolean factor.
+as its step, and adds the fixed ones as a Boolean factor. closure_extend
+stops at the first forbidden point that enters and returns what it has so
+far, that point included; the walker reads the forbidden points in it as
+the witness that lets later sets skip the same extend.
 """
 
 from __future__ import annotations
@@ -189,14 +192,15 @@ def closure_extend(
     closed_mask: int,
     j: int,
     forbidden: int = 0,
-) -> int | None:
+) -> int:
     """Closure of closed_mask ∪ {j}, exploiting that closed_mask is closed.
 
     moves is moves_of(rows). Each point a that enters is crossed, both ways,
     only with the members in moves[a]: for any other member b the products
-    are b and a, already present. Returns None as soon as a new point inside
-    the forbidden mask enters, so a caller that would discard such a closure
-    never pays for finishing it.
+    are b and a, already present. As soon as a new point inside the
+    forbidden mask enters, it returns the part built so far, that point
+    included: a subset of the closure that holds a forbidden point, so a
+    caller that would discard such a closure never pays for finishing it.
     """
     mask = closed_mask | (1 << j)
     work = [j]
@@ -212,7 +216,7 @@ def closure_extend(
                 bit = 1 << c
                 if not mask & bit:
                     if bit & forbidden:
-                        return None
+                        return mask | bit
                     mask |= bit
                     work.append(c)
     return mask

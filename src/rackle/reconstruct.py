@@ -25,6 +25,7 @@ from .errors import (
     NoPartition,
     NotGroupLattice,
     NotNormal,
+    RackleError,
 )
 from .groups import NOT_SOLVABLE, FiniteGroup, _NotSolvable, cosets
 from .lattice import AbstractLattice, order_key
@@ -398,11 +399,17 @@ def join_poset(lat: AbstractLattice, parts: Sequence[int]) -> AbstractLattice:
     quotient. It is enumerated by close_by_one over part indices with the
     closure S ↦ {parts below join(∪S)}, the subrack enumeration's walk with
     another closure. A set of parts has the same join as its closure, so
-    every join is reached, each from its closed set alone; the cost is
-    about |quotient lattice| × m joins for m parts, not 2^m.
+    every join is reached, each from its closed set alone; the cost is at
+    most about |quotient lattice| × m joins for m parts, not 2^m.
     Each join must be the union of the parts below it, and each part must be
     closed on its own (the parts are the atoms); anything else means the
     input is no group-rack lattice.
+
+    The walk skips the extends that an earlier failure decides, and the
+    union check still sees every join. A join of any set S of parts is the
+    join of its closed set C, since ∪S ⊆ ∪C ⊆ join(∪S). The walk reaches C
+    canonically, by one close call on some a ∪ {j} whose closure is C, and
+    that call checks join(∪(a ∪ {j})), which is the same join again.
     """
     def union(chosen: int) -> int:
         return reduce(or_, (parts[i] for i in bits(chosen)), 0)
@@ -424,9 +431,11 @@ def join_poset(lat: AbstractLattice, parts: Sequence[int]) -> AbstractLattice:
     return AbstractLattice(sorted(closed, key=lambda b: key(union(b))))
 
 
-def quotient_steps(
-    lat: AbstractLattice,
-) -> Iterator[tuple[int, tuple[int, ...], AbstractLattice]]:
+# (N's support, its cover's parts, the cover's join poset)
+Step = tuple[int, tuple[int, ...], AbstractLattice]
+
+
+def quotient_steps(lat: AbstractLattice) -> Iterator[Step]:
     """The quotient step, once per normal abelian candidate N with more than
     one atom: (N's support, its first passing cover, the cover's join poset).
 
@@ -442,18 +451,33 @@ def quotient_steps(
 def lattice_derived_length(
     lat: AbstractLattice, limits: Limits = DEFAULT_LIMITS
 ) -> int | _NotSolvable:
-    """Derived length read off the lattice alone.
+    """Derived length read off the lattice alone: derived_length_of_steps
+    over lat's quotient steps, each searched only when the recursion asks
+    for it. No step has a cap, so limits is read by nothing;
+    perfbench/workloads.py passes it.
+    """
+    return derived_length_of_steps(lat, quotient_steps(lat))
 
-    One atom means the trivial group. A Boolean lattice means abelian. In
-    general: take each quotient step and recurse into its join poset, and
-    take the minimum. With no step (every candidate a single atom) the
-    recursion has stalled and the group cannot be solvable. No step has a
-    cap, so limits is read by nothing; perfbench/workloads.py passes it.
+
+def derived_length_of_steps(
+    lat: AbstractLattice, steps: Iterable[Step], error: RackleError | None = None
+) -> int | _NotSolvable:
+    """Derived length of lat, given its quotient steps.
+
+    One atom means the trivial group. A Boolean lattice means abelian, and
+    the steps are not read. In general: recurse into each step's join poset
+    and take the minimum. With no step (every candidate a single atom) the
+    recursion has stalled and the group cannot be solvable. steps may be
+    quotient_steps(lat) itself, or the steps a caller already holds; error
+    is what cut that list short, raised after the steps before it, where
+    the search would have raised it.
     """
     if lat.n_atoms <= 1:
         return 0
     if lat.is_boolean():
         return 1
-    subs = [lattice_derived_length(jp) for _, _, jp in quotient_steps(lat)]
+    subs = [lattice_derived_length(jp) for _, _, jp in steps]
+    if error is not None:
+        raise error
     solvable = [sub for sub in subs if sub is not NOT_SOLVABLE]
     return 1 + min(solvable) if solvable else NOT_SOLVABLE

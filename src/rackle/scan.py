@@ -34,8 +34,8 @@ from .lattice import (
 from .racks import group_rack
 from .reconstruct import (
     coset_partition_of,
+    derived_length_of_steps,
     is_hypothetical_coset_partition,
-    lattice_derived_length,
     max_normal_abelian,
     maximal_boolean_elements,
     quotient_steps,
@@ -125,10 +125,15 @@ def verify_group(
         lines.append(f"PASS hypothetical {name} coset partitions satisfy the conditions")
 
     # the recursion's own quotient steps, the ones derive takes: each N,
-    # carried back to the group, and its join poset name G/N
+    # carried back to the group, and its join poset name G/N. derive reads
+    # the same steps, and the error that cut them short, without a second search
+    steps: list = []
+    error = None
     try:
-        steps = list(quotient_steps(seeded))
+        for step in quotient_steps(seeded):
+            steps.append(step)
     except RackleError as exc:
+        error = exc
         lines.append(f"FAIL quotient-poset {name} {type(exc).__name__}: {exc}")
     else:
         for nmask, _, jp in steps:
@@ -147,7 +152,7 @@ def verify_group(
 
     _, dl_oracle = derived_length_oracle(g)
     try:
-        dl_lat = lattice_derived_length(seeded)
+        dl_lat = derived_length_of_steps(seeded, steps, error)
     except RackleError as exc:
         dl_lat = repr(exc)               # never the oracle's length: a FAIL
     verdict = "PASS" if dl_lat == dl_oracle else "FAIL"

@@ -125,9 +125,10 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("make, closures", [
         (lambda: get_group("Z2xZ2xZ2xZ2"), 0),
-        (lambda: dihedral(24), 13_917),  # D12: 4,664 subracks, centre of 2
-        (lambda: get_group("A5"), 5_728),
-    ], ids=["Z2xZ2xZ2xZ2", "D12", "A5"])
+        (lambda: dihedral(24), 5_470),  # D12: 4,664 subracks, centre of 2
+        (lambda: get_group("A5"), 2_169),
+        (lambda: get_group("S5"), 11_301),
+    ], ids=["Z2xZ2xZ2xZ2", "D12", "A5", "S5"])
     def test_closure_count(self, monkeypatch, make, closures):
         # a work count, not a clock: the walk tries only the moving points
         calls = []
@@ -190,12 +191,14 @@ ENUMERATED = {
     "D16": ("69d218eb5c0287d7b81b838a60c948df7f34570ea0ac49279c69e0c5fb1315c0", 67328),
     "GL23": ("4c69d329ff868d7677f76d78910fc0bf010686e754f84db66e6dca62133b653d", 1912),
     "Z2xSL23": ("1782b4dd285c21d719e3d32db16c903ae7ebfebdfd878eddb69b15e4fdc3e1e0", 34240),
+    "S5": ("34fc767772d4d7177d3dcd239714737419321aec7a7e2deb6052ae18073bc81e", 2406),
 }
 
 
 def pinned_group(name):
     extra = {
         "A5": lambda: get_group("A5"),
+        "S5": lambda: get_group("S5"),
         "D16": lambda: dihedral(32),
         "GL23": lambda: load_group(GL23_PATH),
         "Z2xSL23": lambda: direct_product(get_group("Z2"), sl23()),
@@ -385,12 +388,27 @@ class TestClosureAbort:
         for g in catalog_entries(12) + [get_group("S4")]:
             assert_walk_matches_reference(group_rack(g).op, g.order)
 
-    def test_abort_returns_none_on_forbidden_point(self):
+    @pytest.mark.parametrize("make", [
         # a ▷ b = σ(b) with σ = (0 1 2): adding 2 drags in 0, which is below 2
-        rows = permutation_rack((1, 2, 0)).op
+        lambda: permutation_rack((1, 2, 0)),
+        *(lambda name=name: group_rack(get_group(name)) for name in ("S3", "D4", "A4")),
+    ], ids=["cycle", "S3", "D4", "A4"])
+    def test_abort_returns_part_of_the_closure_with_a_forbidden_point(self, make):
+        # from every closed set a and point j outside it, with the points
+        # below j forbidden: the closure itself when it gains none of them,
+        # else a part of it that holds j and one of them
+        rows = make().op
         moves = moves_of(rows)
-        assert closure_extend(rows, moves, 0, 2) == 0b111
-        assert closure_extend(rows, moves, 0, 2, 0b011) is None
+        for a in enumerate_closed_masks(rack_from(rows)):
+            for j in (j for j in range(len(rows)) if not a >> j & 1):
+                below = (1 << j) - 1
+                full = closure_extend(rows, moves, a, j)
+                part = closure_extend(rows, moves, a, j, below)
+                assert part & ~full == 0 and part >> j & 1
+                if full & ~a & below:
+                    assert part & ~a & below
+                else:
+                    assert part == full
 
 
 def sorted_members(mask):

@@ -59,6 +59,7 @@ from rackle.lattice import (
     to_abstract,
 )
 from rackle.racks import closure_mask, group_rack
+from rackle.reconstruct import derived_length_of_steps
 from rackle.scan import _congruence_witness
 
 from conftest import GL23_PATH, get_abstract, get_group, get_lattice, is_closed_mask
@@ -132,6 +133,34 @@ def subset_join_poset(ab, parts):
         sum(1 << i for i, p in enumerate(parts) if p & s == p)
         for s in sorted(joins, key=lambda s: (s.bit_count(), bits(s)))
     ]
+
+
+def equal_size_partitions(m, size):
+    """Every partition of m atoms into parts of the given size, each part
+    through the lowest atom left."""
+    def rec(left):
+        if not left:
+            yield ()
+            return
+        low = left & -left
+        for rest in combinations(bits(left ^ low), size - 1):
+            part = low | mask_of(rest)
+            for tail in rec(left & ~part):
+                yield (part, *tail)
+
+    yield from rec((1 << m) - 1)
+
+
+def bad_join_of_parts(ab, parts):
+    """Whether the join of some set of parts is not the union of the parts
+    below it, or the join of one part lies above another: one of the 2^m
+    sets, as subset_join_poset takes them, stopping at the first."""
+    for chosen in range(1, 1 << len(parts)):
+        s = ab.supports[ab.join_mask(sum(parts[i] for i in bits(chosen)))]
+        below = [p for p in parts if p & s == p]
+        if sum(below) != s or chosen.bit_count() == 1 and len(below) > 1:
+            return True
+    return False
 
 
 class TestRecoverClasses:
@@ -780,8 +809,37 @@ class TestJoinPoset:
             parts, jp = find_coset_partition(ab, n)
             assert jp.supports == join_poset(ab, parts).supports == subset_join_poset(ab, parts)
 
+    @pytest.mark.parametrize("name", ["S3", "D4", "Q8", "A4"])
+    def test_raises_on_every_bad_partition(self, name):
+        # every partition of the atoms into parts of one size (C1 holds):
+        # join_poset raises exactly when some set of parts has a join that
+        # is no union of parts, or a part's own join holds another part.
+        # The walk skips extends, so this is the check that none of them
+        # hid the only bad join
+        ab = get_abstract(name)
+        for size in (d for d in range(1, ab.n_atoms + 1) if ab.n_atoms % d == 0):
+            for parts in equal_size_partitions(ab.n_atoms, size):
+                try:
+                    jp = join_poset(ab, parts)
+                except NotGroupLattice:
+                    assert bad_join_of_parts(ab, parts), parts
+                else:
+                    assert not bad_join_of_parts(ab, parts), parts
+                    assert jp.supports == subset_join_poset(ab, parts)
+
 
 class TestDerivedLength:
+    def test_held_steps_and_their_error(self):
+        # the steps a caller holds give the lazy search's length; an error
+        # that cut them short is raised, except where a shortcut answers
+        ab = get_abstract("S3", seed=5)
+        steps = list(quotient_steps(ab))
+        assert derived_length_of_steps(ab, steps) == lattice_derived_length(ab) == 2
+        with pytest.raises(NoPartition, match="cut"):
+            derived_length_of_steps(ab, steps, NoPartition("cut"))
+        assert derived_length_of_steps(get_abstract("Z6"), [], NoPartition("cut")) == 1
+        assert derived_length_of_steps(get_abstract("triv"), [], NoPartition("cut")) == 0
+
     def test_degenerate(self):
         triv = get_abstract("triv")
         assert lattice_derived_length(triv) == 0

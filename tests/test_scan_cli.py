@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from rackle import full_verification, pairs_scan, verify_group
-from rackle import cli, scan
+from rackle import cli, reconstruct, scan
 from rackle.catalog import cyclic, sl23
 from rackle.cli import main
 from rackle.config import DEFAULT_LIMITS
@@ -75,7 +75,7 @@ class TestVerifyGroup:
     def test_every_check_reads_one_lattice(self, monkeypatch):
         # the lattice-side checks and derive get one object, the shuffled one
         seen = {}
-        for name in ("quotient_steps", "lattice_derived_length", "recover_classes",
+        for name in ("quotient_steps", "derived_length_of_steps", "recover_classes",
                      "mobius_bottom_top"):
             def spy(lat, *args, _name=name, _real=getattr(scan, name)):
                 seen[_name] = lat
@@ -87,6 +87,20 @@ class TestVerifyGroup:
         assert len(seen) == 4 and len({id(lat) for lat in seen.values()}) == 1
         labelled = enumerate_subrack_lattice(group_rack(g))
         assert seen["quotient_steps"].supports == to_abstract(labelled, seed=5).supports
+
+    def test_top_level_covers_are_searched_once(self, monkeypatch):
+        # the quotient-poset line and derive read one search of the seeded
+        # lattice's covers; only the join posets below it are searched again
+        searched, seeded = [], []
+        search, steps = reconstruct.find_coset_partition, scan.quotient_steps
+        monkeypatch.setattr(reconstruct, "find_coset_partition",
+                            lambda lat, n: searched.append((lat, n)) or search(lat, n))
+        monkeypatch.setattr(scan, "quotient_steps",
+                            lambda lat: seeded.append(lat) or steps(lat))
+        lines = verify_group(get_group("S4"), seed=5)
+        assert not [ln for ln in lines if ln.startswith("FAIL")]
+        top = [n for lat, n in searched if lat is seeded[0]]
+        assert len(seeded) == 1 and top and len(top) == len(set(top))
 
     def test_gl23_coset_joins(self):
         g = load_group(GL23_PATH)
@@ -166,9 +180,9 @@ S3_FAILS = [
                   "quotient lattice"], id="quotient-poset-not-isomorphic"),
     pytest.param({"derived_length_oracle": lambda g: ([], 3)}, DEFAULT_LIMITS,
                  ["FAIL derive S3 lattice=2 oracle=3"], id="derive"),
-    pytest.param({"lattice_derived_length": lambda lat: _raise(NoPartition("none"))},
-                 DEFAULT_LIMITS, ["FAIL derive S3 lattice=NoPartition('none') oracle=2"],
-                 id="derive-raises"),
+    pytest.param({"derived_length_of_steps":
+                  lambda lat, steps, error: _raise(NoPartition("none"))}, DEFAULT_LIMITS,
+                 ["FAIL derive S3 lattice=NoPartition('none') oracle=2"], id="derive-raises"),
     pytest.param({"reduced_euler_characteristic": lambda lat, limits: 0}, DEFAULT_LIMITS,
                  ["FAIL sphere S3 mu=-1 chain-count=0"], id="sphere-chain-count"),
     pytest.param({"mobius_bottom_top": lambda lat: 1,
@@ -203,7 +217,7 @@ def test_each_check_names_its_failure(monkeypatch, fakes, limits, fails):
     pytest.param("coset_partition_of", lambda g, n: REAL["coset_partition_of"](g, n)[::-1],
                  "PASS quotient-poset S3 1 quotients match join posets", id="hypothetical"),
     # a raise in the lattice-only recursion is a FAIL line, and the report goes on
-    pytest.param("lattice_derived_length", lambda lat: _raise(NoPartition("none")),
+    pytest.param("derived_length_of_steps", lambda lat, steps, error: _raise(NoPartition("none")),
                  "PASS sphere S3 mu=-1 c=3, chain count agrees", id="derive-raises"),
 ])
 def test_a_failure_leaves_the_later_checks(monkeypatch, name, fake, line):
