@@ -367,9 +367,14 @@ def normal_subgroups(g: FiniteGroup) -> list[frozenset[int]]:
     return sorted(map(members, closed), key=lambda s: (len(s), sorted(s)))
 
 
-def maximal_normal_abelian_oracle(g: FiniteGroup) -> list[frozenset[int]]:
-    """Inclusion-maximal subgroups that are simultaneously normal and abelian."""
-    cand = [h for h in normal_subgroups(g) if is_abelian_subset(g, h)]
+def maximal_normal_abelian_oracle(
+    g: FiniteGroup, normals: list[frozenset[int]] | None = None
+) -> list[frozenset[int]]:
+    """Inclusion-maximal subgroups that are simultaneously normal and
+    abelian, picked from normals, G's normal subgroups, when given."""
+    if normals is None:
+        normals = normal_subgroups(g)
+    cand = [h for h in normals if is_abelian_subset(g, h)]
     return [h for h in cand if not any(h < k for k in cand)]
 
 

@@ -122,20 +122,36 @@ def brute_force_closed_masks(rack: ConjugationRack) -> list[int]:
     """Oracle: scan all 2^m subsets, reading only rack.op. Small m only.
 
     prods[s] is the mask of every a ▷ b with a, b ∈ s; s is closed iff
-    prods[s] & ~s == 0. With a and b the lowest and highest members of s,
-    every ordered pair of s lies in s − {a} or s − {b} except (a, b) and
-    (b, a), so prods[s] = prods[s − {a}] | prods[s − {b}] | bit(a ▷ b) |
-    bit(b ▷ a). For s = {a} that is bit(a ▷ a), which in a rack need not
-    be a. The table holds 2^m ints, about 1M at the cap.
+    prods[s] | s == s. The table grows a block at a time. The sets whose
+    highest point is k are s = t ∪ {k}, t below 2^k, and the ordered pairs
+    of s are those of t, (k, k), and (k, a) and (a, k) for each a ∈ t. So
+    prods[s] = prods[t] | X_k[t], where X_k[t] is bit(k ▷ k), which in a
+    rack need not be k, with bit(k ▷ a) | bit(a ▷ k) for each a ∈ t. X_k is
+    a union over t's members, so it doubles once per point a < k, and block
+    k is one pass over the block below. The closed sets are sorted through
+    a table of order_key over all 2^m masks, built the same way, as the key
+    adds over disjoint points.
+
+    At the cap, m = 20, prods and the key table hold 2^20 ints each and
+    X_19 2^19. On a rack where every set is closed, a trivial one, the scan
+    peaks at about 100 MB (tracemalloc, CPython 3.11).
     """
     m = rack.size
     if m > 20:
         raise TooLarge("brute-force scan is for small ground sets only")
-    rows, prods = rack.op, [0] * (1 << m)
-    for s in range(1, 1 << m):
-        a, b = (s & -s).bit_length() - 1, s.bit_length() - 1
-        prods[s] = prods[s & s - 1] | prods[s ^ 1 << b] | 1 << rows[a][b] | 1 << rows[b][a]
-    return sorted((s for s, p in enumerate(prods) if not p & ~s), key=order_key(m))
+    rows, prods, block = rack.op, [0], []
+    for k in range(m):
+        block = [1 << rows[k][k]]        # X_k
+        for a in range(k):
+            c = 1 << rows[k][a] | 1 << rows[a][k]
+            block += [c | x for x in block]
+        block = [p | x for p, x in zip(prods, block)]
+        prods += block
+    closed = [s for s, p in enumerate(prods) if p | s == s]
+    del prods, block                     # before the key table, to lower the peak
+    key = order_key(m)
+    keys = _byte_tables([key(1 << p) for p in range(m)], 0, m)[0]
+    return sorted(closed, key=keys.__getitem__)
 
 
 # ---------------------------------------------------------------------------
@@ -361,13 +377,15 @@ def enumerate_subrack_lattice(
     return SubrackLattice(elements=masks, ground_size=rack.size, name=rack.name)
 
 
-def _byte_tables(images: Sequence, zero: int | str) -> list[list]:
-    """Table k maps byte b to zero plus images[8k + i] for each bit i of b,
-    lowest first. Each image doubles the table, added to every entry so far."""
+def _byte_tables(images: Sequence, zero: int | str, width: int = 8) -> list[list]:
+    """Table k maps a width-bit chunk c, bits width·k up of a mask, to zero
+    plus images[width·k + i] for each bit i of c, lowest first. Each image
+    doubles the table, added to every entry so far. There is always a table:
+    with no images, [zero]."""
     tables = []
-    for k in range(0, len(images), 8):
+    for k in range(0, len(images) or 1, width or 1):
         table = [zero]
-        for v in images[k:k + 8]:
+        for v in images[k:k + width]:
             table += [t + v for t in table]
         tables.append(table)
     return tables
@@ -375,9 +393,16 @@ def _byte_tables(images: Sequence, zero: int | str) -> list[list]:
 
 def relabel(masks: Iterable[int], pi: Sequence[int]) -> list[int]:
     """Each mask, none with a bit at or past len(pi), carried through the bit
-    permutation pi: bit p -> bit pi[p]. A mask goes a byte at a time through
-    a table of the 256 images (sums of disjoint bits) of each byte."""
-    tables = _byte_tables([1 << q for q in pi], 0)
+    permutation pi: bit p -> bit pi[p]. With at least 2^len(pi) masks, one
+    table of the image of every mask that wide, no longer than the list,
+    maps them all. Otherwise a mask goes a byte at a time through a table of
+    the 256 images (sums of disjoint bits) of each byte."""
+    if not isinstance(masks, list):
+        masks = list(masks)
+    images = [1 << q for q in pi]
+    if 1 << len(pi) <= len(masks):
+        return list(map(_byte_tables(images, 0, len(pi))[0].__getitem__, masks))
+    tables = _byte_tables(images, 0)
     out = []
     for s in masks:
         t = 0

@@ -7,6 +7,7 @@ seed and configuration that produced them so a rerun is byte-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .closedsets import bits, mask_of
 from .config import DEFAULT_LIMITS, Limits
@@ -110,10 +111,11 @@ def verify_group(
     classes = recover_classes(seeded)
     compare("classes", list(classes.blocks), class_masks, "blocks match conjugacy classes")
     mna = max_normal_abelian(seeded, classes)
-    oracle_mna = set(map(mask_of, maximal_normal_abelian_oracle(g)))
+    normals = normal_subgroups(g)
+    oracle_mna = set(map(mask_of, maximal_normal_abelian_oracle(g, normals)))
     compare("normal-abelian", [sup[x] for x in mna], oracle_mna, f"{len(mna)} candidates")
 
-    lines.append(_coset_join_check(g, name))
+    lines.append(_coset_join_check(g, name, rack.op, normals))
 
     for nmask in sorted(oracle_mna):
         rep = is_hypothetical_coset_partition(seeded, relabel(
@@ -174,27 +176,44 @@ def verify_group(
     return lines
 
 
-def _congruence_witness(g: FiniteGroup, parts: list[frozenset[int]]) -> str | None:
-    """Why parts, a partition of G, is no congruence of its conjugation
-    rack, or None when it is one.
+def _congruence_witness(
+    rows: Sequence[Sequence[int]], parts: list[frozenset[int]]
+) -> str | None:
+    """Why parts, a partition of the points of the rack whose table is rows
+    (rows[x][y] = x ▷ y), is no congruence of it, or None when it is one.
 
-    A congruence: x ▷ y's part depends only on x's part and y's part, so
-    each map x ▷ − sends every part into one part, which part depending
-    only on x's part. |G|² g.conj calls, no closure.
+    A congruence: x ▷ y's part depends only on x's part and y's part. Read
+    row x as the part of each x ▷ y; then that is two list compares per
+    row: the row is constant on every part (it equals itself read at the
+    first member of each y's part), and it equals the row of the first
+    member of x's part. Only a failure walks the pairs (x, y) in order, to
+    name the first whose product leaves the part of the first pair with the
+    same parts as it.
     """
-    part_of = {x: i for i, part in enumerate(parts) for x in part}
-    first: dict[tuple[int, int], tuple[int, int, int]] = {}
-    for x in range(g.order):
-        for y in range(g.order):
-            z = g.conj(x, y)
-            x0, y0, z0 = first.setdefault((part_of[x], part_of[y]), (x, y, z))
+    n = len(rows)
+    part_of, first = [0] * n, [0] * n
+    for i, part in enumerate(parts):
+        lead = min(part)
+        for x in part:
+            part_of[x], first[x] = i, lead
+    part_rows = [list(map(part_of.__getitem__, row)) for row in rows]
+    if all(r == list(map(r.__getitem__, first)) and r == part_rows[first[x]]
+           for x, r in enumerate(part_rows)):
+        return None
+    seen: dict[tuple[int, int], tuple[int, int, int]] = {}
+    for x, row in enumerate(rows):
+        for y, z in enumerate(row):
+            x0, y0, z0 = seen.setdefault((part_of[x], part_of[y]), (x, y, z))
             if part_of[z] != part_of[z0]:
                 return f"{x0} ▷ {y0} = {z0} and {x} ▷ {y} = {z} lie in different parts"
     return None
 
 
-def _coset_join_check(g: FiniteGroup, name: str) -> str:
-    """The cosets of every normal subgroup form a rack congruence.
+def _coset_join_check(
+    g: FiniteGroup, name: str, rows: Sequence[Sequence[int]], normals: list[frozenset[int]]
+) -> str:
+    """The cosets of every normal subgroup in normals form a congruence of
+    G's conjugation rack, whose table is rows.
 
     This gives C3 on the group rack's subrack lattice for each of them, by
     the two facts reconstruct._c3 checks on the lattice side. Each x ▷ − is
@@ -205,9 +224,8 @@ def _coset_join_check(g: FiniteGroup, name: str) -> str:
     it, x ▷ y lies in the coset of s ▷ t, for s in S in x's coset and t in S
     in y's, so the union of those cosets is a subrack. (A) and (B) give C3.
     """
-    normals = normal_subgroups(g)
     for members in normals:
-        why = _congruence_witness(g, cosets(g, members))
+        why = _congruence_witness(rows, cosets(g, members))
         if why is not None:
             return f"FAIL coset-joins {name} N={sorted(members)}: {why}"
     return (f"PASS coset-joins {name} cosets of {len(normals)} normal subgroups "
@@ -240,7 +258,7 @@ def pairs_scan(
     for i in range(len(groups)):
         for j in range(i + 1, len(groups)):
             a, b = lats[i], lats[j]
-            if a.size != b.size or len(a.atoms) != len(b.atoms):
+            if a.size != b.size or a.n_atoms != b.n_atoms:
                 continue
             mapping = are_isomorphic(a, b, limits=limits)
             if mapping is None:

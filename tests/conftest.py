@@ -130,3 +130,19 @@ def closed_families(draw, k=None):
             break
         family |= meets
     return sorted(family)
+
+
+def congruence_witness_reference(g, parts):
+    """Why parts, a partition of G, is no congruence of its conjugation
+    rack, or None: every pair (x, y) in order, one g.conj each, against the
+    first pair with the same parts. The message verify's coset-join line
+    names a broken pair with."""
+    part_of = {x: i for i, part in enumerate(parts) for x in part}
+    first = {}
+    for x in range(g.order):
+        for y in range(g.order):
+            z = g.conj(x, y)
+            x0, y0, z0 = first.setdefault((part_of[x], part_of[y]), (x, y, z))
+            if part_of[z] != part_of[z0]:
+                return f"{x0} ▷ {y0} = {z0} and {x} ▷ {y} = {z} lie in different parts"
+    return None

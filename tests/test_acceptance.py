@@ -28,7 +28,7 @@ from rackle import (
 )
 from rackle.catalog import catalog_entries, named_group, stall_lattice
 from rackle.errors import TooLarge
-from rackle.groups import maximal_normal_abelian_oracle, quotient
+from rackle.groups import maximal_normal_abelian_oracle, normal_subgroups, quotient
 from rackle.lattice import (
     brute_force_closed_masks,
     enumerate_closed_masks,
@@ -197,7 +197,8 @@ def test_criterion_05_coset_joins(capsys):
     failures = []
     try:
         for g in _entries():
-            line = _coset_join_check(g, g.name or f"order{g.order}")
+            line = _coset_join_check(g, g.name or f"order{g.order}", group_rack(g).op,
+                                     normal_subgroups(g))
             if not line.startswith("PASS"):
                 failures.append(line)
     except Exception as exc:

@@ -296,6 +296,15 @@ def test_brute_force_refuses_before_building_its_table():
         tracemalloc.stop()
 
 
+@pytest.mark.parametrize("name", [g.name for g in catalog_entries(12)] + ["Z2xZ2xZ2xZ2"])
+def test_brute_force_is_pinned(name):
+    # SHA-256 of repr(brute_force_closed_masks(group_rack(g))) as the
+    # pairwise subset recurrence gave it: each is ENUMERATED's digest, since
+    # the two lists agree. Z2^4 runs the block recurrence at m = 16
+    masks = brute_force_closed_masks(group_rack(get_group(name)))
+    assert hashlib.sha256(repr(masks).encode()).hexdigest() == ENUMERATED[name][0]
+
+
 @pytest.mark.parametrize("perm", list(permutations(range(3))))
 def test_products_count_from_both_sides(perm):
     rack = relabelled_rack(ONE_SIDED, perm)
@@ -621,9 +630,15 @@ def masks_and_permutations(draw):
 @example(([0], []))
 @example(([0, 511, 1, 256], [8, 0, 7, 1, 6, 2, 5, 3, 4]))
 @example(([(1 << 40) - 1, 1 << 39], list(range(39, -1, -1))))
+@example((list(range(1 << 12)), random.Random(12).sample(range(12), 12)))
+@example((list(range(1, 1 << 12, 2))[:2047], random.Random(12).sample(range(12), 12)))
+@example((sorted(range(1 << 16), key=order_key(16)), random.Random(16).sample(range(16), 16)))
+@example(([], list(range(5))))
 @settings(max_examples=300, deadline=None)
 def test_relabel_matches_bit_at_a_time(case):
-    # widths 0, 9 and 40 always run: no byte, a part byte, five bytes
+    # widths 0, 9 and 40 always run: no byte, a part byte, five bytes. At
+    # width 12, 4,096 masks take the one table of every image and 2,047 the
+    # byte tables; Z2^4's 65,536 supports take the table at width 16
     masks, pi = case
     assert relabel(masks, pi) == [relabel_reference(s, pi) for s in masks]
 

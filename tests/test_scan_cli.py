@@ -1,25 +1,27 @@
 """The verification scan and the command-line interface."""
 
 import dataclasses
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rackle import full_verification, pairs_scan, verify_group
-from rackle import cli, reconstruct, scan
-from rackle.catalog import cyclic, sl23
+from rackle import cli, groups, reconstruct, scan
+from rackle.catalog import catalog_entries, cyclic, sl23
 from rackle.cli import main
 from rackle.config import DEFAULT_LIMITS
 from rackle.errors import NoPartition
 from rackle.groups import (ConjClassPartition, FiniteGroup, cosets, direct_product,
-                           load_group)
+                           is_normal, load_group, normal_subgroups, subgroups)
 from rackle.lattice import AbstractLattice, enumerate_subrack_lattice, to_abstract
-from rackle.racks import group_rack
+from rackle.racks import group_rack, verify_rack_axioms
 from rackle.reconstruct import AtomClassPartition
 from rackle.scan import _congruence_witness, _coset_join_check
 
-from conftest import GL23_PATH, get_group
+from conftest import GL23_PATH, congruence_witness_reference, get_group
 
 
 class TestVerifyGroup:
@@ -104,19 +106,48 @@ class TestVerifyGroup:
 
     def test_gl23_coset_joins(self):
         g = load_group(GL23_PATH)
-        line = _coset_join_check(g, "gl23")
+        line = _coset_join_check(g, "gl23", group_rack(g).op, normal_subgroups(g))
         assert line == "PASS coset-joins gl23 cosets of 5 normal subgroups are rack congruences"
 
-    def test_congruence_takes_one_conj_per_pair(self, monkeypatch):
-        # the cosets of A3 = {0, 2, 5} in S3: 6² products, no closure
+    def test_congruence_reads_only_the_rack_table(self, monkeypatch):
+        # S3's cosets of A3 = {0, 2, 5} pass and its pairs {0, 1}, {2, 3},
+        # {4, 5} fail, with no g.conj call; on the table of x ▷ y = y every
+        # partition passes, so the answer is the table's, not the group's
         g = get_group("S3")
-        parts = cosets(g, frozenset({0, 2, 5}))
+        rows, a3 = group_rack(g).op, cosets(g, frozenset({0, 2, 5}))
+        pairs = [frozenset({0, 1}), frozenset({2, 3}), frozenset({4, 5})]
+        monkeypatch.setattr(FiniteGroup, "conj", lambda g, a, b: _raise(AssertionError(a, b)))
+        assert _congruence_witness(rows, a3) is None
+        assert _congruence_witness(rows, pairs) == (
+            "0 ▷ 2 = 2 and 1 ▷ 2 = 5 lie in different parts")
+        assert _congruence_witness([tuple(range(6))] * 6, pairs) is None
+
+    @pytest.mark.parametrize("rows, parts, why", [
+        # σ_0 = σ_2 = id and σ_1 = σ_3 = (0 2)(1 3): every row keeps the
+        # parts whole, but rows 0 and 1 share a part and move them apart
+        ([(0, 1, 2, 3), (2, 3, 0, 1)] * 2, [frozenset({0, 1}), frozenset({2, 3})],
+         "0 ▷ 0 = 0 and 1 ▷ 0 = 2 lie in different parts"),
+        # x ▷ y = σ(y), σ = (1 2): all rows agree, but none keeps {0, 1} whole
+        ([(0, 2, 1, 3, 4, 5)] * 6, [frozenset({0, 1}), frozenset({2, 3}), frozenset({4, 5})],
+         "0 ▷ 0 = 0 and 0 ▷ 1 = 2 lie in different parts"),
+    ], ids=["rows-differ-in-a-part", "row-splits-a-part"])
+    def test_congruence_needs_both_row_compares(self, rows, parts, why):
+        # racks that are no group racks, each failing one of the two compares
+        assert verify_rack_axioms(rows).is_rack
+        assert _congruence_witness(rows, parts) == why
+
+    @pytest.mark.parametrize("name", ["S3", "D4", "A4", "Z6"])
+    def test_normal_subgroups_are_computed_once(self, monkeypatch, name):
+        # the normal-abelian oracle and the coset-join line read one list,
+        # wherever the call is looked up
         calls = []
-        conj = FiniteGroup.conj
-        monkeypatch.setattr(FiniteGroup, "conj",
-                            lambda g, a, b: calls.append((a, b)) or conj(g, a, b))
-        assert _congruence_witness(g, parts) is None
-        assert sorted(calls) == [(x, y) for x in range(6) for y in range(6)]
+        real = groups.normal_subgroups
+        counted = lambda g: calls.append(g) or real(g)
+        monkeypatch.setattr(scan, "normal_subgroups", counted)
+        monkeypatch.setattr(groups, "normal_subgroups", counted)
+        lines = verify_group(get_group(name))
+        assert not [ln for ln in lines if ln.startswith("FAIL")]
+        assert len(calls) == 1
 
     def test_deterministic(self):
         a = verify_group(get_group("D4"), seed=5)
@@ -160,7 +191,7 @@ S3_FAILS = [
     pytest.param({"recover_classes": _identity_among_transpositions}, DEFAULT_LIMITS,
                  ["FAIL classes S3 lattice [27, 36] vs oracle [1, 26, 36]",
                   "FAIL normal-abelian S3 lattice [36] vs oracle [37]"], id="classes"),
-    pytest.param({"maximal_normal_abelian_oracle": lambda g: []}, DEFAULT_LIMITS,
+    pytest.param({"maximal_normal_abelian_oracle": lambda g, normals: []}, DEFAULT_LIMITS,
                  ["FAIL normal-abelian S3 lattice [37] vs oracle []"], id="normal-abelian"),
     # the transposition coset first: a class union with no central atom
     pytest.param({"coset_partition_of": lambda g, n: REAL["coset_partition_of"](g, n)[::-1]},
@@ -223,6 +254,45 @@ def test_each_check_names_its_failure(monkeypatch, fakes, limits, fails):
 def test_a_failure_leaves_the_later_checks(monkeypatch, name, fake, line):
     monkeypatch.setattr(scan, name, fake)
     assert line in verify_group(get_group("S3"))
+
+
+CATALOG_12 = [g.name for g in catalog_entries(12)]
+
+
+@cache
+def non_normal_subgroups(name):
+    g = get_group(name)
+    return [h for h in subgroups(g) if not is_normal(g, h)]
+
+
+@st.composite
+def congruence_cases(draw):
+    """(group name, parts) through order 12: the cosets of a normal
+    subgroup, the left cosets x·H of a non-normal H, or the elements in any
+    order cut into parts of one size."""
+    name = draw(st.sampled_from(CATALOG_12))
+    g = get_group(name)
+    kind = draw(st.sampled_from(["normal", "left", "random"]))
+    if kind == "left" and non_normal_subgroups(name):
+        members = draw(st.sampled_from(non_normal_subgroups(name)))
+        return name, sorted({frozenset(g.mul[x][h] for h in members)
+                             for x in range(g.order)}, key=min)
+    if kind == "random":
+        size = draw(st.sampled_from([d for d in range(1, g.order + 1) if g.order % d == 0]))
+        xs = draw(st.permutations(range(g.order)))
+        return name, [frozenset(xs[i:i + size]) for i in range(0, g.order, size)]
+    return name, cosets(g, draw(st.sampled_from(normal_subgroups(g))))
+
+
+@given(congruence_cases())
+@example(("S3", [frozenset({0, 1}), frozenset({2, 3}), frozenset({4, 5})]))
+@settings(max_examples=150, deadline=None)
+def test_congruence_matches_pairwise_reference(case):
+    # the row compares pass exactly when no pair breaks the congruence, and
+    # a failure names the pair the pairwise walk over g.conj names first
+    name, parts = case
+    g = get_group(name)
+    assert _congruence_witness(group_rack(g).op, parts) == congruence_witness_reference(g, parts)
 
 
 def _q8_invariants(**changes):
