@@ -287,25 +287,33 @@ class AbstractLattice:
 
         Supports are distinct, so [bottom, x] is Boolean exactly when every
         subset of supp x is a support. Those supports form a down-set: walking
-        by popcount, s is Boolean when every s − {p} already is. A Boolean s is
-        maximal when no s ∪ {p} is Boolean, so each Boolean b, once found,
-        marks every b − {p} as not maximal: a larger Boolean support contains
-        some s ∪ {p}, and with it all of that set's subsets.
+        by popcount, s is Boolean when every s − {p} already is, and each
+        Boolean s costs one set insert. The walk finds them by rising
+        popcount, so read backwards they come largest first, and a Boolean s
+        is maximal when no maximal one kept so far contains it: a larger
+        Boolean support that contains s lies under a maximal one, which has
+        at least as many atoms and so came first. That is O(b·k) for b
+        Boolean supports and k maximal ones.
         """
         if self.is_boolean():
             return [self.top]
-        maximal: dict[int, bool] = {}    # Boolean support -> no b − {p} so far
+        boolean: set[int] = set()
+        found: list[int] = []            # the Boolean supports, by rising popcount
         for s in map(self.supports.__getitem__, self.ranked):
             t = s                        # the bits p of s still to try
-            while t and s ^ (t & -t) in maximal:
+            while t and s ^ (t & -t) in boolean:
                 t &= t - 1
             if not t:
-                t = s
-                while t:
-                    maximal[s ^ (t & -t)] = False
-                    t &= t - 1
-                maximal[s] = True
-        return sorted(self.support_index[s] for s, m in maximal.items() if m)
+                boolean.add(s)
+                found.append(s)
+        kept: list[int] = []
+        for s in reversed(found):
+            for k in kept:
+                if s | k == k:
+                    break
+            else:
+                kept.append(s)
+        return sorted(map(self.support_index.__getitem__, kept))
 
     def __repr__(self) -> str:
         return f"<abstract lattice, {self.size} elements, {self.n_atoms} atoms>"
@@ -413,10 +421,26 @@ def relabel(masks: Iterable[int], pi: Sequence[int]) -> list[int]:
     return out
 
 
+def _inherit(lat: AbstractLattice, supports: list[int]) -> AbstractLattice:
+    """The lattice over supports, lat's own moved through a bit permutation
+    of its atoms and reordered, without AbstractLattice's checks: they hold
+    already. A bit permutation is one to one and fixes 0 and the full mask,
+    so the supports stay distinct, each atom stays an atom, and size and
+    n_atoms are lat's. Bottom and top are found by position: 0 and the full
+    mask, as top is the union of every support and each bit is an atom."""
+    out = AbstractLattice.__new__(AbstractLattice)
+    out.supports = supports
+    out.size, out.n_atoms = lat.size, lat.n_atoms
+    out.bottom = supports.index(0)
+    out.top = supports.index((1 << lat.n_atoms) - 1)
+    return out
+
+
 def to_abstract(lat: AbstractLattice, seed: int | None = None) -> AbstractLattice:
     """Strip labels, keeping only the order relation: the supports as they
-    are with no seed, shuffle's lattice with one."""
-    return AbstractLattice(lat.supports) if seed is None else shuffle(lat, seed)[0]
+    are with no seed, shuffle's lattice with one. Either way the result
+    inherits lat's checks (see _inherit) and runs none again."""
+    return _inherit(lat, lat.supports) if seed is None else shuffle(lat, seed)[0]
 
 
 def shuffle(lat: AbstractLattice, seed: int) -> tuple[AbstractLattice, list[int]]:
@@ -424,7 +448,9 @@ def shuffle(lat: AbstractLattice, seed: int) -> tuple[AbstractLattice, list[int]
     cannot lean on the construction order, and its atom permutation: relabel
     moves support bit p to bit atom_perm[p]. The draws are random.Random(seed)'s
     shuffle of the supports, then of atom_perm: Fisher–Yates (Knuth, TAOCP
-    3.4.2, Algorithm P)."""
+    3.4.2, Algorithm P). The result inherits lat's checks (see _inherit):
+    past the draws and relabel, its only cost is two index scans for bottom
+    and top, not a set of every support and a union over them."""
     supports = lat.supports[:]
     atom_perm = list(range(lat.n_atoms))
     getrandbits = random.Random(seed).getrandbits
@@ -441,7 +467,7 @@ def shuffle(lat: AbstractLattice, seed: int) -> tuple[AbstractLattice, list[int]
                     j = getrandbits(k)
                 x[i], x[j] = x[j], x[i]
             hi = lo - 1
-    return AbstractLattice(relabel(supports, atom_perm)), atom_perm
+    return _inherit(lat, relabel(supports, atom_perm)), atom_perm
 
 
 # ---------------------------------------------------------------------------

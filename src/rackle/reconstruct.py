@@ -235,19 +235,28 @@ def _c3(lat: AbstractLattice, parts: Sequence[int]) -> PartitionReport:
     take X in S, one atom from each part meeting S; sat(join(X)) = sat(S),
     so sat(S) = join(sat(S)).
 
-    (B) costs one pass over the supports. (A) is what join_poset checks as
+    (B) costs one pass over the supports, at ⌈m/8⌉ table lookups each for
+    m atoms. Table k maps a byte c, atoms 8k up, to the union of the parts
+    its atoms lie in, built by doubling once per atom. sat(S) is the union
+    of the parts of S's atoms, and a union splits over S's bytes, so ORing
+    one entry per byte gives it exactly. (A) is what join_poset checks as
     it walks the joins of parts, so the join poset comes back with a PASS.
     """
     owner = [0] * lat.n_atoms             # atom -> the part holding it
     for p in parts:
         for a in bits(p):
             owner[a] = p
+    tables = []
+    for k in range(0, lat.n_atoms, 8):
+        table = [0]
+        for p in owner[k:k + 8]:
+            table += [t | p for t in table]
+        tables.append(table)
     for s in lat.supports:
         sat, rest = 0, s
-        while rest:
-            p = owner[(rest & -rest).bit_length() - 1]
-            sat |= p
-            rest &= ~p
+        for table in tables:
+            sat |= table[rest & 255]
+            rest >>= 8
         if sat not in lat.support_index:
             added = next(i for i, p in enumerate(parts) if p & s and p & ~s)
             return PartitionReport(False, (

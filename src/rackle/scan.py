@@ -139,7 +139,7 @@ def verify_group(
         lines.append(f"FAIL quotient-poset {name} {type(exc).__name__}: {exc}")
     else:
         for nmask, _, jp in steps:
-            members = bits(relabel([nmask], inv)[0])
+            members = sorted(inv[p] for p in bits(nmask))
             q, _ = quotient(g, frozenset(members))
             q_lat = to_abstract(
                 enumerate_subrack_lattice(group_rack(q), limits=limits), seed=seed

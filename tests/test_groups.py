@@ -360,6 +360,24 @@ class TestQuotient:
         with pytest.raises(NotNormal, match="not a subgroup"):
             quotient(get_group("Z4"), frozenset({0, 3}))
 
+    @pytest.mark.parametrize("name", [g.name for g in catalog_entries(12)] + ["S4", "sl23"])
+    def test_cosets_decide_normality_as_is_normal(self, name):
+        # one conjugation per element, by the coset representatives, decides
+        # what is_normal's |G|·|N| decide: NotNormal exactly for the
+        # subgroups is_normal rejects, the left cosets by least member for
+        # the others
+        g = get_group(name)
+        for h in subgroups(g):
+            if is_normal(g, h):
+                expected = []
+                for x in range(g.order):
+                    if not any(x in c for c in expected):
+                        expected.append(frozenset(g.mul[x][y] for y in h))
+                assert cosets(g, h) == expected, sorted(h)
+            else:
+                with pytest.raises(NotNormal, match="^subgroup is not normal$"):
+                    cosets(g, h)
+
     def test_cosets_by_least_member(self):
         for g in catalog_entries(12):
             for n in normal_subgroups(g):

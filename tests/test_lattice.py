@@ -370,6 +370,18 @@ class TestAtomistic:
         with pytest.raises(FormatError, match="5 elements but 4 distinct supports"):
             AbstractLattice([0, 1, 2, 3, 3])
 
+    @pytest.mark.parametrize("supports, message", [
+        ([1, 2, 3], "no bottom or no top element: the order is unbounded"),
+        ([0, 1, 2], "no bottom or no top element: the order is unbounded"),
+        ([0, 2], "2 support bits but 1 atoms: every support bit must be an atom"),
+    ], ids=["no-bottom", "no-top", "bit-not-an-atom"])
+    def test_checking_constructor_messages(self, supports, message):
+        # AbstractLattice(...) itself checks every input, with these messages
+        # and the repeated-support one above; only a shuffle of a checked
+        # lattice skips the checks
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            AbstractLattice(supports)
+
 
 @given(st.integers(0, 10).flatmap(
     lambda k: st.tuples(st.just(k), st.lists(st.integers(0, (1 << k) - 1), max_size=20))))
@@ -661,6 +673,23 @@ def test_to_abstract_draws_are_pinned(name):
         assert ab.supports == expected and perm == pi
 
 
+@pytest.mark.parametrize("name", [g.name for g in catalog_entries(24)])
+def test_shuffled_lattice_inherits_the_checks(name):
+    # to_abstract, seeded or not, builds its lattice from the facts of its
+    # checked input and runs no check again: every field, and every query
+    # read off them, is what the checking constructor gives on its supports.
+    # Z2^4's 65,536 supports are the largest shuffle
+    lat = get_lattice(name)
+    for seed in (None, *range(5)):
+        ab = to_abstract(lat, seed)
+        checked = AbstractLattice(list(ab.supports))
+        assert type(ab) is AbstractLattice
+        assert (ab.size, ab.n_atoms, ab.bottom, ab.top, ab.atoms, ab.support_index,
+                ab.is_boolean()) == (
+            checked.size, checked.n_atoms, checked.bottom, checked.top, checked.atoms,
+            checked.support_index, checked.is_boolean()), seed
+
+
 def star_lattice(size):
     """Bottom, size − 2 atoms and top (one point, or a two-point chain, when
     size < 3): an atomistic lattice of any size but 3."""
@@ -710,6 +739,9 @@ def is_boolean_interval(lat, x):
 
 
 def brute_force_maximal_boolean(lat):
+    # every element lies below top, so a Boolean [bottom, top] leaves top alone
+    if is_boolean_interval(lat, lat.top):
+        return [lat.top]
     good = [x for x in range(lat.size) if is_boolean_interval(lat, x)]
     return sorted(
         x for x in good if not any(y != x and lat.leq(x, y) for y in good)
@@ -776,6 +808,16 @@ def test_joins_and_covers_match_brute_force(sets):
 def test_maximal_boolean_matches_brute_force(sets):
     lat = AbstractLattice(sets)
     assert maximal_boolean_elements(lat) == brute_force_maximal_boolean(lat)
+
+
+@pytest.mark.parametrize(
+    "name", [g.name for g in catalog_entries(16)] + ["S4", "sl23", "A5"])
+def test_maximal_boolean_matches_brute_force_on_groups(name):
+    # group lattices reach what the drawn families do not: D8's and Q16's
+    # cyclic subgroups of order 8 give 2^8 Boolean intervals, and A5 has
+    # 21 maximal elements, picked largest first
+    ab = get_abstract(name, seed=3)
+    assert ab.maximal_boolean == brute_force_maximal_boolean(ab)
 
 
 def test_maximal_boolean_elements_returns_a_copy():

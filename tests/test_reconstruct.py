@@ -59,7 +59,8 @@ from rackle.lattice import (
     to_abstract,
 )
 from rackle.racks import closure_mask, group_rack
-from rackle.reconstruct import derived_length_of_steps
+from rackle import reconstruct
+from rackle.reconstruct import _c3, derived_length_of_steps
 from rackle.scan import _congruence_witness
 
 from conftest import GL23_PATH, get_abstract, get_group, get_lattice, is_closed_mask
@@ -646,6 +647,72 @@ def test_exact_c3_matches_per_tuple_reference(case):
     assert rep.lines[0].startswith("PASS C1")
     witness = c3_witness_reference(parts, c3_closures(name)[0], every_tuple(parts))
     assert rep.lines[-1].startswith("PASS C3") == (witness is None), (rep.lines, witness)
+
+
+def c3_by_parts(lat, parts):
+    """(ok, lines, join poset or None) of condition C3 as _c3 reports it,
+    with sat(S) taken one loop step per part that S meets: the part of S's
+    lowest atom left is added and its atoms dropped. The reference for
+    _c3's byte tables."""
+    owner = [0] * lat.n_atoms
+    for p in parts:
+        for a in bits(p):
+            owner[a] = p
+    for s in lat.supports:
+        sat, rest = 0, s
+        while rest:
+            p = owner[(rest & -rest).bit_length() - 1]
+            sat |= p
+            rest &= ~p
+        if sat not in lat.support_index:
+            added = next(i for i, p in enumerate(parts) if p & s and p & ~s)
+            return False, (f"FAIL C3 S={bits(s)}: sat(S) adds part {added} and is no element",), None
+    try:
+        jp = join_poset(lat, parts)
+    except NotGroupLattice as exc:
+        return False, (f"FAIL C3 {exc}",), None
+    return True, (f"PASS C3 sat(S) is an element for all {lat.size} S, "
+                  f"and the {jp.size} joins of parts are unions of parts",), jp
+
+
+def assert_c3_as_by_parts(lat, parts):
+    rep = _c3(lat, parts)
+    ok, lines, jp = c3_by_parts(lat, parts)
+    assert (rep.ok, rep.lines) == (ok, lines), parts
+    assert (rep.join_poset and rep.join_poset.supports) == (jp and jp.supports), parts
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "Q8", "A4"])
+def test_c3_tables_match_per_part_loop_on_every_partition(name):
+    # every partition of the atoms into parts of one size, passing or not:
+    # the same first failing S, message and join poset
+    ab = get_abstract(name)
+    count = 0
+    for size in (d for d in range(1, ab.n_atoms + 1) if ab.n_atoms % d == 0):
+        for parts in equal_size_partitions(ab.n_atoms, size):
+            assert_c3_as_by_parts(ab, parts)
+            count += 1
+    assert count == {"S3": 27, "D4": 142, "Q8": 142, "A4": 32_034}[name]
+
+
+def test_c3_tables_match_per_part_loop_on_every_tried_cover(monkeypatch):
+    # every cover the search hands to the check, at every level of the
+    # derived-length recursion, on catalog_entries(24) and D12, unseeded
+    # and at shuffle seed 7: 50 covers
+    tried = []
+    check = reconstruct.is_hypothetical_coset_partition
+
+    def record(lat, parts):
+        tried.append((lat, parts))
+        return check(lat, parts)
+
+    monkeypatch.setattr(reconstruct, "is_hypothetical_coset_partition", record)
+    for g, ab in unseeded_lattices():
+        for lat in (ab, to_abstract(ab, seed=7)):
+            lattice_derived_length(lat)
+    assert len(tried) == 50
+    for lat, parts in tried:
+        assert_c3_as_by_parts(lat, parts)
 
 
 class TestFindCosetPartition:
