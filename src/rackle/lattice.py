@@ -615,8 +615,7 @@ class _FirstUse(dict):
 
 def parse_lattice(text: str, name: str = "") -> SubrackLattice:
     """Read a .lat file: a header, then one member list per element. Lines
-    past the element lines are never checked, so the HASSE section of an older
-    concrete file is skipped.
+    past those are never read, so an older file's HASSE section is skipped.
 
     Each line passes one sequence of checks, in this order, each with its
     own message: two tokens at least, no "-" for members (the HASSE form,
@@ -627,7 +626,9 @@ def parse_lattice(text: str, name: str = "") -> SubrackLattice:
     of k distinct bits has popcount k while a repeated bit carries and
     lowers it, so one popcount test finds both faults; only then are the
     members read again to name the fault. The elements must come in
-    popcount-then-lex order, the whole ground set last."""
+    popcount-then-lex order, the whole ground set last. Lines are read as
+    they come, none kept, and a failed check first counts them up to n: a
+    short file says so before any other fault, as if counted before all."""
     lines = content_lines(text)
     header = next(lines, None)
     if header is None:
@@ -638,44 +639,52 @@ def parse_lattice(text: str, name: str = "") -> SubrackLattice:
     n, ground = ints(head, "header", header)
     if n < 1:
         raise FormatError(f"bad header {header!r}: a lattice has at least one element")
-    body = list(islice(lines, n))
-    if len(body) < n:
-        raise FormatError(f"expected {n} element lines")
-    # the top's line lists every point, so the text bounds the ground size;
-    # checked before any member bit is built, with room to spare
-    if not 0 <= ground <= 8 * len(text):
-        raise FormatError(f"header ground size {ground} is not one the file could list")
+    short = FormatError(f"expected {n} element lines")
+    # an element line takes 3 characters and the top's lists every point, so
+    # the text bounds n and the ground size, checked before any id or bit
+    if n > len(text):
+        raise short
+    try:
+        if not 0 <= ground <= 8 * len(text):
+            raise FormatError(f"header ground size {ground} is not one the file could list")
 
-    def member_bit(token: str) -> int:
-        v = int(token)
-        return 1 << v if 0 <= v < ground else 0
+        def member_bit(token: str) -> int:
+            v = int(token)
+            return 1 << v if 0 <= v < ground else 0
 
-    bit, count = _FirstUse(member_bit), _FirstUse(int)
-    get = bit.__getitem__
-    masks = [-1] * n                     # -1: no line has taken this id yet
-    for ln in body:
-        toks = ln.split()
-        try:
-            idt, pop_tok, *rest = toks
-            mask = sum(map(get, rest))
-            idx, pop = int(idt), count[pop_tok]
-        except ValueError:               # under two tokens, or one that is no integer
-            if toks[2:] == ["-"]:
-                raise FormatError(
-                    f"line {ln!r} has '-' for members: the HASSE form of .lat is "
-                    "no longer read; list each element's atoms instead"
-                ) from None
-            raise FormatError(f"bad element line {ln!r}") from None
-        if not 0 <= idx < n or masks[idx] >= 0:
-            raise FormatError(f"bad element id {idx}")
-        if len(rest) != pop:
-            raise FormatError(f"popcount mismatch on line {ln!r}")
-        if mask.bit_count() != pop:
-            for t in rest:
-                if not bit[t]:
-                    raise FormatError(f"member {int(t)} outside ground set")
-            raise FormatError(f"repeated member on line {ln!r}")
-        masks[idx] = mask
+        bit, count = _FirstUse(member_bit), _FirstUse(int)
+        get = bit.__getitem__
+        masks = [-1] * n                 # -1: no line has taken this id yet
+        for ln in islice(lines, n):
+            toks = ln.split()
+            try:
+                idt, pop_tok, *rest = toks
+                mask = sum(map(get, rest))
+                idx, pop = int(idt), count[pop_tok]
+            except ValueError:           # under two tokens, or one that is no integer
+                if toks[2:] == ["-"]:
+                    raise FormatError(
+                        f"line {ln!r} has '-' for members: the HASSE form of .lat is "
+                        "no longer read; list each element's atoms instead"
+                    ) from None
+                raise FormatError(f"bad element line {ln!r}") from None
+            if not 0 <= idx < n or masks[idx] >= 0:
+                raise FormatError(f"bad element id {idx}")
+            if len(rest) != pop:
+                raise FormatError(f"popcount mismatch on line {ln!r}")
+            if mask.bit_count() != pop:
+                for t in rest:
+                    if not bit[t]:
+                        raise FormatError(f"member {int(t)} outside ground set")
+                raise FormatError(f"repeated member on line {ln!r}")
+            masks[idx] = mask
+    except FormatError:
+        # a short file names its length first, whatever else is wrong
+        if sum(1 for _ in islice(content_lines(text), 1, n + 1)) < n:
+            raise short from None
+        raise
+    if -1 in masks:                      # each line takes one id: fewer lines than n
+        raise short
     if not all(map(_in_order, masks, islice(masks, 1, None))):
         raise FormatError("elements are not in popcount-then-lex order")
     if masks[-1] != (1 << ground) - 1:

@@ -68,8 +68,11 @@ def recover_classes(lat: AbstractLattice) -> AtomClassPartition:
 
     On a group-rack lattice the coatoms are the complements of single
     conjugacy classes, so the blocks tile the atom set; anything else means
-    the input is not such a lattice.
+    the input is not such a lattice. A Boolean lattice's coatoms are top
+    less one atom each, so its blocks are its atoms, with no coatom walk.
     """
+    if lat.is_boolean():
+        return AtomClassPartition(blocks=tuple(1 << p for p in range(lat.n_atoms)))
     full = (1 << lat.n_atoms) - 1
     blocks = [full & ~lat.supports[co] for co in lat.proper_maximal]
     covered = 0
@@ -101,6 +104,7 @@ def max_normal_abelian(
     below A; their union must itself be a lattice element. Keep the
     inclusion-maximal results: small unions (down to the identity atom alone)
     occur legitimately but never name a maximal normal abelian subgroup.
+    A union equal to A's support is A, with no lookup (on a Boolean lattice, always).
     """
     if classes is None:
         classes = recover_classes(lat)
@@ -108,7 +112,7 @@ def max_normal_abelian(
     cands = set()
     for a in lat.maximal_boolean:
         union = sum(b for b in classes.blocks if b & sup[a] == b)
-        elem = lat.support_index.get(union)
+        elem = a if union == sup[a] else lat.support_index.get(union)
         if elem is None:
             raise MissingElement(
                 f"class-block union {union:b} is not a lattice element"

@@ -8,18 +8,30 @@ not raises FormatError naming the line it came from.
 from __future__ import annotations
 
 import os
+from itertools import chain
 from typing import Iterator, Sequence
 
 from .errors import FormatError
 
+BLOCK = 1 << 16                          # a block's characters, then on to a newline
+
 
 def content_lines(text: str) -> Iterator[str]:
-    """The non-empty lines of text with comments cut, split all at once and
-    cut and stripped as they are read. A text with no "#" skips the cut."""
-    lines = text.splitlines()
-    if "#" in text:
-        lines = (ln.split("#", 1)[0] for ln in lines)
-    return filter(None, map(str.strip, lines))
+    """The non-empty lines of text, comments cut, read in blocks that end at
+    the first newline past BLOCK characters (a line end whatever precedes
+    it): no list of every line is held. A block with no "#" skips the cut."""
+    return chain.from_iterable(_blocks(text))
+
+
+def _blocks(text: str) -> Iterator[Iterator[str]]:
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + BLOCK) + 1 or len(text)
+        block, start = text[start:end], end
+        lines = block.splitlines()
+        if "#" in block:
+            lines = (ln.split("#", 1)[0] for ln in lines)
+        yield filter(None, map(str.strip, lines))
 
 
 def ints(tokens: Sequence[str], what: str, line: str) -> list[int]:

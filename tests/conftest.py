@@ -61,6 +61,15 @@ def abstract_of():
     return get_abstract
 
 
+def content_lines_reference(text):
+    """textio.content_lines as it split the whole text at once, before it
+    read a block at a time: the lines the block reader must give."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = (ln.split("#", 1)[0] for ln in lines)
+    return filter(None, map(str.strip, lines))
+
+
 def rack_from(op):
     return ConjugationRack(size=len(op), op=tuple(tuple(row) for row in op))
 

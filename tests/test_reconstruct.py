@@ -7,6 +7,7 @@ import math
 import random
 import sys
 from itertools import combinations, product
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -194,6 +195,28 @@ class TestRecoverClasses:
             assert union & b == 0
             union |= b
         assert union == (1 << ab.n_atoms) - 1
+
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2])
+    @pytest.mark.parametrize("name", [g.name for g in catalog_entries(12) if g.is_abelian()]
+                             + ["Z2xZ2xZ2xZ2"])
+    def test_boolean_blocks_match_the_coatom_walk(self, name, seed):
+        # one block per atom, as the complements of the coatoms give
+        ab = to_abstract(get_lattice(name), seed=seed)
+        assert ab.is_boolean()
+        with patch.object(AbstractLattice, "is_boolean", lambda self: False):
+            walked = recover_classes(ab)
+        assert recover_classes(ab) == walked
+
+    def test_boolean_lattice_builds_no_support_index(self):
+        # Z2^4's 65,536 supports: every invariant of a Boolean lattice is
+        # read off its atoms and its top
+        ab = to_abstract(get_lattice("Z2xZ2xZ2xZ2"), seed=3)
+        classes = recover_classes(ab)
+        assert max_normal_abelian(ab, classes) == [ab.top]
+        assert lattice_derived_length(ab) == 1
+        assert mobius_bottom_top(ab) == 1
+        assert classes.sizes() == (1,) * 16
+        assert "support_index" not in ab.__dict__
 
     def test_chain_is_rejected(self):
         # supports over two bits, only one of them an atom: no rack has it
